@@ -1,6 +1,10 @@
-"""Generalized sequence transforms, operator calculus, and Appell expansions."""
+"""Generalized sequence transforms, operator calculus, and Appell expansions.
 
-from . import appell, gftrans, opcalc, seqcore, specfun
+Importing the package loads only the exact layer (`Sequence` and the error
+types), without numpy or scipy; import the submodules by name:
+`from umbra import appell, checks, gftrans, opcalc, seqcore, specfun`.
+"""
+
 from .errors import (
     DivergenceError,
     DomainTooSmallError,
@@ -16,11 +20,6 @@ from .seqcore import Sequence
 
 __all__ = [
     "Sequence",
-    "appell",
-    "gftrans",
-    "opcalc",
-    "seqcore",
-    "specfun",
     "UmbraError",
     "InvalidParameterError",
     "DivergenceError",

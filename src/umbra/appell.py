@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DivergenceError, InvalidParameterError, TruncationError
 from .gftrans import hermite_gf
 from .opcalc.quadrature import FourierSymbol, gaussian_fourier_integral
-from .seqcore import HermiteParams, Sequence, hermite_complementary_seq
+from .seqcore import Sequence, TransformParams, hermite_complementary_seq
+from .specfun import polyval_coeffs
 
 _SQRT2PI = sqrt(2.0 * pi)
 
@@ -76,18 +77,12 @@ class AppellFamily:
     def inverse_at(self, z: complex) -> complex:
         if self.eval_inv is not None:
             return self.eval_inv(z)
-        out = 0j
-        for c in reversed(self.a_inv_taylor):
-            out = out * z + complex(c)
-        return out
+        return polyval_coeffs(map(complex, self.a_inv_taylor), z)
 
     def value_at(self, z: complex) -> complex:
         if self.eval_a is not None:
             return self.eval_a(z)
-        out = 0j
-        for c in reversed(self.a_taylor):
-            out = out * z + complex(c)
-        return out
+        return polyval_coeffs(map(complex, self.a_taylor), z)
 
 
 #: default Taylor depth for the built-in families: deep enough that the
@@ -176,10 +171,7 @@ def generating_check(fam: AppellFamily, N: int, t: complex, x: complex, sign: st
     """|sum_{n<=N} t^n a_n(x)/n! - A(t)^{+-1} e^{tx}|: residual of the defining product."""
     total = 0j
     for n in range(N + 1):
-        poly = appell_poly(fam, n, sign)
-        value = 0j
-        for c in reversed(poly):
-            value = value * x + complex(c)
+        value = polyval_coeffs(map(complex, appell_poly(fam, n, sign)), x)
         total += t ** n / factorial(n) * value
     closed = (fam.value_at(t) if sign == "plus" else fam.inverse_at(t)) * np.exp(t * x)
     return abs(total - closed)
@@ -233,9 +225,7 @@ class PolyGaussianFunction:
 
     def __call__(self, x):
         xs = np.asarray(x)
-        value = np.zeros_like(xs, dtype=complex)
-        for c in reversed(self.poly):
-            value = value * xs + float(c)
+        value = polyval_coeffs(map(complex, self.poly), xs)
         return value * np.exp(-float(self.scale) * xs ** 2)
 
     def symbol(self) -> FourierSymbol:
@@ -302,9 +292,7 @@ def expansion_coefficients(fam: AppellFamily, f: "GaussianFunction | PolyGaussia
         # probe points before trusting it under the integral
         for k in _GUARD_POINTS:
             full = fam.inverse_at(1j * k)
-            dropped = 0j
-            for c in reversed(fam.a_inv_taylor[:-2]):
-                dropped = dropped * (1j * k) + complex(c)
+            dropped = polyval_coeffs(map(complex, fam.a_inv_taylor[:-2]), 1j * k)
             if abs(full - dropped) > 1e-6 * max(abs(full), 1e-300):
                 raise DivergenceError(
                     f"1/A Taylor data has not converged at |k| = {k:g}: supply more "
@@ -352,10 +340,7 @@ def reconstruct(fam: AppellFamily, res: ExpansionResult, x: complex) -> complex:
     """Partial sum f(x) ~ sum alpha_n a_n^+(x) through the stored coefficients."""
     total = 0j
     for n, alpha in enumerate(res.coefficients):
-        poly = appell_poly(fam, n, "plus")
-        value = 0j
-        for c in reversed(poly):
-            value = value * x + complex(c)
+        value = polyval_coeffs(map(complex, appell_poly(fam, n, "plus")), x)
         total += complex(alpha) * value
     return total
 
@@ -390,7 +375,7 @@ def gauss_umbral_bridge_residual(a: Sequence, y, xs) -> float:
     The evolution e^{y (d/da^)^2} turns a_n into the complementary Hermite
     transform with parameters (1, y); its EGF must match the closed product.
     """
-    transformed = hermite_complementary_seq(a, HermiteParams(1, Fraction(y)))
+    transformed = hermite_complementary_seq(a, TransformParams(1, Fraction(y)))
     worst = 0.0
     for x in xs:
         umbral_side = 0j

@@ -219,7 +219,7 @@ def _modular_ordinary_case() -> MasterCase:
 
     return MasterCase(
         "modular transform, ordinary closed form", "Eq. 13",
-        lambda a: sq.modular_transform(a, sq.ModularParams(_MOD_ALPHA, _MOD_BETA)),
+        lambda a: sq.modular_transform(a, sq.TransformParams(_MOD_ALPHA, _MOD_BETA)),
         lambda a, x: gf.modular_gf(a, al, be, x, "ordinary"),
         "ordinary", radius, closed_tail, direct_total,
     )
@@ -236,7 +236,7 @@ def _modular_exponential_case() -> MasterCase:
 
     return MasterCase(
         "modular transform, exponential closed form", "Eq. 13",
-        lambda a: sq.modular_transform(a, sq.ModularParams(_MODX_ALPHA, _MODX_BETA)),
+        lambda a: sq.modular_transform(a, sq.TransformParams(_MODX_ALPHA, _MODX_BETA)),
         lambda a, x: gf.modular_gf(a, al, be, x, "exponential"),
         "exponential", lambda ts: 0.45, closed_tail, direct_total,
     )
@@ -331,9 +331,9 @@ def _hermite_case(variant: str) -> MasterCase:
         return M * exp(be * r * r) * exp(rho * al * r)
 
     transform = (
-        (lambda a: sq.hermite_transform_seq(a, sq.HermiteParams(_HERM_ALPHA, _HERM_BETA)))
+        (lambda a: sq.hermite_transform_seq(a, sq.TransformParams(_HERM_ALPHA, _HERM_BETA)))
         if variant == "standard"
-        else (lambda a: sq.hermite_complementary_seq(a, sq.HermiteParams(_HERM_ALPHA, _HERM_BETA)))
+        else (lambda a: sq.hermite_complementary_seq(a, sq.TransformParams(_HERM_ALPHA, _HERM_BETA)))
     )
     return MasterCase(
         f"hermite transform ({variant}), closed form",
@@ -365,7 +365,7 @@ def _laguerre_case(kind: str) -> MasterCase:
 
     return MasterCase(
         f"laguerre transform, {kind} closed form", "Eq. 35",
-        lambda a: sq.laguerre_transform_seq(a, sq.LaguerreParams(_LAG_ALPHA, _LAG_BETA)),
+        lambda a: sq.laguerre_transform_seq(a, sq.TransformParams(_LAG_ALPHA, _LAG_BETA)),
         lambda a, x: gf.laguerre_gf(a, al, be, x, kind),
         kind, lambda ts: 0.45, closed_tail, direct_total,
     )
@@ -441,7 +441,7 @@ def _chk_modular_roundtrip(seed: int) -> Outcome:
     rng = random.Random(seed)
     for _ in range(200):
         a = random_sequence(rng)
-        p = sq.ModularParams(nonzero_rational(rng), nonzero_rational(rng))
+        p = sq.TransformParams(nonzero_rational(rng), nonzero_rational(rng))
         if sq.modular_inverse(sq.modular_transform(a, p), p).terms != a.terms:
             return Outcome(1.0, f"failed with {p}", passed=False)
     return Outcome(0.0, "200 random (a, alpha, beta != 0), exact")
@@ -452,8 +452,8 @@ def _chk_modular_inverse_relation(seed: int) -> Outcome:
     for _ in range(50):
         b = random_sequence(rng, max_len=16, bound=1000)
         alpha, beta = nonzero_rational(rng), nonzero_rational(rng)
-        left = sq.modular_inverse(b, sq.ModularParams(alpha, beta))
-        right = sq.modular_transform(b, sq.ModularParams(alpha, 1))
+        left = sq.modular_inverse(b, sq.TransformParams(alpha, beta))
+        right = sq.modular_transform(b, sq.TransformParams(alpha, 1))
         for n in range(len(b)):
             if left[n] != beta ** -n * right[n]:
                 return Outcome(1.0, "scaled-transform relation broke", passed=False)
@@ -474,7 +474,7 @@ def _chk_hermite_roundtrip(seed: int) -> Outcome:
     for _ in range(200):
         a = random_sequence(rng)
         alpha = nonzero_rational(rng)
-        p = sq.HermiteParams(alpha, nonzero_rational(rng))
+        p = sq.TransformParams(alpha, nonzero_rational(rng))
         if sq.hermite_inverse_seq(sq.hermite_complementary_seq(a, p), p).terms != a.terms:
             return Outcome(1.0, f"failed with {p}", passed=False)
     return Outcome(0.0, "inverse after complementary transform, 200 random, exact")
@@ -642,7 +642,10 @@ def _chk_borel_c0() -> Outcome:
 
 def _chk_exp_laguerre() -> Outcome:
     c0 = gf.PowerSeries(oc.c0_series(24), "ordinary")
-    out = oc.exp_laguerre_derivative(Fraction(1, 2), c0)  # dual routes compared internally
+    out = oc.exp_laguerre_derivative(Fraction(1, 2), c0)
+    via_matrix = oc.laguerre_derivative_op(24).expm_apply(c0.coeffs, scale=Fraction(1, 2))
+    if out.coeffs != tuple(via_matrix):
+        return Outcome(1.0, "Borel and matrix-exponential routes disagree", passed=False)
     worst = max(
         abs(float(out.coeffs[j] / c0.coeffs[j]) - exp(-0.5)) for j in range(12)
     )
@@ -768,7 +771,7 @@ def _chk_appell_reconstruction() -> Outcome:
 def _errata_eq28() -> Outcome:
     # printed coefficient C(n, 2r) instead of n!/((n-2r)! r!)
     a = sq.Sequence.of([1, 1, 1, 1, 1, 1])
-    p = sq.HermiteParams(1, 1)
+    p = sq.TransformParams(1, 1)
     implemented = sq.hermite_complementary_seq(a, p)
     printed = [
         sum(comb(n, 2 * r) * a[n - 2 * r] for r in range(n // 2 + 1))
@@ -786,7 +789,7 @@ def _errata_eq32() -> Outcome:
 def _errata_eq33() -> Outcome:
     # printed l_{n,r} without the n! prefactor breaks the generating function
     a = sq.Sequence.of([1] * 33)
-    p = sq.LaguerreParams(1, 1)
+    p = sq.TransformParams(1, 1)
     x = 0.25
     printed_series = sum(
         float(sum(
@@ -864,12 +867,7 @@ def _errata_eq89() -> Outcome:
 
     def printed_form(k):
         den = 1.0 + 1j * k * x
-        coeffs = [1.0] * 128
-        u = x / den
-        val = np.zeros_like(u)
-        for c in reversed(coeffs):
-            val = val * u + c
-        return envelope(k) * val / den
+        return envelope(k) * sf.polyval_coeffs([1.0] * 128, x / den) / den
 
     res = oc.gaussian_fourier_integral(1.0 / (4.0 * s), printed_form)
     printed = res.value / sqrt(2 * pi)

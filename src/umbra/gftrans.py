@@ -17,7 +17,7 @@ from typing import Literal
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
 from .seqcore import Sequence
-from .specfun import stirling2
+from .specfun import polyval_coeffs, stirling2
 
 Kind = Literal["ordinary", "exponential"]
 
@@ -90,10 +90,7 @@ def derivative_tail_exponential(M: float, rho: float, r: int, uabs: float, first
 
 
 def _eval_ordinary(coeffs, x: complex) -> complex:
-    value = 0j
-    for c in reversed(coeffs):
-        value = value * x + complex(c)
-    return value
+    return polyval_coeffs(map(complex, coeffs), x)
 
 
 def _eval_exponential(coeffs, x: complex) -> complex:

@@ -23,13 +23,14 @@ from ..errors import (
 )
 from ..gftrans import PowerSeries
 from ..seqcore import Sequence
-from ..specfun import hermite2, tricomi_c
+from ..specfun import hermite2, polyval_coeffs, tricomi_c
 from .quadrature import (
     FourierSymbol,
     gauss_weighted_integral,
     gaussian_fourier_integral,
     legendre_composite_rule,
 )
+from .series_ops import _to_ordinary
 
 _SQRT2PI = sqrt(2.0 * pi)
 
@@ -109,10 +110,7 @@ def gabor_like_transform(symbol: FourierSymbol, f_coeffs, alpha: float, beta: fl
     coeffs = [complex(c) for c in f_coeffs]
 
     def g(k):
-        u = x + 1j * alpha * k
-        poly = np.zeros_like(u)
-        for c in reversed(coeffs):
-            poly = poly * u + c
+        poly = polyval_coeffs(coeffs, x + 1j * alpha * k)
         return symbol.envelope(k) * np.exp(1j * k * beta * x) * poly
 
     res = gaussian_fourier_integral(symbol.gauss_coeff + alpha * beta / 2.0, g)
@@ -178,12 +176,6 @@ def tricomi_evolution(x: float, tau: float) -> complex:
         raise InvalidParameterError("tricomi evolution needs tau >= 0")
     res = gauss_weighted_integral(lambda k: tricomi_c(0, -1j * k * x), tau)
     return res.value / (2.0 * sqrt(pi * tau))
-
-
-def _ordinary_coeffs(f: PowerSeries) -> list[complex]:
-    if f.kind == "ordinary":
-        return [complex(c) for c in f.coeffs]
-    return [complex(c) / factorial(n) for n, c in enumerate(f.coeffs)]
 
 
 def _evolved_series_values(f_ord: list[complex], beta: float, ks: np.ndarray, x: float, work_order: int) -> np.ndarray:
@@ -254,12 +246,9 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
         raise InvalidParameterError("needs tau >= 0")
     if abs(x) > INTEGRO_REGION:
         raise TruncationError(f"|x| = {abs(x):g} outside the truncation-controlled region {INTEGRO_REGION}")
-    f_ord = _ordinary_coeffs(f)
+    f_ord = [complex(c) for c in _to_ordinary(f)]
     if tau == 0:
-        value = 0j
-        for c in reversed(f_ord):
-            value = value * x + c
-        return value
+        return polyval_coeffs(f_ord, x)
     work_order = max(len(f_ord) - 1, 48) + 16
 
     if m == 2:
@@ -317,18 +306,12 @@ def umbral_operator_transform(
             raise DivergenceError(f"rho |x| = {rho * abs(x):g} >= 1: outside the series radius")
     coeffs = [complex(t) for t in a.terms]
 
-    def series_at(u):
-        val = np.zeros_like(u)
-        for c in reversed(coeffs):
-            val = val * u + c
-        return val
-
     if symbol is None:
-        return complex(series_at(np.asarray(x, dtype=complex)))
+        return complex(polyval_coeffs(coeffs, np.asarray(x, dtype=complex)))
 
     def g(k):
         den = 1.0 - 1j * k * x
-        return symbol.envelope(k) * series_at(x / den) / den
+        return symbol.envelope(k) * polyval_coeffs(coeffs, x / den) / den
 
     res = gaussian_fourier_integral(symbol.gauss_coeff, g)
     return res.value / _SQRT2PI

@@ -171,11 +171,3 @@ def second_derivative_plus_x_op(alpha, beta, degree_cap: int) -> TruncatedOperat
     """alpha d^2/dx^2 + beta x, the argument operator of the cubic-commutator symbol."""
     d = derivative_op(degree_cap)
     return d.compose(d).scale(alpha) + x_multiply_op(degree_cap).scale(beta)
-
-
-def polyval_coeffs(coeffs, x):
-    """Evaluate an ascending coefficient vector at x (Horner)."""
-    value = 0
-    for c in reversed(list(coeffs)):
-        value = value * x + c
-    return value

@@ -17,8 +17,8 @@ import scipy.special
 
 from ..errors import InvalidParameterError
 from ..seqcore import Sequence
-from ..specfun import tricomi_series
-from .operators import TruncatedOperator, polyval_coeffs
+from ..specfun import polyval_coeffs, tricomi_series
+from .operators import TruncatedOperator
 
 
 def apply_entire_function(

@@ -4,13 +4,35 @@ All transforms act on a finite prefix (a_0 .. a_N) of exact rational terms and
 return a sequence of the same length.  Everything here is a polynomial identity
 in the inputs, so no floating point is allowed to enter: roundtrips and
 involutions hold with exact equality.
+
+Every transform is one product of exponential generating functions,
+B(x) = L(s x) R(s x), so coefficientwise
+
+    b_n = s^n sum_j C(n,j) L_j R_{n-j},
+
+and one kernel computes all eight from these (L, R, s); an entry "at j = 2r"
+is zero at odd j:
+
+    name                   L_j                           R_j                            s
+    binomial               1                             (-1)^j a_j                     1
+    modular                alpha^j                       (-beta)^j a_j                  1
+    modular-inverse        alpha^j                       (-1)^j b_j                     1/beta
+    k-binomial             1                             (-1)^j j^k a_j  (0^0 = 1)      1
+    hermite                alpha^j                       beta^r a_r (2r)!/r! at j = 2r  1
+    hermite-complementary  beta^r (2r)!/r! at j = 2r     alpha^j a_j                    1
+    hermite-inverse        (-beta)^r (2r)!/r! at j = 2r  b_j                            1/alpha
+    laguerre               beta^j                        (-alpha)^j a_j / j!            1
+
+These are the paper's closed forms e^x g(-x), e^{alpha x} g(-beta x),
+e^{alpha x} g(beta x^2), e^{beta x^2} g(alpha x) and e^{beta x} q(-alpha x),
+with g(x) = sum a_j x^j / j! and q(x) = sum a_j x^j / (j!)^2.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, lcm
 from typing import Iterable
 
 from .errors import InvalidParameterError, SequenceFormatError
@@ -47,7 +69,9 @@ class Sequence:
 
 
 @dataclass(frozen=True)
-class ModularParams:
+class TransformParams:
+    """The (alpha, beta) pair of the modular, Hermite and Laguerre transforms."""
+
     alpha: Fraction
     beta: Fraction
 
@@ -55,131 +79,93 @@ class ModularParams:
         object.__setattr__(self, "alpha", _frac(self.alpha))
         object.__setattr__(self, "beta", _frac(self.beta))
 
-
-@dataclass(frozen=True)
-class HermiteParams:
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        object.__setattr__(self, "beta", _frac(self.beta))
+    @property
+    def scale(self) -> int:
+        """alpha and beta times this are integers."""
+        return self.alpha.denominator * self.beta.denominator
 
 
-@dataclass(frozen=True)
-class LaguerreParams:
-    alpha: Fraction
-    beta: Fraction
+def _cleared(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(D, [v * D]) with D the least common denominator of `values`."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        object.__setattr__(self, "beta", _frac(self.beta))
+
+def _egf_product(left: list[Fraction], right: list[Fraction], c: int = 1, s: Fraction | int = 1) -> Sequence:
+    """b_n = s^n sum_j C(n,j) L_j R_{n-j}, the coefficients of L(s x) R(s x).
+
+    The sum is taken as (s/c)^n sum_j C(n,j) (c^j L_j) (c^{n-j} R_{n-j}),
+    the same number.  With c a common denominator of the parameters whose
+    powers L and R carry, c^j alpha^j and c^j beta^j are integers.  Each
+    factor is then scaled to integers over one common denominator, so the
+    double sum is integer arithmetic and each b_n is reduced once.
+    """
+    dl, ls = _cleared([v * c ** j for j, v in enumerate(left)])
+    dr, rs = _cleared([v * c ** j for j, v in enumerate(right)])
+    ratio = Fraction(s, c)
+    active = []  # (j, cleared c^j R_j) for the nonzero R_j with j <= n
+    num, den = 1, dl * dr
+    out = []
+    for n in range(len(left)):
+        if rs[n]:
+            active.append((n, rs[n]))
+        out.append(Fraction(sum(comb(n, j) * ls[n - j] * r for j, r in active) * num, den))
+        num *= ratio.numerator
+        den *= ratio.denominator
+    return Sequence.of(out)
+
+
+def _gauss_weights(beta: Fraction, count: int) -> list[Fraction]:
+    """EGF coefficients of e^{beta x^2}: beta^r (2r)!/r! at index 2r, 0 at odd indices."""
+    return [Fraction(0) if j % 2 else beta ** (j // 2) * Fraction(factorial(j), factorial(j // 2))
+            for j in range(count)]
 
 
 def binomial_transform(a: Sequence) -> Sequence:
     """b_n = sum_{s<=n} (-1)^s C(n,s) a_s.  Self-inverse."""
-    return Sequence.of(
-        sum((-1) ** s * comb(n, s) * a[s] for s in range(n + 1))
-        for n in range(len(a))
-    )
+    return _egf_product([Fraction(1)] * len(a), [(-1) ** s * a[s] for s in range(len(a))])
 
 
-def _int_powers(base: int, count: int) -> list[int]:
-    out = [1]
-    for _ in range(count):
-        out.append(out[-1] * base)
-    return out
-
-
-def _clear_denominators(terms: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    common = 1
-    for t in terms:
-        common = common * t.denominator // gcd(common, t.denominator)
-    return common, [t.numerator * (common // t.denominator) for t in terms]
-
-
-def _modular_core(a: Sequence, alpha: Fraction, beta: Fraction) -> list[Fraction]:
-    # cleared-denominator integer convolution: the per-term Fraction
-    # normalizations would otherwise dominate on large random inputs
-    top = len(a) - 1
-    common, ints = _clear_denominators(a.terms)
-    up = _int_powers(alpha.numerator * beta.denominator, top)
-    down = _int_powers(alpha.denominator * beta.numerator, top)
-    scale = _int_powers(alpha.denominator * beta.denominator, top)
-    out = []
-    for n in range(len(a)):
-        total = 0
-        for s in range(n + 1):
-            term = comb(n, s) * up[n - s] * down[s] * ints[s]
-            total = total - term if s % 2 else total + term
-        out.append(Fraction(total, common * scale[n]))
-    return out
-
-
-def modular_transform(a: Sequence, p: ModularParams) -> Sequence:
+def modular_transform(a: Sequence, p: TransformParams) -> Sequence:
     """b_n = sum_{s<=n} (-1)^s C(n,s) alpha^{n-s} beta^s a_s."""
-    return Sequence.of(_modular_core(a, p.alpha, p.beta))
+    return _egf_product([p.alpha ** j for j in range(len(a))],
+                        [(-p.beta) ** s * a[s] for s in range(len(a))], p.scale)
 
 
-def modular_inverse(b: Sequence, p: ModularParams) -> Sequence:
+def modular_inverse(b: Sequence, p: TransformParams) -> Sequence:
     """a_n = beta^{-n} sum_{s<=n} (-1)^s C(n,s) alpha^{n-s} b_s."""
     if p.beta == 0:
         raise InvalidParameterError("modular inverse needs beta != 0")
-    inner = _modular_core(b, p.alpha, Fraction(1))
-    inv = Fraction(p.beta.denominator, p.beta.numerator)
-    power = Fraction(1)
-    out = []
-    for n in range(len(b)):
-        out.append(power * inner[n])
-        power *= inv
-    return Sequence.of(out)
-
-
-def _spow(s: int, k: int) -> int:
-    # 0^0 = 1 so that k = 0 reduces to the plain binomial transform
-    return 1 if k == 0 else s ** k
+    return _egf_product([p.alpha ** j for j in range(len(b))],
+                        [(-1) ** s * b[s] for s in range(len(b))], p.alpha.denominator, 1 / p.beta)
 
 
 def rising_k_binomial(a: Sequence, k: int) -> Sequence:
     """b_n = sum_{s<=n} (-1)^s C(n,s) s^k a_s, with 0^0 = 1."""
     if k < 0:
         raise InvalidParameterError("k must be a nonnegative integer")
-    return Sequence.of(
-        sum((-1) ** s * comb(n, s) * _spow(s, k) * a[s] for s in range(n + 1))
-        for n in range(len(a))
-    )
+    return _egf_product([Fraction(1)] * len(a), [(-1) ** s * s ** k * a[s] for s in range(len(a))])
 
 
-def hermite_transform_seq(a: Sequence, p: HermiteParams) -> Sequence:
+def hermite_transform_seq(a: Sequence, p: TransformParams) -> Sequence:
     """b_n = sum_{r<=n/2} n!/((n-2r)! r!) alpha^{n-2r} beta^r a_r."""
-    out = []
-    for n in range(len(a)):
-        total = Fraction(0)
-        for r in range(n // 2 + 1):
-            coeff = factorial(n) // (factorial(n - 2 * r) * factorial(r))
-            total += coeff * p.alpha ** (n - 2 * r) * p.beta ** r * a[r]
-        out.append(total)
-    return Sequence.of(out)
+    weights = _gauss_weights(p.beta, len(a))
+    return _egf_product([p.alpha ** j for j in range(len(a))],
+                        [w * a[j // 2] for j, w in enumerate(weights)], p.scale)
 
 
-def hermite_complementary_seq(a: Sequence, p: HermiteParams) -> Sequence:
+def hermite_complementary_seq(a: Sequence, p: TransformParams) -> Sequence:
     """b_n = n! sum_{r<=n/2} alpha^{n-2r} beta^r a_{n-2r} / ((n-2r)! r!).
 
     The printed coefficient C(n,2r) would contradict the closed form
     e^{beta x^2} g(alpha x); the umbral coefficient n!/((n-2r)! r!) is used
     instead and the generating-function tests enforce it.
     """
-    out = []
-    for n in range(len(a)):
-        total = Fraction(0)
-        for r in range(n // 2 + 1):
-            coeff = factorial(n) // (factorial(n - 2 * r) * factorial(r))
-            total += coeff * p.alpha ** (n - 2 * r) * p.beta ** r * a[n - 2 * r]
-        out.append(total)
-    return Sequence.of(out)
+    return _egf_product(_gauss_weights(p.beta, len(a)),
+                        [p.alpha ** s * a[s] for s in range(len(a))], p.scale)
 
 
-def hermite_inverse_seq(b: Sequence, p: HermiteParams) -> Sequence:
+def hermite_inverse_seq(b: Sequence, p: TransformParams) -> Sequence:
     """a_n = alpha^{-n} n! sum_r b_{n-2r} (-beta)^r / ((n-2r)! r!).
 
     Inverts hermite_complementary_seq exactly.  The degree-doubling transform
@@ -189,31 +175,18 @@ def hermite_inverse_seq(b: Sequence, p: HermiteParams) -> Sequence:
     """
     if p.alpha == 0:
         raise InvalidParameterError("hermite inverse needs alpha != 0")
-    out = []
-    for n in range(len(b)):
-        total = Fraction(0)
-        for r in range(n // 2 + 1):
-            coeff = factorial(n) // (factorial(n - 2 * r) * factorial(r))
-            total += coeff * (-p.beta) ** r * b[n - 2 * r]
-        out.append(p.alpha ** -n * total)
-    return Sequence.of(out)
+    return _egf_product(_gauss_weights(-p.beta, len(b)), list(b.terms), p.beta.denominator, 1 / p.alpha)
 
 
-def laguerre_transform_seq(a: Sequence, p: LaguerreParams) -> Sequence:
+def laguerre_transform_seq(a: Sequence, p: TransformParams) -> Sequence:
     """b_n = n! sum_{r<=n} (-1)^r beta^{n-r} alpha^r a_r / ((r!)^2 (n-r)!).
 
     Carries the n! prefactor missing from the printed coefficient so that the
     transform of (1,1,...) at alpha = beta = 1 is the classical Laguerre value
     L_n(1); the generating function e^{yt} C_0(xt) forces this normalization.
     """
-    out = []
-    for n in range(len(a)):
-        total = Fraction(0)
-        for r in range(n + 1):
-            coeff = Fraction((-1) ** r * factorial(n), factorial(r) ** 2 * factorial(n - r))
-            total += coeff * p.beta ** (n - r) * p.alpha ** r * a[r]
-        out.append(total)
-    return Sequence.of(out)
+    return _egf_product([p.beta ** j for j in range(len(a))],
+                        [(-p.alpha) ** r * a[r] / factorial(r) for r in range(len(a))], p.scale)
 
 
 @dataclass(frozen=True)
@@ -239,15 +212,19 @@ def _need(value, what: str):
     return value
 
 
+def _params(st: Stage) -> TransformParams:
+    return TransformParams(_need(st.alpha, "alpha"), _need(st.beta, "beta"))
+
+
 _STAGES = {
     "binomial": lambda st, a: binomial_transform(a),
-    "modular": lambda st, a: modular_transform(a, ModularParams(_need(st.alpha, "alpha"), _need(st.beta, "beta"))),
-    "modular-inverse": lambda st, a: modular_inverse(a, ModularParams(_need(st.alpha, "alpha"), _need(st.beta, "beta"))),
+    "modular": lambda st, a: modular_transform(a, _params(st)),
+    "modular-inverse": lambda st, a: modular_inverse(a, _params(st)),
     "k-binomial": lambda st, a: rising_k_binomial(a, _need(st.k, "k")),
-    "hermite": lambda st, a: hermite_transform_seq(a, HermiteParams(_need(st.alpha, "alpha"), _need(st.beta, "beta"))),
-    "hermite-complementary": lambda st, a: hermite_complementary_seq(a, HermiteParams(_need(st.alpha, "alpha"), _need(st.beta, "beta"))),
-    "hermite-inverse": lambda st, a: hermite_inverse_seq(a, HermiteParams(_need(st.alpha, "alpha"), _need(st.beta, "beta"))),
-    "laguerre": lambda st, a: laguerre_transform_seq(a, LaguerreParams(_need(st.alpha, "alpha"), _need(st.beta, "beta"))),
+    "hermite": lambda st, a: hermite_transform_seq(a, _params(st)),
+    "hermite-complementary": lambda st, a: hermite_complementary_seq(a, _params(st)),
+    "hermite-inverse": lambda st, a: hermite_inverse_seq(a, _params(st)),
+    "laguerre": lambda st, a: laguerre_transform_seq(a, _params(st)),
 }
 
 TRANSFORM_NAMES = tuple(_STAGES)
@@ -310,7 +287,7 @@ def modular_after_hermite_gap(a: Sequence, alpha, beta, gamma, delta) -> tuple[F
          Stage("modular", alpha=alpha, beta=beta)],
         a,
     )
-    closed = hermite_transform_seq(a, HermiteParams(alpha - beta * gamma, beta ** 2 * delta))
+    closed = hermite_transform_seq(a, TransformParams(alpha - beta * gamma, beta ** 2 * delta))
     return tuple(s - c for s, c in zip(sequential.terms, closed.terms))
 
 
@@ -336,7 +313,8 @@ def sequence_from_json(text: str) -> Sequence:
         raise SequenceFormatError("'terms' must be a non-empty list")
     terms = []
     for i, item in enumerate(raw):
-        if not isinstance(item, (str, int)):
+        # bool is an int subclass: JSON true/false are not terms
+        if isinstance(item, bool) or not isinstance(item, (str, int)):
             raise SequenceFormatError(f"term {i} must be a string or integer, got {type(item).__name__}")
         try:
             terms.append(Fraction(item))

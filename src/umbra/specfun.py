@@ -81,6 +81,17 @@ def tricomi_series(n: int, order: int) -> tuple[Fraction, ...]:
     return tuple(Fraction((-1) ** r, factorial(r) * factorial(n + r)) for r in range(order + 1))
 
 
+def polyval_coeffs(coeffs, x):
+    """Evaluate an ascending coefficient vector at x (Horner).
+
+    Exact on exact inputs; x may also be a float, complex or a numpy array.
+    """
+    value = 0
+    for c in reversed(list(coeffs)):
+        value = value * x + c
+    return value
+
+
 def stirling2(k: int, n: int) -> int:
     """Stirling number of the second kind, S2(k, n) = (1/k!) sum_j (-1)^{k-j} C(k,j) j^n.
 

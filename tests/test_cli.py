@@ -1,9 +1,17 @@
 """Command-line interface: exit codes, formats, determinism."""
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from transform_oracle import expected
 
+import umbra
 from umbra.cli import main
+from umbra.seqcore import TRANSFORM_NAMES
 
 
 def write(tmp_path, name, text):
@@ -29,6 +37,18 @@ class TestTransform:
         out = json.loads(capsys.readouterr().out)
         assert out["terms"] == ["1/3", "13/21"]
 
+    @pytest.mark.parametrize("name", TRANSFORM_NAMES)
+    def test_matches_double_sum(self, name, tmp_path, capsys):
+        terms = ["3", "-1/2", "7/5", "0", "11/3", "-2", "5/8"]
+        src = write(tmp_path, "a.json", json.dumps({"terms": terms}))
+        assert main(["transform", src, "--name", name, "--alpha=-2/3", "--beta=5/7", "--k", "2"]) == 0
+        want = expected(name, terms, Fraction(-2, 3), Fraction(5, 7), 2)
+        assert json.loads(capsys.readouterr().out)["terms"] == [str(w) for w in want]
+
+    def test_boolean_terms_exit_2(self, tmp_path):
+        src = write(tmp_path, "a.json", '{"terms": [true, false, 3]}')
+        assert main(["transform", src, "--name", "binomial"]) == 2
+
     def test_malformed_rational_exits_2(self, tmp_path, capsys):
         src = write(tmp_path, "a.json", '{"terms": ["1/0"]}')
         assert main(["transform", src, "--name", "binomial"]) == 2
@@ -49,6 +69,29 @@ class TestTransform:
         dst = tmp_path / "out.json"
         assert main(["transform", src, "--name", "binomial", "--output", str(dst)]) == 0
         assert json.loads(dst.read_text()) == {"terms": ["1", "1", "1"]}
+
+
+class TestLayering:
+    """The exact layer and the transform command run without numpy or scipy."""
+
+    @pytest.mark.parametrize("script", [
+        "import umbra.seqcore",
+        "from umbra.cli import main\n"
+        "assert main(['transform', sys.argv[1], '--name', 'laguerre', '--alpha', '1/2', '--beta', '3']) == 0",
+    ])
+    def test_float_stack_not_loaded(self, script, tmp_path):
+        src = write(tmp_path, "a.json", '{"terms": ["1", "2/3", "-5"]}')
+        probe = (
+            "import sys\n" + script + "\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(umbra.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", probe, src], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestCheck:

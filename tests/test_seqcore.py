@@ -2,16 +2,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from transform_oracle import expected
 
 from umbra.errors import InvalidParameterError, SequenceFormatError
 from umbra.seqcore import (
-    HermiteParams,
-    LaguerreParams,
-    ModularParams,
     Sequence,
+    TRANSFORM_NAMES,
     Stage,
+    TransformParams,
     binomial_transform,
     compose_transforms,
     hermite_after_modular_gap,
@@ -37,6 +37,26 @@ def seq(*terms):
     return Sequence.of(Fraction(t) for t in terms)
 
 
+@st.composite
+def structured_sequences(draw):
+    """Lengths 1-40 with integer, one shared, or independent random denominators."""
+    size = draw(st.integers(1, 40))
+    nums = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=size, max_size=size))
+    kind = draw(st.sampled_from(("int", "shared", "random")))
+    if kind == "int":
+        dens = [1] * size
+    elif kind == "shared":
+        dens = [draw(st.integers(2, 1000))] * size
+    else:
+        dens = draw(st.lists(st.integers(1, 1000), min_size=size, max_size=size))
+    return Sequence.of(Fraction(n, d) for n, d in zip(nums, dens))
+
+
+params = st.just(Fraction(0)) | st.fractions(
+    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=30
+)
+
+
 class TestBinomial:
     def test_all_ones_collapses(self):
         assert binomial_transform(seq(1, 1, 1, 1)).terms == seq(1, 0, 0, 0).terms
@@ -57,36 +77,36 @@ class TestBinomial:
 class TestModular:
     def test_reduces_to_binomial_at_unit_params(self):
         a = seq(3, "1/2", -7, 11)
-        p = ModularParams(1, 1)
+        p = TransformParams(1, 1)
         assert modular_transform(a, p).terms == binomial_transform(a).terms
 
     def test_alpha_two_all_ones(self):
-        assert modular_transform(seq(1, 1, 1), ModularParams(2, 1)).terms == seq(1, 1, 1).terms
+        assert modular_transform(seq(1, 1, 1), TransformParams(2, 1)).terms == seq(1, 1, 1).terms
 
     def test_powers_of_two(self):
-        assert modular_transform(seq(1, 2, 4), ModularParams(1, 1)).terms == seq(1, -1, 1).terms
+        assert modular_transform(seq(1, 2, 4), TransformParams(1, 1)).terms == seq(1, -1, 1).terms
 
     def test_inverse_direct_sum(self):
-        got = modular_inverse(seq(1, 0, 0), ModularParams(1, 2))
+        got = modular_inverse(seq(1, 0, 0), TransformParams(1, 2))
         assert got.terms == seq(1, "1/2", "1/4").terms
 
     def test_inverse_rejects_zero_beta(self):
         with pytest.raises(InvalidParameterError):
-            modular_inverse(seq(1, 2), ModularParams(1, 0))
+            modular_inverse(seq(1, 2), TransformParams(1, 0))
 
     @given(sequences, rationals, rationals.filter(lambda b: b != 0))
     @settings(max_examples=60)
     def test_roundtrip(self, a, alpha, beta):
-        p = ModularParams(alpha, beta)
+        p = TransformParams(alpha, beta)
         assert modular_inverse(modular_transform(a, p), p).terms == a.terms
 
     @given(sequences, rationals)
     @settings(max_examples=30)
     def test_inverse_is_scaled_alpha_one_transform(self, b, alpha):
         # a_n = beta^{-n} * [B(alpha, 1) b]_n
-        p = ModularParams(alpha, Fraction(3, 2))
+        p = TransformParams(alpha, Fraction(3, 2))
         via_inverse = modular_inverse(b, p)
-        via_scaling = modular_transform(b, ModularParams(alpha, 1))
+        via_scaling = modular_transform(b, TransformParams(alpha, 1))
         for n, (x, y) in enumerate(zip(via_inverse.terms, via_scaling.terms)):
             assert x == Fraction(3, 2) ** -n * y
 
@@ -106,69 +126,89 @@ class TestRisingKBinomial:
 
 class TestHermite:
     def test_delta_gives_alpha_powers(self):
-        p = HermiteParams(3, 5)
+        p = TransformParams(3, 5)
         got = hermite_transform_seq(seq(1, 0, 0, 0, 0), p)
         assert got.terms == tuple(Fraction(3) ** n for n in range(5))
 
     def test_all_ones_gives_hermite_values(self):
-        got = hermite_transform_seq(seq(1, 1, 1), HermiteParams(1, 1))
+        got = hermite_transform_seq(seq(1, 1, 1), TransformParams(1, 1))
         assert got.terms[2] == 3  # H_2(1,1) = 1 + 2
 
     def test_two_term_example(self):
-        got = hermite_transform_seq(seq(1, 1, 0), HermiteParams(2, 3))
+        got = hermite_transform_seq(seq(1, 1, 0), TransformParams(2, 3))
         assert got.terms[2] == 10  # 4 + 2*3
 
     def test_complementary_all_ones(self):
-        got = hermite_complementary_seq(seq(1, 1, 1), HermiteParams(1, 1))
+        got = hermite_complementary_seq(seq(1, 1, 1), TransformParams(1, 1))
         assert got.terms[2] == 3
 
     def test_complementary_beta_zero_scales(self):
         a = seq(2, 3, 5, 7)
-        got = hermite_complementary_seq(a, HermiteParams(Fraction(1, 2), 0))
+        got = hermite_complementary_seq(a, TransformParams(Fraction(1, 2), 0))
         assert got.terms == tuple(Fraction(1, 2) ** n * a[n] for n in range(4))
 
     def test_complementary_interleaved(self):
-        got = hermite_complementary_seq(seq(1, 0, 1), HermiteParams(1, 1))
+        got = hermite_complementary_seq(seq(1, 0, 1), TransformParams(1, 1))
         assert got.terms[2] == 3
 
     def test_transform_beta_zero_projects_onto_a0(self):
         a = seq(4, 9, 16)
-        got = hermite_transform_seq(a, HermiteParams(2, 0))
+        got = hermite_transform_seq(a, TransformParams(2, 0))
         assert got.terms == tuple(Fraction(2) ** n * 4 for n in range(3))
 
     def test_inverse_beta_zero(self):
         b = seq(3, 6, 12)
-        got = hermite_inverse_seq(b, HermiteParams(2, 0))
+        got = hermite_inverse_seq(b, TransformParams(2, 0))
         assert got.terms == tuple(Fraction(2) ** -n * b[n] for n in range(3))
 
     def test_inverse_direct_sum(self):
-        got = hermite_inverse_seq(seq(1, 0, 2), HermiteParams(1, 1))
+        got = hermite_inverse_seq(seq(1, 0, 2), TransformParams(1, 1))
         assert got.terms[2] == 0  # 2 - 2*1
 
     def test_inverse_rejects_zero_alpha(self):
         with pytest.raises(InvalidParameterError):
-            hermite_inverse_seq(seq(1, 2), HermiteParams(0, 1))
+            hermite_inverse_seq(seq(1, 2), TransformParams(0, 1))
 
     @given(sequences, rationals.filter(lambda a: a != 0), rationals)
     @settings(max_examples=60)
     def test_roundtrip_with_complementary(self, a, alpha, beta):
-        p = HermiteParams(alpha, beta)
+        p = TransformParams(alpha, beta)
         assert hermite_inverse_seq(hermite_complementary_seq(a, p), p).terms == a.terms
 
 
 class TestLaguerre:
     def test_delta_gives_beta_powers(self):
-        got = laguerre_transform_seq(seq(1, 0, 0, 0), LaguerreParams(7, 2))
+        got = laguerre_transform_seq(seq(1, 0, 0, 0), TransformParams(7, 2))
         assert got.terms == tuple(Fraction(2) ** n for n in range(4))
 
     def test_all_ones_gives_classical_values(self):
-        got = laguerre_transform_seq(seq(1, 1, 1), LaguerreParams(1, 1))
+        got = laguerre_transform_seq(seq(1, 1, 1), TransformParams(1, 1))
         assert got.terms[1] == 0
         assert got.terms[2] == Fraction(-1, 2)
 
     def test_alpha_zero_keeps_only_a0(self):
-        got = laguerre_transform_seq(seq(5, 1, 1), LaguerreParams(0, 3))
+        got = laguerre_transform_seq(seq(5, 1, 1), TransformParams(0, 3))
         assert got.terms == tuple(Fraction(3) ** n * 5 for n in range(3))
+
+
+class TestParams:
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            TransformParams(0.5, 1)
+
+    def test_coerces_strings(self):
+        assert TransformParams("3/4", 2) == TransformParams(Fraction(3, 4), Fraction(2))
+
+
+class TestKernelOracle:
+    @given(st.sampled_from(TRANSFORM_NAMES), structured_sequences(), params, params, st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_every_transform_matches_its_double_sum(self, name, a, alpha, beta, k):
+        # the inverses divide by beta^n and alpha^n
+        assume(not (name == "modular-inverse" and beta == 0))
+        assume(not (name == "hermite-inverse" and alpha == 0))
+        got = Stage(name, alpha=alpha, beta=beta, k=k).apply(a)
+        assert list(got.terms) == expected(name, a.terms, alpha, beta, k)
 
 
 class TestCompose:
@@ -190,7 +230,7 @@ class TestCompose:
         ]
         via_pipeline = compose_transforms(pipeline, a)
         direct = hermite_transform_seq(
-            modular_transform(a, ModularParams(2, 3)), HermiteParams(Fraction(1, 2), 5)
+            modular_transform(a, TransformParams(2, 3)), TransformParams(Fraction(1, 2), 5)
         )
         assert via_pipeline.terms == direct.terms
 
@@ -241,3 +281,7 @@ class TestExchangeFormat:
     def test_rejects_float_terms(self):
         with pytest.raises(SequenceFormatError):
             sequence_from_json('{"terms": [1.5]}')
+
+    def test_rejects_boolean_terms(self):
+        with pytest.raises(SequenceFormatError):
+            sequence_from_json('{"terms": [true, false, 3]}')
