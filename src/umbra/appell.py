@@ -207,54 +207,6 @@ class GaussianFunction:
 
 
 @dataclass(frozen=True)
-class PolyGaussianFunction:
-    """f(x) = p(x) exp(-scale x^2) for a polynomial p, with transform pair and Taylor data.
-
-    The transform comes from differentiating the Gaussian pair:
-    d^j/dk^j e^{-a k^2} = e^{-a k^2} H_j(-2 a k, -a) in two-variable Hermite terms.
-    """
-
-    poly: tuple
-    scale: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "poly", tuple(Fraction(c) for c in self.poly))
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.scale <= 0:
-            raise InvalidParameterError("gaussian scale must be positive")
-
-    def __call__(self, x):
-        xs = np.asarray(x)
-        value = polyval_coeffs(map(complex, self.poly), xs)
-        return value * np.exp(-float(self.scale) * xs ** 2)
-
-    def symbol(self) -> FourierSymbol:
-        from .specfun import hermite2
-
-        s = float(self.scale)
-        a = 1.0 / (4.0 * s)
-        amp = 1.0 / sqrt(2.0 * s)
-        coeffs = [float(c) for c in self.poly]
-
-        def envelope(k):
-            ks = np.asarray(k, dtype=float)
-            total = np.zeros_like(ks, dtype=complex)
-            for j, c in enumerate(coeffs):
-                if c:
-                    total += c * 1j ** j * hermite2(j, -2.0 * a * ks, -a)
-            return amp * total
-
-        return FourierSymbol(gauss_coeff=a, envelope=envelope, func=self)
-
-    def taylor(self, j: int) -> Fraction:
-        total = Fraction(0)
-        for d, c in enumerate(self.poly):
-            if c and j - d >= 0 and (j - d) % 2 == 0:
-                total += c * (-self.scale) ** ((j - d) // 2) / Fraction(factorial((j - d) // 2))
-        return total
-
-
-@dataclass(frozen=True)
 class ExpansionResult:
     coefficients: tuple
     family_name: str
@@ -269,7 +221,7 @@ class ExpansionResult:
 _GUARD_POINTS = (10.0, 20.0, 40.0)
 
 
-def expansion_coefficients(fam: AppellFamily, f: "GaussianFunction | PolyGaussianFunction", N: int) -> ExpansionResult:
+def expansion_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> ExpansionResult:
     """alpha_n = (i^n / (sqrt(2 pi) n!)) integral f~(k) [A(ik)]^{-1} k^n dk for n <= N.
 
     The integrand is tail-sampled before quadrature: growth at large |k| means
@@ -319,7 +271,7 @@ def expansion_coefficients(fam: AppellFamily, f: "GaussianFunction | PolyGaussia
     return ExpansionResult(tuple(coeffs), fam.name, tuple(nodes))
 
 
-def operational_coefficients(fam: AppellFamily, f: "GaussianFunction | PolyGaussianFunction", N: int) -> tuple:
+def operational_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> tuple:
     """Series oracle: Taylor coefficients of [A(d/dx)]^{-1} f.
 
     alpha_n = sum_m c^-_m f_{n+m} (n+m)!/n! over the family's stored Taylor

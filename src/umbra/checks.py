@@ -136,7 +136,7 @@ def _series_value(a: sq.Sequence, x: complex, kind: str) -> complex:
 def _partial_weighted(b: sq.Sequence, r: float, kind: str) -> float:
     total = 0.0
     for n, t in enumerate(b.terms):
-        w = r ** n / factorial(n) if kind == "exponential" else r ** n
+        w = gf.power_over_factorial(r, n) if kind == "exponential" else r ** n
         total += float(t) * w
     return total
 
@@ -355,7 +355,8 @@ def _laguerre_case(kind: str) -> MasterCase:
         # bessel-kind argument tail
         u = rho * al * xa
         fo = order + 1
-        return exp(be * xa) * M * u ** fo / factorial(fo) ** 2 * _bessel_total(u)
+        # u^fo / (fo!)^2 = (sqrt(u)^fo / fo!)^2
+        return exp(be * xa) * M * gf.power_over_factorial(sqrt(u), fo) ** 2 * _bessel_total(u)
 
     def direct_total(ts, r):
         M, rho = float(ts.growth_M), float(ts.growth_rho)

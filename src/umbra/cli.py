@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -92,6 +93,26 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise InvalidParameterError(f"{what} is not a valid rational: {text!r}") from exc
 
 
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{flag} must be finite, got {value}")
+    return value
+
+
+def _at_least_one(value: int, flag: str) -> int:
+    if value < 1:
+        raise InvalidParameterError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
+def _check_shared_flags(args) -> None:
+    """Range checks on the flags every subcommand accepts (argparse errors would exit 2)."""
+    if args.tolerance is not None and _finite(args.tolerance, "--tolerance") < 0:
+        raise InvalidParameterError(f"--tolerance must be >= 0, got {args.tolerance}")
+    if args.order is not None:
+        _at_least_one(args.order, "--order")
+
+
 def cmd_transform(args) -> int:
     try:
         with open(args.input) as fh:
@@ -161,6 +182,7 @@ def cmd_expand(args) -> int:
 
     from . import appell as ap
 
+    _at_least_one(args.count, "--count")
     fam = _build_family(args)
     if args.function != "gaussian":
         raise InvalidParameterError(f"unknown function selector {args.function!r}")
@@ -244,6 +266,10 @@ def _evolve_integro(args) -> list[str]:
 
 
 def cmd_evolve(args) -> int:
+    for flag in ("alpha", "extent", "beta"):
+        _finite(getattr(args, flag), f"--{flag}")
+    for flag in ("points", "x_count", "tau_count"):
+        _at_least_one(getattr(args, flag), "--" + flag.replace("_", "-"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if args.equation == "heat":
@@ -317,6 +343,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_shared_flags(args)
         return args.func(args)
     except SequenceFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -11,8 +11,9 @@ convert losslessly on entry.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import exp, factorial
+from math import exp, factorial, inf, lgamma, log
 from typing import Literal
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
@@ -61,10 +62,21 @@ def ordinary_tail(M: float, rho: float, xabs: float, first_omitted: int) -> floa
     return M * s ** first_omitted / (1.0 - s)
 
 
+_LOG_FLOAT_MAX = log(sys.float_info.max)
+
+
+def power_over_factorial(s: float, n: int) -> float:
+    """s^n / n! for s >= 0, in log space so that no order overflows a float."""
+    if s == 0.0:
+        return 0.0 ** n
+    log_value = n * log(s) - lgamma(n + 1)
+    return exp(log_value) if log_value < _LOG_FLOAT_MAX else inf
+
+
 def exponential_tail(M: float, rho: float, xabs: float, first_omitted: int) -> float:
     """Tail of sum_{n >= fo} M (rho |x|)^n / n! bounded by the shifted exponential."""
     s = rho * xabs
-    return M * s ** first_omitted / factorial(first_omitted) * exp(s)
+    return M * power_over_factorial(s, first_omitted) * exp(s)
 
 
 def derivative_tail_ordinary(M: float, rho: float, r: int, uabs: float, first_omitted: int) -> float:

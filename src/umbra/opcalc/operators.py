@@ -1,11 +1,12 @@
 """Truncated operators on the monomial basis x^0 .. x^D.
 
-These dense matrices are the brute-force oracle for every disentanglement and
-evolution claim: an operator polynomial is assembled from the elementary
-factors, exponentiated, and applied to coefficient vectors.  Degree-raising
-factors lose the top of the basis under the cap, so each one decrements the
-trusted input degree (`validity_degree`); degree-lowering operators are
-nilpotent and exponentiate exactly on the rational path.
+These operators are the brute-force oracle for the evolution and
+function-of-operator claims: an operator polynomial is assembled from the
+elementary factors and applied to coefficient vectors, exactly when the entries
+are rational.  Every factor is banded, so an operator is stored by its
+diagonals.  Degree-raising factors lose the top of the basis under the cap, so
+each one decrements the trusted input degree (`validity_degree`);
+degree-lowering operators are nilpotent and exponentiate exactly.
 """
 from __future__ import annotations
 
@@ -13,39 +14,31 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-import scipy.linalg
-
 from ..errors import InvalidParameterError
-
-Matrix = tuple[tuple, ...]
 
 
 class ValidityWarning(UserWarning):
     """An apply() request exceeded the operator's trusted input degree."""
 
 
-def _zeros(n: int) -> list[list]:
-    return [[0 for _ in range(n)] for _ in range(n)]
-
-
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Linear operator on coefficient vectors (index = monomial degree)."""
+    """Linear operator on coefficient vectors (index = monomial degree).
 
-    matrix: Matrix
+    `bands[d][i]` is the entry (i, i + d): the coefficient of x^(i + d) in the
+    input that lands on x^i.  Offsets d > 0 lower the degree and d < 0 raise
+    it; each band has degree_cap + 1 entries, zero where i + d is off the basis.
+    `raising_count` adds under composition and is stored rather than read off
+    the bands: d/dx after x has offset 0 but has still lost x * x^D.
+    """
+
+    bands: dict[int, tuple]
     degree_cap: int
     raising_count: int = 0
 
     @property
     def validity_degree(self) -> int:
         return self.degree_cap - self.raising_count
-
-    def _rows(self) -> list[list]:
-        return [list(row) for row in self.matrix]
-
-    def to_array(self) -> np.ndarray:
-        return np.array([[complex(e) for e in row] for row in self.matrix], dtype=complex)
 
     def apply(self, coeffs) -> tuple:
         """Apply to a coefficient vector (padded/truncated to the cap)."""
@@ -57,114 +50,88 @@ class TruncatedOperator:
                 ValidityWarning,
                 stacklevel=2,
             )
-        c = (c + [0] * (self.degree_cap + 1 - len(c)))[: self.degree_cap + 1]
-        return tuple(sum(row[j] * c[j] for j in range(len(c)) if row[j] != 0 and c[j] != 0) for row in self.matrix)
+        n = self.degree_cap + 1
+        c = (c + [0] * (n - len(c)))[:n]
+        # ascending offsets = ascending columns, so float sums match a row-by-column product
+        bands = sorted(self.bands.items())
+        return tuple(
+            sum(band[i] * c[i + d] for d, band in bands if 0 <= i + d < n and band[i] != 0 and c[i + d] != 0)
+            for i in range(n)
+        )
 
     def compose(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        """self after other (matrix product self @ other)."""
+        """self after other (matrix product self @ other): offsets add."""
         if self.degree_cap != other.degree_cap:
             raise InvalidParameterError("operators must share a degree cap")
         n = self.degree_cap + 1
-        a, b = self.matrix, other.matrix
-        out = _zeros(n)
-        for i in range(n):
-            arow = a[i]
-            for k in range(n):
-                if arow[k] == 0:
-                    continue
-                brow = b[k]
-                aik = arow[k]
-                for j in range(n):
-                    if brow[j] != 0:
-                        out[i][j] += aik * brow[j]
-        return TruncatedOperator(tuple(tuple(r) for r in out), self.degree_cap,
+        out: dict[int, list] = {}
+        # entry (i, i+da+db) sums over the middle column k = i+da in ascending order
+        for da, a in sorted(self.bands.items()):
+            for db, b in sorted(other.bands.items()):
+                band = out.setdefault(da + db, [0] * n)
+                for i in range(n):
+                    k = i + da
+                    if 0 <= k < n and 0 <= k + db < n and a[i] != 0 and b[k] != 0:
+                        band[i] += a[i] * b[k]
+        return TruncatedOperator({d: tuple(band) for d, band in out.items()}, self.degree_cap,
                                  self.raising_count + other.raising_count)
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         if self.degree_cap != other.degree_cap:
             raise InvalidParameterError("operators must share a degree cap")
-        out = tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(self.matrix, other.matrix)
-        )
+        out = dict(self.bands)
+        for d, band in other.bands.items():
+            out[d] = tuple(x + y for x, y in zip(out[d], band)) if d in out else band
         return TruncatedOperator(out, self.degree_cap, max(self.raising_count, other.raising_count))
 
     def scale(self, s) -> "TruncatedOperator":
         return TruncatedOperator(
-            tuple(tuple(s * e for e in row) for row in self.matrix), self.degree_cap, self.raising_count
+            {d: tuple(s * e for e in band) for d, band in self.bands.items()},
+            self.degree_cap, self.raising_count,
         )
-
-    def power(self, m: int) -> "TruncatedOperator":
-        if m < 0:
-            raise InvalidParameterError("power must be nonnegative")
-        out = identity_op(self.degree_cap)
-        for _ in range(m):
-            out = out.compose(self)
-        return out
 
     def is_degree_lowering(self) -> bool:
-        """True when the matrix is strictly upper triangular in coefficient space."""
-        return all(
-            self.matrix[i][j] == 0 for i in range(self.degree_cap + 1) for j in range(i + 1)
-        )
+        """True when every nonzero entry lies above the diagonal (offset d > 0)."""
+        return all(e == 0 for d, band in self.bands.items() if d <= 0 for e in band)
 
     def expm_apply(self, coeffs, scale=1):
-        """Apply exp(scale * self) to a coefficient vector.
+        """Apply exp(scale * self) to a coefficient vector; degree-lowering operators only.
 
-        Degree-lowering operators are nilpotent: the exponential series
+        A degree-lowering operator is nilpotent: the exponential series
         terminates and is evaluated exactly (rational inputs stay rational).
-        General operators go through scipy's dense expm in complex floats.
         """
+        if not self.is_degree_lowering():
+            raise InvalidParameterError("expm_apply needs a degree-lowering (nilpotent) operator")
         c = list(coeffs) + [0] * (self.degree_cap + 1 - len(coeffs))
-        if self.is_degree_lowering():
-            total = list(c)
-            term = list(c)
-            for j in range(1, self.degree_cap + 2):
-                term = [t * scale / j for t in self.apply(term)]
-                if all(t == 0 for t in term):
-                    break
-                total = [a + b for a, b in zip(total, term)]
-            return tuple(total)
-        arr = scipy.linalg.expm(complex(scale) * self.to_array())
-        return tuple(arr @ np.array([complex(v) for v in c]))
-
-
-def identity_op(degree_cap: int) -> TruncatedOperator:
-    m = _zeros(degree_cap + 1)
-    for i in range(degree_cap + 1):
-        m[i][i] = 1
-    return TruncatedOperator(tuple(tuple(r) for r in m), degree_cap, 0)
+        total = list(c)
+        term = list(c)
+        for j in range(1, self.degree_cap + 2):
+            term = [t * scale / j for t in self.apply(term)]
+            if all(t == 0 for t in term):
+                break
+            total = [a + b for a, b in zip(total, term)]
+        return tuple(total)
 
 
 def derivative_op(degree_cap: int) -> TruncatedOperator:
     """d/dx: x^n -> n x^{n-1}; degree-lowering."""
-    m = _zeros(degree_cap + 1)
-    for n in range(degree_cap):
-        m[n][n + 1] = n + 1
-    return TruncatedOperator(tuple(tuple(r) for r in m), degree_cap, 0)
+    return TruncatedOperator({1: tuple(range(1, degree_cap + 1)) + (0,)}, degree_cap, 0)
 
 
 def x_multiply_op(degree_cap: int) -> TruncatedOperator:
     """multiplication by x; degree-raising (loses the top coefficient)."""
-    m = _zeros(degree_cap + 1)
-    for n in range(1, degree_cap + 1):
-        m[n][n - 1] = 1
-    return TruncatedOperator(tuple(tuple(r) for r in m), degree_cap, 1)
+    return TruncatedOperator({-1: (0,) + (1,) * degree_cap}, degree_cap, 1)
 
 
 def neg_derivative_op(degree_cap: int) -> TruncatedOperator:
     """D^{-1}: x^n -> x^{n+1}/(n+1), integration from 0; degree-raising."""
-    m = _zeros(degree_cap + 1)
-    for n in range(1, degree_cap + 1):
-        m[n][n - 1] = Fraction(1, n)
-    return TruncatedOperator(tuple(tuple(r) for r in m), degree_cap, 1)
+    band = (0,) + tuple(Fraction(1, n) for n in range(1, degree_cap + 1))
+    return TruncatedOperator({-1: band}, degree_cap, 1)
 
 
 def laguerre_derivative_op(degree_cap: int) -> TruncatedOperator:
     """Laguerre derivative d/dx x d/dx: x^n -> n^2 x^{n-1}; degree-lowering."""
-    m = _zeros(degree_cap + 1)
-    for n in range(degree_cap):
-        m[n][n + 1] = (n + 1) ** 2
-    return TruncatedOperator(tuple(tuple(r) for r in m), degree_cap, 0)
+    return TruncatedOperator({1: tuple(n * n for n in range(1, degree_cap + 1)) + (0,)}, degree_cap, 0)
 
 
 def second_derivative_plus_x_op(alpha, beta, degree_cap: int) -> TruncatedOperator:

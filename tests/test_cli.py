@@ -121,6 +121,15 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert any(c["status"] == "flagged-errata" for c in doc["checks"])
 
+    @pytest.mark.parametrize("order", [100, 200])
+    @pytest.mark.parametrize("suite", ["gftrans", "kbinomial"])
+    def test_tail_budgets_hold_at_high_order(self, suite, order, tmp_path):
+        # s^n / n! used to overflow a float from order 100 on
+        out = tmp_path / "r.json"
+        assert main(["check", "--suite", suite, "--order", str(order), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["checks"] and all(c["status"] == "pass" for c in doc["checks"])
+
 
 class TestExpand:
     def test_identity_family_taylor_pattern(self, capsys):
@@ -179,3 +188,22 @@ class TestEvolve:
         ]) == 0
         rows = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith(("#", "x,"))]
         assert all(float(r.split(",")[3]) < 1e-6 for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--equation", "heat", "--alpha", "nan"],
+    ["evolve", "--equation", "heat", "--extent", "inf"],
+    ["evolve", "--equation", "heat", "--points", "0"],
+    ["evolve", "--equation", "integro-diff", "--x-count", "-1"],
+    ["evolve", "--equation", "integro-diff", "--beta=-inf"],
+    ["evolve", "--equation", "tricomi", "--tau-count", "0"],
+    ["expand", "--family", "bernoulli", "--count", "-1"],
+    ["check", "--tolerance", "nan"],
+    ["check", "--tolerance", "-0.5"],
+    ["check", "--order", "0"],
+], ids=" ".join)
+def test_bad_numeric_flag_exits_3(argv, capsys):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "must be" in err
+    assert "nan" not in out.lower()

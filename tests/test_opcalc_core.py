@@ -131,15 +131,133 @@ class TestTruncatedOperator:
         assert got[:2] == (Fraction(1), Fraction(1))
         assert all(v == 0 for v in got[2:])
 
-    def test_general_expm_matches_scipy_route(self):
-        import scipy.linalg
+    def test_expm_rejects_non_nilpotent_operator(self):
+        op = opcalc.second_derivative_plus_x_op(Fraction(3, 10), Fraction(1, 5), 8)
+        with pytest.raises(InvalidParameterError):
+            op.expm_apply([1, Fraction(1, 2)], scale=Fraction(1, 10))
 
-        op = opcalc.second_derivative_plus_x_op(0.3, 0.2, 8)
-        got = op.expm_apply([1.0, 0.5, 0.25], scale=0.1)
-        dense = scipy.linalg.expm(0.1 * op.to_array()) @ np.array([1.0, 0.5, 0.25] + [0] * 6)
-        assert opcalc.polyval_coeffs(got, 0.2).real == pytest.approx(
-            opcalc.polyval_coeffs(dense, 0.2).real, rel=1e-12
-        )
+    def test_lowering_after_raising_keeps_the_lost_degree(self):
+        # d/dx after x drops x^D * x under the cap, so x^D is no longer trusted
+        op = opcalc.derivative_op(4).compose(opcalc.x_multiply_op(4))
+        assert op.validity_degree == 3
+        assert op.apply((0, 0, 0, 1)) == (0, 0, 0, 4, 0)
+        with pytest.warns(opcalc.ValidityWarning):
+            assert op.apply((0, 0, 0, 0, 1)) == (0, 0, 0, 0, 0)
+
+    def test_float_apply_sums_in_column_order(self):
+        # same rounding as a dense row-by-column product, so float oracles stay bit-identical
+        cap = 60
+        tree = ("add", ("d2_plus_x", 0.25, 0.3),
+                ("add", ("scale", ("derivative",), 0.7), ("scale", ("compose", ("x",), ("x",)), -0.4)))
+        op, dense, _ = _build_both(tree, cap)
+        v = [0.0, 1.0, -0.7, 0.1] + [0.0] * (cap - 3)
+        for _ in range(20):
+            want = tuple(sum(row[j] * v[j] for j in range(cap + 1) if row[j] != 0 and v[j] != 0) for row in dense)
+            v = list(op.apply(v))
+            assert [repr(x) for x in v] == [repr(x) for x in want]
+
+    @pytest.mark.filterwarnings("ignore::umbra.opcalc.ValidityWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bands_match_dense_reference(self, data):
+        cap = data.draw(st.integers(0, 12), label="cap")
+        tree = data.draw(operator_trees, label="tree")
+        op, dense, _ = _build_both(tree, cap)
+        vec = data.draw(st.lists(exact_scales, max_size=cap + 1), label="vec")
+        vec += [0] * (cap + 1 - len(vec))
+        assert op.apply(vec) == tuple(sum(row[j] * vec[j] for j in range(cap + 1)) for row in dense)
+
+
+# Dense list-of-lists reference for the banded operators: entries written out
+# from the constructors' definitions, combined by plain matrix arithmetic.
+exact_scales = st.one_of(st.integers(-5, 5), small_rationals)
+_leaves = st.one_of(
+    st.sampled_from([("derivative",), ("x",), ("neg_derivative",), ("laguerre",)]),
+    st.tuples(st.just("d2_plus_x"), exact_scales, exact_scales),
+)
+operator_trees = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.tuples(st.just("compose"), sub, sub),
+        st.tuples(st.just("add"), sub, sub),
+        st.tuples(st.just("scale"), sub, exact_scales),
+    ),
+    max_leaves=6,
+)
+
+
+def _dense_leaf(kind, cap, alpha=None, beta=None):
+    n = cap + 1
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if kind == "derivative" and i + 1 < n:
+            m[i][i + 1] = i + 1
+        if kind == "laguerre" and i + 1 < n:
+            m[i][i + 1] = (i + 1) ** 2
+        if kind == "x" and i >= 1:
+            m[i][i - 1] = 1
+        if kind == "neg_derivative" and i >= 1:
+            m[i][i - 1] = Fraction(1, i)
+        if kind == "d2_plus_x":
+            if i + 2 < n:
+                m[i][i + 2] = alpha * (i + 1) * (i + 2)
+            if i >= 1:
+                m[i][i - 1] = beta
+    return m
+
+
+def _entries(op):
+    """Read a banded operator entrywise: bands[d][i] is the entry (i, i + d)."""
+    n = op.degree_cap + 1
+    out = [[0] * n for _ in range(n)]
+    for d, band in op.bands.items():
+        assert len(band) == n
+        for i, e in enumerate(band):
+            if 0 <= i + d < n:
+                out[i][i + d] = e
+            else:
+                assert e == 0
+    return out
+
+
+def _build_both(tree, cap):
+    """(operator, dense reference, raising count by the additive rule), checked at every node."""
+    kind = tree[0]
+    if kind == "compose":
+        a, da, ra = _build_both(tree[1], cap)
+        b, db, rb = _build_both(tree[2], cap)
+        n = cap + 1
+        dense = [[sum(da[i][k] * db[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        op, raises = a.compose(b), ra + rb
+    elif kind == "add":
+        a, da, ra = _build_both(tree[1], cap)
+        b, db, rb = _build_both(tree[2], cap)
+        dense = [[x + y for x, y in zip(u, v)] for u, v in zip(da, db)]
+        op, raises = a + b, max(ra, rb)
+    elif kind == "scale":
+        a, da, raises = _build_both(tree[1], cap)
+        dense = [[tree[2] * e for e in row] for row in da]
+        op = a.scale(tree[2])
+    else:
+        build = {
+            "derivative": opcalc.derivative_op,
+            "x": opcalc.x_multiply_op,
+            "neg_derivative": opcalc.neg_derivative_op,
+            "laguerre": opcalc.laguerre_derivative_op,
+        }
+        if kind == "d2_plus_x":
+            op = opcalc.second_derivative_plus_x_op(tree[1], tree[2], cap)
+            dense = _dense_leaf(kind, cap, tree[1], tree[2])
+        else:
+            op = build[kind](cap)
+            dense = _dense_leaf(kind, cap)
+        raises = 1 if kind in ("x", "neg_derivative", "d2_plus_x") else 0
+    assert _entries(op) == dense
+    assert op.degree_cap == cap
+    assert op.is_degree_lowering() == all(dense[i][j] == 0 for i in range(cap + 1) for j in range(i + 1))
+    assert op.raising_count == raises
+    assert op.validity_degree == cap - raises
+    return op, dense, raises
 
 
 def c0_powerseries(order):
