@@ -10,8 +10,10 @@ this registry.
 from __future__ import annotations
 
 import cmath
+import os
 import random
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, pi, sqrt
@@ -51,7 +53,7 @@ class Check:
 class CheckResult:
     name: str
     equation: str
-    status: str  # pass | fail | flagged-errata
+    status: str  # pass | fail | error | flagged-errata
     residual: float
     tolerance: float
     runtime: float
@@ -59,8 +61,15 @@ class CheckResult:
 
 
 def run_check(check: Check) -> CheckResult:
+    """Run one check; an exception inside it becomes an `error` row, not a lost report."""
     start = time.perf_counter()
-    outcome = check.run()
+    try:
+        outcome = check.run()
+    except Exception as exc:  # one broken check must not hide the rest of the catalog
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        detail = f"{type(exc).__name__}: {exc} ({os.path.basename(where.filename)}:{where.lineno})"
+        return CheckResult(check.name, check.equation, "error", float("nan"), check.tolerance,
+                           time.perf_counter() - start, detail)
     elapsed = time.perf_counter() - start
     if check.errata:
         status = "flagged-errata"

@@ -191,6 +191,21 @@ class TestEvolve:
 
 
 @pytest.mark.parametrize("argv", [
+    ["evolve", "--equation", "integro-diff", "--beta", "2.5"],
+    ["evolve", "--equation", "integro-diff", "--beta", "1000"],
+    ["evolve", "--equation", "integro-diff", "--beta", "1e300"],
+    ["evolve", "--equation", "heat", "--alpha", "8"],
+    ["evolve", "--equation", "heat", "--alpha", "20"],
+], ids=" ".join)
+def test_range_guard_exits_4(argv, capsys):
+    # these used to exit 0 with nan or wrapped-around values in the output
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "error:" in err
+    assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize("argv", [
     ["evolve", "--equation", "heat", "--alpha", "nan"],
     ["evolve", "--equation", "heat", "--extent", "inf"],
     ["evolve", "--equation", "heat", "--points", "0"],

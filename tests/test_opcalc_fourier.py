@@ -1,11 +1,14 @@
 """Quadrature operator functions against their independent oracles."""
 from fractions import Fraction
-from math import exp, sqrt
+from math import exp, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbra import opcalc
+from umbra.opcalc import fourier, quadrature
 from umbra.errors import (
     DivergenceError,
     DomainTooSmallError,
@@ -175,6 +178,58 @@ class TestIntegroDiff:
         ref = opcalc.integro_matrix_oracle(self.f_ord, 1.0, 2, 0.25, 0.25)
         assert abs(got - ref) < 1e-6
 
+    @staticmethod
+    def hermite_reference(f_ord, beta, tau, x):
+        # the Gauss-Hermite route the moment sum replaced: the same truncated
+        # polynomial integrand, evaluated node by node and summed adaptively
+        work_order = max(len(f_ord) - 1, 48) + 16
+        amp = 1.0 / sqrt(2.0 * tau)
+        res = opcalc.gaussian_fourier_integral(
+            1.0 / (4.0 * tau) + beta / 2.0,
+            lambda k: amp * fourier._evolved_series_values(f_ord, beta, k, x, work_order),
+        )
+        return res.value / sqrt(2.0 * pi)
+
+    # integro_matrix_oracle symmetrises its generator with sqrt(beta^n / n!),
+    # which loses all accuracy as beta -> 0+ (test_matrix_oracle_small_beta);
+    # beta = 0 takes its exact nilpotent branch
+    ORACLE_BETA_FLOOR = 1.0 / 16.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.one_of(st.just(0.0), st.floats(0.0, fourier.INTEGRO_BETA_BOUND)),
+        x=st.floats(-fourier.INTEGRO_REGION, fourier.INTEGRO_REGION),
+        tau=st.one_of(st.floats(1e-12, 1e-6), st.floats(1e-6, 0.5)),
+    )
+    @example(beta=0.0, x=0.5, tau=1e-12)
+    @example(beta=1e-9, x=0.5, tau=1e-12)
+    @example(beta=fourier.INTEGRO_BETA_BOUND, x=-0.5, tau=0.5)
+    def test_m2_moment_route_matches_oracle_and_quadrature(self, beta, x, tau):
+        got = opcalc.integro_diff_evolve(self.f, beta, 2, tau, x)
+        assert abs(got - self.hermite_reference(self.f_ord, beta, tau, x)) <= 1e-12
+        if beta == 0.0 or beta >= self.ORACLE_BETA_FLOOR:
+            assert abs(got - opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, x)) <= 1e-10
+
+    @pytest.mark.xfail(strict=True, reason="matrix oracle is ill-conditioned for 0 < beta << 1")
+    def test_matrix_oracle_small_beta(self):
+        # F(0, tau) = 1 - tau (1 + beta) + O(tau^2) for f = C_0
+        tau, beta = 1e-6, 1e-6
+        ref = opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, 0.0)
+        assert abs(ref - (1.0 - tau * (1.0 + beta))) < 1e-10
+
+    def test_m2_makes_no_quadrature_call(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("m = 2 evolution reached the Gauss-Hermite engine")
+
+        monkeypatch.setattr(quadrature, "adaptive_hermite", no_quadrature)
+        got = opcalc.integro_diff_evolve(self.f, 1.0, 2, 0.25, 0.25)
+        assert abs(got - opcalc.integro_matrix_oracle(self.f_ord, 1.0, 2, 0.25, 0.25)) < 1e-14
+
+    @pytest.mark.parametrize("beta", [2.5, 1000.0, 1e300, float("inf"), float("nan")])
+    def test_beta_guard(self, beta):
+        with pytest.raises(TruncationError):
+            opcalc.integro_diff_evolve(self.f, beta, 2, 0.25, 0.25)
+
     def test_m4_requires_deep_truncation(self):
         with pytest.raises(TruncationError):
             opcalc.integro_diff_evolve(self.f, 0.0, 4, 0.3, 0.25)
@@ -192,6 +247,12 @@ class TestIntegroDiff:
             [float(c) for c in opcalc.c0_series(81)], 0.5, 4, 0.2, 0.25, degree_cap=81
         )
         assert abs(got - ref) < 1e-6
+
+    def test_m4_value_pinned(self):
+        # recorded before the m = 2 route changed: the m >= 4 route must stay
+        # bit for bit (a BLAS with another summation order may move the last digit)
+        f81 = PowerSeries(opcalc.c0_series(81), "ordinary")
+        assert repr(opcalc.integro_diff_evolve(f81, 0.5, 4, 0.2, 0.25)) == "(0.5599811890758907+0j)"
 
 
 class TestUmbralTransform:
@@ -243,6 +304,19 @@ class TestHeatEvolution:
         g = opcalc.GridFunction.sample(lambda t: np.exp(-(t ** 2) / 2), 4.0, 128)
         with pytest.raises(DomainTooSmallError):
             opcalc.heat_evolve_ft(g, 0.1)
+
+    @pytest.mark.parametrize("alpha", [8.0, 20.0])
+    def test_kernel_reaching_the_edge_rejected(self, alpha):
+        # samples decay at the edge, but the kernel would wrap round the periodic grid
+        g = opcalc.GridFunction.sample(lambda t: np.exp(-(t ** 2) / 2), 16.0, 1024)
+        with pytest.raises(DomainTooSmallError):
+            opcalc.heat_evolve_ft(g, alpha)
+
+    def test_long_time_inside_the_grid(self):
+        g = opcalc.GridFunction.sample(lambda t: np.exp(-(t ** 2) / 2), 16.0, 1024)
+        out = opcalc.heat_evolve_ft(g, 2.0)
+        expected = np.exp(-g.xs() ** 2 / 10) / sqrt(5.0)
+        assert np.max(np.abs(out.samples - expected)) < 1e-11
 
     def test_rejects_negative_alpha(self):
         g = opcalc.GridFunction.sample(lambda t: np.exp(-(t ** 2) / 2), 16.0, 256)
