@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
 from .gftrans import hermite_gf
-from .opcalc.quadrature import FourierSymbol, gaussian_fourier_integral
+from .opcalc.quadrature import FourierSymbol, gaussian_fourier_integral, gaussian_symbol
 from .seqcore import Sequence, TransformParams, hermite_complementary_seq
 from .specfun import polyval_coeffs
 
@@ -192,13 +192,7 @@ class GaussianFunction:
         return np.exp(-float(self.scale) * np.asarray(x) ** 2)
 
     def symbol(self) -> FourierSymbol:
-        s = float(self.scale)
-        amp = 1.0 / sqrt(2.0 * s)
-        return FourierSymbol(
-            gauss_coeff=1.0 / (4.0 * s),
-            envelope=lambda k: np.full_like(np.asarray(k, dtype=float), amp, dtype=complex),
-            func=self,
-        )
+        return gaussian_symbol(float(self.scale))
 
     def taylor(self, j: int) -> Fraction:
         if j % 2:

@@ -105,14 +105,6 @@ def _at_least_one(value: int, flag: str) -> int:
     return value
 
 
-def _check_shared_flags(args) -> None:
-    """Range checks on the flags every subcommand accepts (argparse errors would exit 2)."""
-    if args.tolerance is not None and _finite(args.tolerance, "--tolerance") < 0:
-        raise InvalidParameterError(f"--tolerance must be >= 0, got {args.tolerance}")
-    if args.order is not None:
-        _at_least_one(args.order, "--order")
-
-
 def cmd_transform(args) -> int:
     try:
         with open(args.input) as fh:
@@ -133,6 +125,10 @@ def cmd_transform(args) -> int:
 def cmd_check(args) -> int:
     from . import checks
 
+    if args.tolerance is not None and _finite(args.tolerance, "--tolerance") < 0:
+        raise InvalidParameterError(f"--tolerance must be >= 0, got {args.tolerance}")
+    if args.order is not None:
+        _at_least_one(args.order, "--order")
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     order = checks.DEFAULT_ORDER if args.order is None else args.order
     with warnings.catch_warnings():
@@ -249,7 +245,8 @@ def _evolve_integro(args) -> list[str]:
     from . import gftrans as gf
     from . import opcalc as oc
 
-    order = 40
+    # m >= 4 integrates out to |k| ~ 32, which needs an initial series of degree 81
+    order = 40 if args.m == 2 else 81
     f = gf.PowerSeries(oc.c0_series(order), "ordinary")
     f_ord = [float(c) for c in oc.c0_series(order)]
     lines = [
@@ -287,18 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="umbra",
         description="Generalized sequence transforms, operator calculus, and Appell expansions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format for the check command (default json)")
-    common.add_argument("--seed", type=int,
-                        help="seed for the randomized property suites")
-    common.add_argument("--order", type=int,
-                        help="series truncation order for the identity suites")
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="override the tolerance of every non-exact check")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_transform = sub.add_parser("transform", parents=[common],
+    p_transform = sub.add_parser("transform",
                                  help="apply a sequence transform to an exchange-format file")
     p_transform.add_argument("input", help="path to a JSON document with a 'terms' list of rationals")
     p_transform.add_argument("--name", required=True, choices=sq.TRANSFORM_NAMES)
@@ -308,12 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_transform.add_argument("--output", help="output path (default stdout)")
     p_transform.set_defaults(func=cmd_transform)
 
-    p_check = sub.add_parser("check", parents=[common], help="run identity suites")
+    p_check = sub.add_parser("check", help="run identity suites")
     p_check.add_argument("--suite", default="all", help="suite name, or all; an unknown name lists the suites")
+    p_check.add_argument("--format", choices=("json", "csv"), default="json", help="report format (default json)")
+    p_check.add_argument("--seed", type=int, help="seed for the randomized property suites")
+    p_check.add_argument("--order", type=int, help="series truncation order for the identity suites")
+    p_check.add_argument("--tolerance", type=float, help="override the tolerance of every non-exact check")
     p_check.add_argument("--output", help="output path (default stdout; files omit runtimes and are byte-stable)")
     p_check.set_defaults(func=cmd_check)
 
-    p_expand = sub.add_parser("expand", parents=[common], help="expand a function in an Appell basis")
+    p_expand = sub.add_parser("expand", help="expand a function in an Appell basis")
     p_expand.add_argument("--family", required=True,
                           choices=("bernoulli", "identity", "gauss-hermite-type", "user-taylor-file"))
     p_expand.add_argument("--taylor-file", help="JSON list of rational Taylor coefficients of A(t)")
@@ -323,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--output", help="output path (default stdout)")
     p_expand.set_defaults(func=cmd_expand)
 
-    p_evolve = sub.add_parser("evolve", parents=[common], help="run an evolution-equation demo, emitting (x, tau, value) rows")
+    p_evolve = sub.add_parser("evolve", help="run an evolution-equation demo, emitting (x, tau, value) rows")
     p_evolve.add_argument("--equation", required=True, choices=("heat", "tricomi", "integro-diff"))
     p_evolve.add_argument("--alpha", type=float, default=0.5, help="heat: evolution time")
     p_evolve.add_argument("--scale", default="1/2", help="heat: initial Gaussian scale, rational")
@@ -343,7 +335,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_shared_flags(args)
         return args.func(args)
     except SequenceFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -10,7 +10,6 @@ printed constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, factorial, log, pi, sqrt
 from typing import Callable
@@ -188,39 +187,6 @@ def tricomi_evolution(x: float, tau: float) -> complex:
     return res.value / (2.0 * sqrt(pi * tau))
 
 
-def _evolved_series_values(f_ord: list[complex], beta: float, ks: np.ndarray, x: float, work_order: int) -> np.ndarray:
-    """Per-node values of e^{i beta k D^{-1}} e^{i k LD} f at x, via the Borel route."""
-    tf = len(f_ord) - 1
-    borel = [factorial(n) * c for n, c in enumerate(f_ord)]
-    ik = 1j * ks
-    pow_ik = np.ones((tf + 1, len(ks)), dtype=complex)
-    for p in range(1, tf + 1):
-        pow_ik[p] = pow_ik[p - 1] * ik
-    # e^{ik LD} f = f_B(D^{-1} + ik) . 1: coefficient of x^j
-    c1 = np.zeros((tf + 1, len(ks)), dtype=complex)
-    for j in range(tf + 1):
-        acc = np.zeros(len(ks), dtype=complex)
-        for n in range(j, tf + 1):
-            if borel[n]:
-                acc += (comb(n, j) * borel[n]) * pow_ik[n - j]
-        c1[j] = acc / factorial(j)
-    # e^{i beta k D^{-1}}: coefficient l picks up c1[j] (i beta k)^{l-j} j!/((l-j)! l!)
-    ibk = 1j * beta * ks
-    pow_ibk = np.ones((work_order + 1, len(ks)), dtype=complex)
-    for p in range(1, work_order + 1):
-        pow_ibk[p] = pow_ibk[p - 1] * ibk
-    values = np.zeros(len(ks), dtype=complex)
-    xpow = 1.0
-    for l in range(work_order + 1):
-        c2l = np.zeros(len(ks), dtype=complex)
-        for j in range(min(l, tf) + 1):
-            w = float(Fraction(factorial(j), factorial(l - j) * factorial(l)))
-            c2l += c1[j] * (w * pow_ibk[l - j])
-        values += c2l * xpow
-        xpow *= x
-    return values
-
-
 @lru_cache(maxsize=None)
 def _binomial_table(size: int) -> np.ndarray:
     """C(j + s, j) for j + s < size, zero elsewhere (read-only, shared)."""
@@ -231,17 +197,13 @@ def _binomial_table(size: int) -> np.ndarray:
     return table
 
 
-def _gaussian_moment_sum(f_ord: list[complex], beta: float, tau: float, x: float, work_order: int) -> complex:
-    """The m = 2 integral of integro_diff_evolve as a finite sum of Gaussian moments.
+def _evolution_tables(f_ord: list[complex], beta: float, x: float, work_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient tables of [e^{i beta k D^{-1}} e^{i k LD} f](x) as a polynomial in k.
 
-    Its integrand is e^{-A k^2}, A = 1/(4 tau) + beta/2, times the polynomial in k
-    that _evolved_series_values evaluates node by node:
-    sum_{j,s,r} a[j, s] (ik)^s b[j, r] (ik)^r, with a[j, s] = C(j+s, j) (j+s)! f_{j+s}
-    from e^{ik LD} (Borel route) and b[j, r] = x^{j+r}/(j+r)! beta^r/r! from
-    e^{i beta k D^{-1}}, cut at degree work_order.  Odd powers of k integrate to 0
-    and integral e^{-A k^2} k^{2p} dk = Gamma(p + 1/2) / A^{p + 1/2}, so the
-    integral is sum_j a[j] H b[j] with the Hankel matrix H[s, r] = i^{s+r} times
-    the (s+r)-th moment.
+    The polynomial is sum_{j,s,r} a[j, s] (ik)^s b[j, r] (ik)^r, with
+    a[j, s] = C(j+s, j) (j+s)! f_{j+s} from e^{ik LD} f = f_B(D^{-1} + ik) . 1
+    (Borel route) and b[j, r] = x^{j+r}/(j+r)! beta^r/r! from e^{i beta k D^{-1}},
+    cut at degree work_order in x.
     """
     tf = len(f_ord) - 1
     deg = np.arange(tf + 1)[:, None]
@@ -252,13 +214,27 @@ def _gaussian_moment_sum(f_ord: list[complex], beta: float, tau: float, x: float
     xpow = np.zeros(tf + work_order + 1)  # x^q / q!, zero past work_order
     xpow[: work_order + 1] = np.cumprod(np.r_[1.0, x / r[1:]])
     b = xpow[deg + r] * np.cumprod(np.r_[1.0, beta / r[1:]])
+    return a, b
+
+
+def _gaussian_moment_sum(a: np.ndarray, b: np.ndarray, beta: float, tau: float) -> complex:
+    """The m = 2 integral of integro_diff_evolve as a finite sum of Gaussian moments.
+
+    Its integrand is e^{-A k^2}, A = 1/(4 tau) + beta/2, times the polynomial
+    in k with the _evolution_tables a, b.  Odd powers of k integrate to 0 and
+    integral e^{-A k^2} k^{2p} dk = Gamma(p + 1/2) / A^{p + 1/2}, so the
+    integral is sum_j a[j] H b[j] with the Hankel matrix H[s, r] = i^{s+r} times
+    the (s+r)-th moment.
+    """
+    degree = a.shape[1] + b.shape[1] - 1
     # i^{2p} Gamma(p + 1/2) / A^{p + 1/2} / sqrt(4 pi tau), in log space: A^{p+1/2}
     # and Gamma(p + 1/2) overflow separately long before their ratio does
-    half = np.arange(0, tf + work_order + 1, 2) / 2.0 + 0.5
+    half = np.arange(0, degree, 2) / 2.0 + 0.5
     log_moments = gammaln(half) - half * log(1.0 / (4.0 * tau) + beta / 2.0) - 0.5 * log(4.0 * pi * tau)
-    moments = np.zeros(tf + work_order + 1)
+    moments = np.zeros(degree)
     moments[::2] = np.where(np.arange(len(half)) % 2, -1.0, 1.0) * np.exp(log_moments)
-    return complex(np.sum((a @ moments[deg + r]) * b))
+    hankel = moments[np.arange(a.shape[1])[:, None] + np.arange(b.shape[1])]
+    return complex(np.sum((a @ hankel) * b))
 
 
 def _e_tilde_grid(m: int, tau: float, ks: np.ndarray) -> np.ndarray:
@@ -288,9 +264,10 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
     F(x, tau) = (1/sqrt(2 pi)) integral e~_m(k, tau) e^{-beta k^2 / 2}
                 [e^{i beta k D^{-1}} e^{i k LD} f](x) dk
 
-    with e~_m the transform pair of e^{-tau x^m}.  For m = 2 it is a Gaussian and
-    the integrand a Gaussian times a polynomial, summed in closed form from its
-    moments; even m >= 4 uses a grid transform and Gauss-Legendre quadrature.
+    with e~_m the transform pair of e^{-tau x^m}.  The bracket is one polynomial
+    in k for every m (_evolution_tables).  For m = 2, e~_m is a Gaussian and the
+    integral is summed in closed form from its moments; even m >= 4 evaluates
+    the polynomial at Gauss-Legendre nodes against a grid transform of e~_m.
     Odd m has no transform pair on the line and is rejected.
     """
     if m <= 0 or m % 2:
@@ -308,18 +285,23 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
     f_ord = [complex(c) for c in _to_ordinary(f)]
     if tau == 0:
         return polyval_coeffs(f_ord, x)
-    work_order = max(len(f_ord) - 1, 48) + 16
+    a, b = _evolution_tables(f_ord, beta, x, max(len(f_ord) - 1, 48) + 16)
 
     if m == 2:
-        return _gaussian_moment_sum(f_ord, beta, tau, x, work_order)
+        return _gaussian_moment_sum(a, b, beta, tau)
 
-    # even m >= 4: locate a cutoff where the damped symbol is negligible
-    K = 4.0
-    while K < 64.0:
+    # even m >= 4: locate a cutoff where the damped symbol is negligible; a
+    # symbol still above it at |k| = 32 (beta = 0, tau ~ 0.375-0.4 at m = 4) is
+    # rejected, never integrated short
+    for K in (4.0, 8.0, 16.0, 32.0):
         tail = abs(_e_tilde_grid(m, tau, np.array([K, 1.25 * K])).max()) * np.exp(-beta * K * K / 2.0)
         if tail < 1e-15:
             break
-        K *= 2.0
+    else:
+        raise TruncationError(
+            f"m={m}, beta={beta:g}, tau={tau:g}: the damped symbol is still {tail:.1e} "
+            f"at |k| = {K:g}, past the largest cutoff the route controls"
+        )
     # e^{ik LD} on a series truncated at degree T carries truncation junk
     # ~ k^T / T!, only negligible over |k| <= K when T >= 2.5 K; the Gaussian
     # pair (m = 2) crushes large k on its own, the fatter e~_m tails do not
@@ -331,11 +313,9 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
         )
     rule = legendre_composite_rule(-K, K, max(64, int(8 * K)), 12)
     ks = rule.nodes
-    integrand = (
-        _e_tilde_grid(m, tau, ks)
-        * np.exp(-beta * ks ** 2 / 2.0)
-        * _evolved_series_values(f_ord, beta, ks, x, work_order)
-    )
+    # the same polynomial in k, summed into ordinary coefficients and evaluated at the nodes
+    poly = sum(np.convolve(a_j, b_j) for a_j, b_j in zip(a, b))
+    integrand = _e_tilde_grid(m, tau, ks) * np.exp(-beta * ks ** 2 / 2.0) * polyval_coeffs(poly, 1j * ks)
     return complex(np.sum(rule.weights * integrand)) / _SQRT2PI
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, TruncationError
 from ..seqcore import Sequence
 from ..specfun import polyval_coeffs, tricomi_series
 from .operators import TruncatedOperator
@@ -82,6 +82,14 @@ def tricomi_evolution_series(x: float, tau: float, rtol: float = 1e-16) -> float
             raise InvalidParameterError("series solution failed to converge")
 
 
+# integro_matrix_oracle's switch from the Taylor sum to the eigensystem: against
+# the route (|x|, tau <= 1/2; m = 2 at degree 40, m = 4 at 81) the Taylor sum is
+# within 7e-16 below it, the eigensystem within 1.9e-11 above; at m = 4 the
+# Taylor terms cancel 7e10-fold by 0.05, the eigensystem loses 2e-10 at 0.03.
+ORACLE_TAYLOR_BETA = 0.04
+ORACLE_TAYLOR_ORDERS = 400
+
+
 def integro_matrix_oracle(
     f_ord_coeffs: SequenceABC[complex],
     beta: float,
@@ -93,12 +101,17 @@ def integro_matrix_oracle(
     """e^{-tau (LD + beta D^{-1})^m} f on the degree-capped basis.
 
     Worked in the basis e_n = x^n / n!, where LD shifts down with factor n and
-    D^{-1} shifts up with factor 1: the generator is bidiagonal and similar,
-    via the diagonal scaling s_n = sqrt(beta^n / n!), to a symmetric
-    tridiagonal matrix with off-diagonals sqrt(n beta).  Its eigensystem is
-    numerically benign and exp(-tau lambda^m) <= 1 for even m, unlike the raw
-    monomial-basis matrix whose dense expm overflows.  beta = 0 degenerates to
-    a nilpotent shift, summed exactly.
+    D^{-1} shifts up with factor 1: the generator G is bidiagonal.  For
+    beta > 0 it is similar, via the diagonal scaling
+    s_n = sqrt(beta^n / n!), to a symmetric tridiagonal matrix with
+    off-diagonals sqrt(n beta).  Its eigensystem is numerically benign and
+    exp(-tau lambda^m) <= 1 for even m, unlike the raw monomial-basis matrix
+    whose dense expm overflows.  For small beta that scaling amplifies
+    rounding by up to beta^{-degree_cap/2}, so below ORACLE_TAYLOR_BETA the
+    Taylor sum of e^{-tau G^m} is taken instead (at beta = 0, G = LD is
+    nilpotent and the sum finite).  The sum raises TruncationError when it
+    does not converge within ORACLE_TAYLOR_ORDERS orders or, for beta > 0,
+    when its largest term exceeds the result 1e6-fold.
     """
     if beta < 0:
         raise InvalidParameterError("oracle implemented for beta >= 0")
@@ -108,24 +121,42 @@ def integro_matrix_oracle(
     for n, c in enumerate(coeffs):
         e_coeffs[n] = complex(c) * factorial(n)
 
-    if beta == 0.0:
-        # generator = LD^m, strictly lowering: nilpotent Taylor, terms stay O(|e_coeffs|)
-        def ld_e(v):
+    if beta < ORACLE_TAYLOR_BETA:
+        down = np.arange(1, n_basis)
+
+        def generator(v):
             out = np.zeros_like(v)
-            out[:-1] = v[1:] * np.arange(1, n_basis)
+            out[:-1] = v[1:] * down
+            if beta:
+                out[1:] += beta * v[:-1]
             return out
 
         total = e_coeffs.copy()
         term = e_coeffs.copy()
-        k = 0
-        while True:
-            k += 1
+        peak = 0.0
+        for k in range(1, ORACLE_TAYLOR_ORDERS + 1):
             for _ in range(m):
-                term = ld_e(term)
+                term = generator(term)
             term = term * (-tau) / k
             if not np.any(term):
-                break
+                break  # beta = 0: LD^m is nilpotent
             total += term
+            if beta:
+                size = np.max(np.abs(term))
+                peak = max(peak, size)
+                if size <= 1e-17 * np.max(np.abs(total)):
+                    break
+        else:
+            raise TruncationError(
+                f"Taylor sum of e^(-tau G^{m}) not converged in {ORACLE_TAYLOR_ORDERS} orders "
+                f"(beta = {beta:g}, tau = {tau:g}, degree cap {degree_cap})"
+            )
+        # rounding in the largest term survives the cancellation down to the sum
+        if peak > 1e6 * np.max(np.abs(total)):
+            raise TruncationError(
+                f"Taylor sum of e^(-tau G^{m}) cancels {peak / np.max(np.abs(total)):.1e}-fold "
+                f"(beta = {beta:g}, tau = {tau:g}, degree cap {degree_cap})"
+            )
         evolved_e = total
     else:
         off = np.sqrt(beta * np.arange(1, n_basis))

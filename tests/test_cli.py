@@ -64,6 +64,15 @@ class TestTransform:
         src = write(tmp_path, "a.json", '{"terms": ["1", "2"]}')
         assert main(["transform", src, "--name", "modular-inverse", "--alpha", "1", "--beta", "0"]) == 3
 
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--format", "csv"], ["--order", "8"], ["--tolerance", "1e-3"]],
+                             ids=" ".join)
+    def test_check_only_flags_exit_2(self, flag, tmp_path):
+        # --format, --seed, --order and --tolerance belong to check
+        src = write(tmp_path, "a.json", '{"terms": ["1"]}')
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", src, "--name", "binomial", *flag])
+        assert exc.value.code == 2
+
     def test_output_file(self, tmp_path):
         src = write(tmp_path, "a.json", '{"terms": ["1", "0", "0"]}')
         dst = tmp_path / "out.json"
@@ -188,6 +197,20 @@ class TestEvolve:
         ]) == 0
         rows = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith(("#", "x,"))]
         assert all(float(r.split(",")[3]) < 1e-6 for r in rows)
+
+    def test_integro_m4_runs_with_its_defaults(self, capsys):
+        # the degree-40 series of the m = 2 rows is too short for m = 4
+        assert main(["evolve", "--equation", "integro-diff", "--m", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "truncation=81" in lines[0]
+        rows = [l for l in lines if l and not l.startswith(("#", "x,"))]
+        assert len(rows) == 36 and all(float(r.split(",")[3]) < 1e-6 for r in rows)
+
+    def test_integro_small_beta_oracle(self, capsys):
+        # the oracle's eigensystem route returned up to 7.9e79 here
+        assert main(["evolve", "--equation", "integro-diff", "--beta", "1e-6"]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith(("#", "x,"))]
+        assert len(rows) == 36 and all(float(r.split(",")[3]) < 1e-10 for r in rows)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,6 @@
 """Quadrature operator functions against their independent oracles."""
 from fractions import Fraction
-from math import exp, pi, sqrt
+from math import comb, exp, factorial, pi, sqrt
 
 import numpy as np
 import pytest
@@ -150,6 +150,39 @@ class TestTricomiEvolution:
                 assert abs(got - opcalc.tricomi_evolution_series(x, tau)) < 1e-8
 
 
+def _evolved_series_values(f_ord: list[complex], beta: float, ks: np.ndarray, x: float, work_order: int) -> np.ndarray:
+    """Per-node values of e^{i beta k D^{-1}} e^{i k LD} f at x, via the Borel route."""
+    tf = len(f_ord) - 1
+    borel = [factorial(n) * c for n, c in enumerate(f_ord)]
+    ik = 1j * ks
+    pow_ik = np.ones((tf + 1, len(ks)), dtype=complex)
+    for p in range(1, tf + 1):
+        pow_ik[p] = pow_ik[p - 1] * ik
+    # e^{ik LD} f = f_B(D^{-1} + ik) . 1: coefficient of x^j
+    c1 = np.zeros((tf + 1, len(ks)), dtype=complex)
+    for j in range(tf + 1):
+        acc = np.zeros(len(ks), dtype=complex)
+        for n in range(j, tf + 1):
+            if borel[n]:
+                acc += (comb(n, j) * borel[n]) * pow_ik[n - j]
+        c1[j] = acc / factorial(j)
+    # e^{i beta k D^{-1}}: coefficient l picks up c1[j] (i beta k)^{l-j} j!/((l-j)! l!)
+    ibk = 1j * beta * ks
+    pow_ibk = np.ones((work_order + 1, len(ks)), dtype=complex)
+    for p in range(1, work_order + 1):
+        pow_ibk[p] = pow_ibk[p - 1] * ibk
+    values = np.zeros(len(ks), dtype=complex)
+    xpow = 1.0
+    for l in range(work_order + 1):
+        c2l = np.zeros(len(ks), dtype=complex)
+        for j in range(min(l, tf) + 1):
+            w = float(Fraction(factorial(j), factorial(l - j) * factorial(l)))
+            c2l += c1[j] * (w * pow_ibk[l - j])
+        values += c2l * xpow
+        xpow *= x
+    return values
+
+
 class TestIntegroDiff:
     def setup_method(self):
         self.f = PowerSeries(opcalc.c0_series(40), "ordinary")
@@ -186,14 +219,9 @@ class TestIntegroDiff:
         amp = 1.0 / sqrt(2.0 * tau)
         res = opcalc.gaussian_fourier_integral(
             1.0 / (4.0 * tau) + beta / 2.0,
-            lambda k: amp * fourier._evolved_series_values(f_ord, beta, k, x, work_order),
+            lambda k: amp * _evolved_series_values(f_ord, beta, k, x, work_order),
         )
         return res.value / sqrt(2.0 * pi)
-
-    # integro_matrix_oracle symmetrises its generator with sqrt(beta^n / n!),
-    # which loses all accuracy as beta -> 0+ (test_matrix_oracle_small_beta);
-    # beta = 0 takes its exact nilpotent branch
-    ORACLE_BETA_FLOOR = 1.0 / 16.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -207,15 +235,32 @@ class TestIntegroDiff:
     def test_m2_moment_route_matches_oracle_and_quadrature(self, beta, x, tau):
         got = opcalc.integro_diff_evolve(self.f, beta, 2, tau, x)
         assert abs(got - self.hermite_reference(self.f_ord, beta, tau, x)) <= 1e-12
-        if beta == 0.0 or beta >= self.ORACLE_BETA_FLOOR:
-            assert abs(got - opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, x)) <= 1e-10
+        assert abs(got - opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, x)) <= 1e-10
 
-    @pytest.mark.xfail(strict=True, reason="matrix oracle is ill-conditioned for 0 < beta << 1")
     def test_matrix_oracle_small_beta(self):
         # F(0, tau) = 1 - tau (1 + beta) + O(tau^2) for f = C_0
         tau, beta = 1e-6, 1e-6
         ref = opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, 0.0)
         assert abs(ref - (1.0 - tau * (1.0 + beta))) < 1e-10
+
+    @pytest.mark.parametrize("m,degree", [(2, 40), (4, 81)])
+    @pytest.mark.parametrize("beta", [1e-12, 1e-3, 0.039])
+    def test_matrix_oracle_taylor_sum_matches_route(self, m, degree, beta):
+        # below ORACLE_TAYLOR_BETA the oracle sums the Taylor series of its generator
+        assert beta < opcalc.oracles.ORACLE_TAYLOR_BETA
+        f_ord = [float(c) for c in opcalc.c0_series(degree)]
+        f = PowerSeries(opcalc.c0_series(degree), "ordinary")
+        for x, tau in [(0.0, 0.1), (0.5, 0.3), (0.25, 0.35)]:
+            got = opcalc.integro_diff_evolve(f, beta, m, tau, x)
+            assert abs(got - opcalc.integro_matrix_oracle(f_ord, beta, m, tau, x, degree)) <= 1e-13
+
+    @pytest.mark.parametrize("degree,reason", [(121, "cancels"), (161, "not converged")])
+    def test_matrix_oracle_taylor_sum_raises(self, degree, reason):
+        # m = 4 just below the switch: the larger the degree cap, the larger the
+        # eigenvalues whose Taylor terms must cancel; a garbage value never comes back
+        f_ord = [float(c) for c in opcalc.c0_series(degree)]
+        with pytest.raises(TruncationError, match=reason):
+            opcalc.integro_matrix_oracle(f_ord, 0.039, 4, 0.5, 0.5, degree)
 
     def test_m2_makes_no_quadrature_call(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
@@ -247,6 +292,36 @@ class TestIntegroDiff:
             [float(c) for c in opcalc.c0_series(81)], 0.5, 4, 0.2, 0.25, degree_cap=81
         )
         assert abs(got - ref) < 1e-6
+
+    @pytest.mark.parametrize("beta,x,tau", [(0.0, 0.25, 0.3), (0.5, 0.5, 0.1), (1.0, 0.1, 0.35), (0.5, 0.25, 0.2)])
+    def test_m4_polynomial_matches_per_node_reference(self, monkeypatch, beta, x, tau):
+        # same Gauss-Legendre nodes, bracket evaluated node by node instead
+        rules = []
+
+        def recording_rule(a, b, panels, order):
+            rule = quadrature.legendre_composite_rule(a, b, panels, order)
+            rules.append((a, rule))
+            return rule
+
+        monkeypatch.setattr(fourier, "legendre_composite_rule", recording_rule)
+        f81 = [float(c) for c in opcalc.c0_series(81)]
+        got = opcalc.integro_diff_evolve(PowerSeries(opcalc.c0_series(81), "ordinary"), beta, 4, tau, x)
+        (rule,) = [rule for a, rule in rules if a < 0]
+        ks = rule.nodes
+        integrand = (
+            fourier._e_tilde_grid(4, tau, ks)
+            * np.exp(-beta * ks ** 2 / 2.0)
+            * _evolved_series_values(f81, beta, ks, x, 81 + 16)
+        )
+        assert abs(got - np.sum(rule.weights * integrand) / sqrt(2.0 * pi)) <= 1e-15
+
+    @pytest.mark.parametrize("tau", [0.375, 0.4])
+    def test_m4_cutoff_search_exhausted(self, tau):
+        # the damped symbol is still above 1e-15 at |k| = 32 (beta = 0); this
+        # used to integrate out to 64 unchecked, about 1e6 off the oracle
+        f161 = PowerSeries(opcalc.c0_series(161), "ordinary")
+        with pytest.raises(TruncationError):
+            opcalc.integro_diff_evolve(f161, 0.0, 4, tau, 0.3)
 
     def test_m4_value_pinned(self):
         # recorded before the m = 2 route changed: the m >= 4 route must stay
