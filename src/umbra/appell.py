@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, pi, sqrt
+from math import comb, factorial, lcm, pi, sqrt
 from typing import Callable, Sequence as SequenceABC
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DivergenceError, InvalidParameterError, TruncationError
 from .gftrans import hermite_gf
 from .opcalc.quadrature import FourierSymbol, gaussian_fourier_integral, gaussian_symbol
-from .seqcore import Sequence, TransformParams, hermite_complementary_seq
+from .seqcore import Sequence, TransformParams, _egf_product, hermite_complementary_seq
 from .specfun import polyval_coeffs
 
 _SQRT2PI = sqrt(2.0 * pi)
@@ -58,11 +58,16 @@ class AppellFamily:
         object.__setattr__(self, "a_taylor", tuple(self.a_taylor))
         if not self.a_inv_taylor:
             object.__setattr__(self, "a_inv_taylor", series_reciprocal(self.a_taylor))
-        # convolution of A and 1/A must be the identity series
-        for n in range(len(self.a_taylor)):
-            conv = sum(self.a_taylor[j] * self.a_inv_taylor[n - j] for j in range(n + 1))
-            target = 1 if n == 0 else 0
-            if abs(complex(conv) - target) > 1e-12:
+        # convolution of A and 1/A must be the identity series; on rational
+        # data n! conv_n is the EGF product of (j! a_j) and (j! inv_j)
+        a, inv = self.a_taylor, tuple(self.a_inv_taylor[:len(self.a_taylor)])
+        if all(isinstance(v, (int, Fraction)) for v in a + inv):
+            scaled = _egf_product(*([factorial(j) * v for j, v in enumerate(t)] for t in (a, inv)))
+            convs = [v / factorial(n) for n, v in enumerate(scaled.terms)]
+        else:
+            convs = [sum(a[j] * inv[n - j] for j in range(n + 1)) for n in range(len(a))]
+        for n, conv in enumerate(convs):
+            if abs(complex(conv) - (n == 0)) > 1e-12:
                 raise InvalidParameterError(f"A * (1/A) deviates from 1 at order {n}")
 
     @property
@@ -96,12 +101,14 @@ def identity_family(order: int = DEFAULT_FAMILY_ORDER) -> AppellFamily:
 
 
 def bernoulli_numbers(order: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_order via the defining recurrence sum_j C(n+1, j) B_j = 0."""
-    b = [Fraction(1)]
+    """B_0 .. B_order via the defining recurrence sum_j C(n+1, j) B_j = 0, run on the
+    integers D B_n, D = lcm(1 .. order+1): by von Staudt-Clausen D B_n is an integer,
+    so each division by n + 1 is exact."""
+    den = lcm(*range(1, order + 2))
+    nums = [den]
     for n in range(1, order + 1):
-        acc = sum(comb(n + 1, j) * b[j] for j in range(n))
-        b.append(-acc / (n + 1))
-    return tuple(b)
+        nums.append(-sum(comb(n + 1, j) * nums[j] for j in range(n)) // (n + 1))
+    return tuple(Fraction(v, den) for v in nums)
 
 
 #: below this radius (e^t - 1)/t goes through its series; above, the direct formula

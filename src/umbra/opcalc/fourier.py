@@ -271,7 +271,7 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
     Odd m has no transform pair on the line and is rejected.
     """
     if m <= 0 or m % 2:
-        raise UnsupportedSymbolError(f"m = {m}: e^(-tau x^m) has no Fourier transform for odd m")
+        raise UnsupportedSymbolError(f"m = {m}: m must be a positive even integer for e^(-tau x^m) to decay")
     if beta < 0:
         raise DivergenceError("beta < 0 grows the disentanglement factor e^{-beta k^2/2}")
     if not beta <= INTEGRO_BETA_BOUND:

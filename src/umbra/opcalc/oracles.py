@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.special
 
 from ..errors import InvalidParameterError, TruncationError
-from ..seqcore import Sequence
+from ..seqcore import Sequence, _egf_product
 from ..specfun import polyval_coeffs, tricomi_series
 from .operators import TruncatedOperator
 
@@ -183,16 +183,10 @@ def umbral_double_sum(taylor: SequenceABC[Fraction], a: Sequence, x: float) -> c
     inner sums are done in exact rational arithmetic to dodge cancellation and
     the outer sum stops at its smallest term, the standard superasymptotic
     truncation.  With the narrow symbols used in tests the smallest term is
-    far below every tolerance in play.
+    far below every tolerance in play.  Inner sums: sum_m C(n,m) (c_m m!) a_{n-m}.
     """
-    nmax = len(a) - 1
-    inner = []
-    for n in range(nmax + 1):
-        tot = Fraction(0)
-        for m in range(min(n, len(taylor) - 1) + 1):
-            if taylor[m]:
-                tot += Fraction(taylor[m]) * (factorial(n) // factorial(n - m)) * a[n - m]
-        inner.append(tot)
+    left = [Fraction(taylor[m]) * factorial(m) if m < len(taylor) else 0 for m in range(len(a))]
+    inner = _egf_product(left, a.terms).terms
     terms = [float(v) * x ** n for n, v in enumerate(inner)]
     if len(terms) > 3:
         cut = min(range(2, len(terms)), key=lambda n: abs(terms[n]))

@@ -26,13 +26,16 @@ is zero at odd j:
 These are the paper's closed forms e^x g(-x), e^{alpha x} g(-beta x),
 e^{alpha x} g(beta x^2), e^{beta x^2} g(alpha x) and e^{beta x} q(-alpha x),
 with g(x) = sum a_j x^j / j! and q(x) = sum a_j x^j / (j!)^2.
+
+The kernel's other users: the catalog's k-binomial majorant and shifted-Gaussian
+table, the umbral double-sum oracle and the A * (1/A) check of Appell families.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable
 
 from .errors import InvalidParameterError, SequenceFormatError
@@ -53,7 +56,8 @@ class Sequence:
     terms: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(_frac(t) for t in self.terms))
+        # a Fraction is immutable and already in lowest terms
+        object.__setattr__(self, "terms", tuple(t if type(t) is Fraction else _frac(t) for t in self.terms))
         if len(self.terms) < 1:
             raise InvalidParameterError("a sequence needs at least one term")
 
@@ -85,10 +89,16 @@ class TransformParams:
         return self.alpha.denominator * self.beta.denominator
 
 
-def _cleared(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(D, [v * D]) with D the least common denominator of `values`."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+def _cleared(values: list[Fraction], c: int) -> tuple[int, list[int]]:
+    """(D, [v_j c^j D]) with D the least common denominator of the v_j c^j, each
+    reduced on integers: v_j is in lowest terms, so gcd(c^j, den v_j) is all that cancels."""
+    pairs, cj = [], 1
+    for v in values:
+        g = gcd(cj, v.denominator)
+        pairs.append((v.numerator * (cj // g), v.denominator // g))
+        cj *= c
+    den = lcm(*(q for _, q in pairs))
+    return den, [p * (den // q) for p, q in pairs]
 
 
 def _egf_product(left: list[Fraction], right: list[Fraction], c: int = 1, s: Fraction | int = 1) -> Sequence:
@@ -100,8 +110,8 @@ def _egf_product(left: list[Fraction], right: list[Fraction], c: int = 1, s: Fra
     factor is then scaled to integers over one common denominator, so the
     double sum is integer arithmetic and each b_n is reduced once.
     """
-    dl, ls = _cleared([v * c ** j for j, v in enumerate(left)])
-    dr, rs = _cleared([v * c ** j for j, v in enumerate(right)])
+    dl, ls = _cleared(left, c)
+    dr, rs = _cleared(right, c)
     ratio = Fraction(s, c)
     active = []  # (j, cleared c^j R_j) for the nonzero R_j with j <= n
     num, den = 1, dl * dr

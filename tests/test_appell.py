@@ -2,8 +2,11 @@
 from fractions import Fraction
 from math import factorial
 
+import convolution_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbra import appell
 from umbra.errors import DivergenceError, InvalidParameterError, TruncationError
@@ -29,9 +32,35 @@ class TestFamilies:
     def test_bernoulli_numbers(self):
         assert appell.bernoulli_numbers(4) == (1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30))
 
+    @given(st.integers(0, 120))
+    @settings(max_examples=30, deadline=None)
+    def test_bernoulli_numbers_match_fraction_recurrence(self, order):
+        assert appell.bernoulli_numbers(order) == convolution_oracle.bernoulli_numbers(order)
+
     def test_reciprocal_convolution_enforced(self):
         with pytest.raises(InvalidParameterError):
             appell.AppellFamily("broken", (Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)))
+
+    @given(st.fractions(min_value=Fraction(1, 30), max_value=Fraction(50), max_denominator=30),
+           st.lists(st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=30),
+                    max_size=11),
+           st.integers(0, 11), st.sampled_from([0, Fraction(1, 10 ** 15), Fraction(1, 1000)]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_self_check_decides_as_the_plain_convolution(self, c0, rest, index, delta, as_float):
+        # the rational route must accept and reject exactly what the 1e-12 test on the
+        # plain Cauchy product of A and the (perturbed) reciprocal does
+        a = [c0] + rest
+        inv = list(appell.series_reciprocal(a))
+        inv[index % len(inv)] += delta
+        if as_float:
+            a, inv = [float(v) for v in a], [float(v) for v in inv]
+        convs = convolution_oracle.series_product(a, inv)
+        bad = [n for n, v in enumerate(convs) if abs(complex(v) - (n == 0)) > 1e-12]
+        if bad:
+            with pytest.raises(InvalidParameterError, match=f"at order {bad[0]}$"):
+                appell.AppellFamily("perturbed", tuple(a), tuple(inv))
+        else:
+            appell.AppellFamily("perturbed", tuple(a), tuple(inv))
 
     def test_zero_constant_rejected(self):
         with pytest.raises(InvalidParameterError):

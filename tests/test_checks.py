@@ -1,11 +1,18 @@
 """The identity-check registry: statuses, errata rows, overrides."""
 import json
+from fractions import Fraction
 
+import convolution_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbra import checks
 from umbra.cli import main
 from umbra.errors import InvalidParameterError
+from umbra.seqcore import Sequence
+
+rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40)
 
 
 def test_suite_names_include_all():
@@ -91,3 +98,25 @@ def test_error_row_fails_the_run_and_keeps_the_report(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
     assert [c["status"] for c in doc["checks"]] == ["error", "pass", "pass"]
+
+
+@given(st.lists(rationals, min_size=1, max_size=40), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_k_binomial_majorant_matches_double_sum(terms, k):
+    want = convolution_oracle.abs_k_transform(terms, k)
+    for case in checks._k_binomial_cases(k):
+        assert list(case.transform_majorant(Sequence.of(terms)).terms) == want
+
+
+@given(rationals, rationals, st.integers(0, 60))
+@settings(max_examples=100, deadline=None)
+def test_shifted_gaussian_taylor_matches_double_sum(scale, shift, order):
+    want = convolution_oracle.shifted_gaussian_taylor(scale, shift, order)
+    assert checks._shifted_gaussian_taylor(scale, shift, order) == want
+
+
+def test_eq89_rows_keep_their_residuals():
+    # the two non-even Eq. 89 rows share one oracle; both residuals are pinned bit for bit
+    rows = {c.name: c for _, c in checks.resolve_suites("umbral")}
+    assert repr(rows["umbral transform, non-even symbol"].run().residual) == "6.661453184181016e-16"
+    assert repr(rows["printed denominator sign"].run().residual) == "0.027009231064914596"

@@ -10,6 +10,7 @@ import pytest
 from transform_oracle import expected
 
 import umbra
+from umbra.checks import MAX_ORDER
 from umbra.cli import main
 from umbra.seqcore import TRANSFORM_NAMES
 
@@ -130,7 +131,7 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert any(c["status"] == "flagged-errata" for c in doc["checks"])
 
-    @pytest.mark.parametrize("order", [100, 200])
+    @pytest.mark.parametrize("order", [100, 200, MAX_ORDER])
     @pytest.mark.parametrize("suite", ["gftrans", "kbinomial"])
     def test_tail_budgets_hold_at_high_order(self, suite, order, tmp_path):
         # s^n / n! used to overflow a float from order 100 on
@@ -239,6 +240,7 @@ def test_range_guard_exits_4(argv, capsys):
     ["check", "--tolerance", "nan"],
     ["check", "--tolerance", "-0.5"],
     ["check", "--order", "0"],
+    ["check", "--order", str(MAX_ORDER + 1)],
 ], ids=" ".join)
 def test_bad_numeric_flag_exits_3(argv, capsys):
     assert main(argv) == 3

@@ -2,6 +2,7 @@
 from fractions import Fraction
 from math import comb, exp, factorial, pi, sqrt
 
+import convolution_oracle
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -330,6 +331,9 @@ class TestIntegroDiff:
         assert repr(opcalc.integro_diff_evolve(f81, 0.5, 4, 0.2, 0.25)) == "(0.5599811890758907+0j)"
 
 
+rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40)
+
+
 class TestUmbralTransform:
     def setup_method(self):
         self.scale = Fraction(1, 32)
@@ -354,6 +358,15 @@ class TestUmbralTransform:
     def test_radius_guard(self):
         with pytest.raises(DivergenceError):
             opcalc.umbral_operator_transform(self.sym, self.a, 1.2, growth=(1.0, 1.0))
+
+    @given(st.lists(rationals, min_size=1, max_size=30), st.lists(rationals, min_size=1, max_size=30),
+           st.floats(-0.5, 0.5))
+    @settings(max_examples=150, deadline=None)
+    @example([Fraction(1, 7)] * 40, [Fraction(-2, 3)] * 25, 0.3)
+    def test_double_sum_matches_plain_loops(self, taylor, terms, x):
+        # Taylor tables shorter and longer than the sequence
+        want = convolution_oracle.umbral_double_sum(taylor, terms, x)
+        assert opcalc.umbral_double_sum(taylor, Sequence.of(terms), x) == want
 
 
 class TestHeatEvolution:

@@ -1,5 +1,6 @@
 """Exactness tests for the sequence transforms."""
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from umbra.seqcore import (
     TRANSFORM_NAMES,
     Stage,
     TransformParams,
+    _egf_product,
     binomial_transform,
     compose_transforms,
     hermite_after_modular_gap,
@@ -209,6 +211,27 @@ class TestKernelOracle:
         assume(not (name == "hermite-inverse" and alpha == 0))
         got = Stage(name, alpha=alpha, beta=beta, k=k).apply(a)
         assert list(got.terms) == expected(name, a.terms, alpha, beta, k)
+
+
+@st.composite
+def egf_factors(draw):
+    """Two equal-length lists of ints and Fractions."""
+    size = draw(st.integers(1, 24))
+    entry = st.integers(-10 ** 6, 10 ** 6) | rationals
+    return (draw(st.lists(entry, min_size=size, max_size=size)),
+            draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+class TestEgfProduct:
+    @given(egf_factors(), st.integers(1, 60), params)
+    @settings(max_examples=100, deadline=None)
+    def test_terms_are_reduced_fractions_of_the_double_sum(self, factors, c, s):
+        left, right = factors
+        got = _egf_product(left, right, c, s).terms
+        assert all(type(t) is Fraction and t.denominator > 0 and gcd(t.numerator, t.denominator) == 1
+                   for t in got)
+        assert list(got) == [s ** n * sum(comb(n, j) * left[j] * right[n - j] for j in range(n + 1))
+                             for n in range(len(left))]
 
 
 class TestCompose:
