@@ -213,10 +213,6 @@ class ExpansionResult:
     family_name: str
     node_counts: tuple[int, ...]
 
-    @property
-    def max_imag(self) -> float:
-        return max(abs(complex(c).imag) for c in self.coefficients)
-
 
 #: integrand growth probes: 1/A(ik) may explode (e.g. A = e^{t^2} against a Gaussian)
 _GUARD_POINTS = (10.0, 20.0, 40.0)

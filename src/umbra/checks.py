@@ -134,14 +134,10 @@ MASTER_SEQUENCES = (
 K_BINOMIAL_SEQUENCES = MASTER_SEQUENCES[:3]  # ones, linear, 2^n-scaled
 
 
-def sample_points(radius: float, count: int = 20) -> list[complex]:
+def sample_points(radius: float) -> list[complex]:
     outer = [radius * cmath.exp(2j * pi * j / 12) for j in range(12)]
     inner = [0.5 * radius * cmath.exp(2j * pi * (j + 0.5) / 8) for j in range(8)]
-    return (outer + inner)[:count]
-
-
-def _series_value(a: sq.Sequence, x: complex, kind: str) -> complex:
-    return gf.sequence_series_value(a, x, kind)
+    return outer + inner
 
 
 def _partial_weighted(b: sq.Sequence, r: float, kind: str) -> float:
@@ -409,7 +405,7 @@ def run_master_case(case: MasterCase, order: int = DEFAULT_ORDER, sequences=None
         budget_direct = max(direct_total - _partial_weighted(maj_transformed, r, case.kind), 0.0)
         for x in sample_points(r):
             closed_value = case.closed(a, x)
-            direct_value = _series_value(transformed, x, case.kind)
+            direct_value = gf.sequence_series_value(transformed, x, case.kind)
             diff = abs(closed_value - direct_value)
             budget = (
                 case.closed_tail(ts, abs(x), order)
@@ -1024,6 +1020,8 @@ def suite_names() -> list[str]:
 
 
 def resolve_suites(selector: str, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> list[tuple[str, Check]]:
+    if not 1 <= order <= MAX_ORDER:
+        raise InvalidParameterError(f"--order must be between 1 and {MAX_ORDER}, got {order}")
     suites = build_suites(seed, order)
     if selector == "all":
         return [(name, check) for name, checks in suites.items() for check in checks]

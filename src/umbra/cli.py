@@ -127,8 +127,6 @@ def cmd_check(args) -> int:
 
     if args.tolerance is not None and _finite(args.tolerance, "--tolerance") < 0:
         raise InvalidParameterError(f"--tolerance must be >= 0, got {args.tolerance}")
-    if args.order is not None and not 1 <= args.order <= checks.MAX_ORDER:
-        raise InvalidParameterError(f"--order must be between 1 and {checks.MAX_ORDER}, got {args.order}")
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     order = checks.DEFAULT_ORDER if args.order is None else args.order
     with warnings.catch_warnings():

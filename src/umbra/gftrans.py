@@ -41,18 +41,6 @@ class PowerSeries:
     def truncation_order(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def from_sequence(cls, a: Sequence, kind: Kind = "ordinary") -> "PowerSeries":
-        return cls(tuple(a.terms), kind)
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Value of a truncated evaluation plus a rigorous truncation-tail bound."""
-
-    value: complex
-    tail_bound: float
-
 
 def ordinary_tail(M: float, rho: float, xabs: float, first_omitted: int) -> float:
     """Tail of sum_{n >= first_omitted} M (rho |x|)^n, assuming |c_n| <= M rho^n."""
@@ -126,30 +114,22 @@ def _eval_bessel(coeffs, x: complex) -> complex:
     return value
 
 
-def series_eval(s: PowerSeries, x: complex, growth: tuple[float, float]) -> EvalResult:
-    """Evaluate the truncated series at x with a tail bound from |c_n| <= M rho^n."""
-    M, rho = growth
-    fo = s.truncation_order + 1
-    if s.kind == "ordinary":
-        if rho * abs(x) >= 1.0:
-            raise DivergenceError(f"|x| rho = {rho * abs(x):g} >= 1: outside the declared radius")
-        return EvalResult(_eval_ordinary(s.coeffs, x), ordinary_tail(M, rho, abs(x), fo))
-    return EvalResult(_eval_exponential(s.coeffs, x), exponential_tail(M, rho, abs(x), fo))
+def _derivative_terms(terms: tuple, r: int, kind: Kind) -> tuple:
+    """Exact r-th derivative of the truncated series, in one pass over its terms.
 
-
-def series_derivative(s: PowerSeries, r: int = 1) -> PowerSeries:
-    """Exact termwise r-th derivative; truncation order drops by r."""
-    if r < 0:
-        raise InvalidParameterError("derivative order must be nonnegative")
-    if r > s.truncation_order:
-        raise TruncationError(f"derivative order {r} exceeds truncation order {s.truncation_order}")
-    coeffs = s.coeffs
-    for _ in range(r):
-        if s.kind == "ordinary":
-            coeffs = tuple((n + 1) * coeffs[n + 1] for n in range(len(coeffs) - 1))
-        else:
-            coeffs = coeffs[1:]
-    return PowerSeries(coeffs, s.kind)
+    ordinary: c_{n+r} (n+r)!/n! by a running falling factorial; exponential: c_{n+r}.
+    """
+    if r >= len(terms):
+        raise TruncationError(f"derivative order {r} exceeds truncation order {len(terms) - 1}")
+    if kind == "exponential":
+        return terms[r:]
+    falling = factorial(r)
+    out = []
+    for n, c in enumerate(terms[r:]):
+        if n:
+            falling = falling * (n + r) // n
+        out.append(c * falling)
+    return tuple(out)
 
 
 def _radius_guard(label: str, s: float) -> None:
@@ -194,7 +174,8 @@ def k_binomial_gf(a: Sequence, k: int, x: complex, kind: Kind) -> complex:
 
     if k < 0:
         raise InvalidParameterError("k must be nonnegative")
-    base = PowerSeries.from_sequence(a, kind)
+    if kind not in ("ordinary", "exponential"):
+        raise InvalidParameterError(f"unknown series kind {kind!r}")
     if kind == "ordinary":
         _radius_guard("k-binomial ordinary closed form", abs(x))
         u = -x / (1 - x)
@@ -203,16 +184,16 @@ def k_binomial_gf(a: Sequence, k: int, x: complex, kind: Kind) -> complex:
             s2 = stirling2(r, k)
             if s2 == 0:
                 continue
-            der = series_derivative(base, r)
-            total += (-x) ** r / (1 - x) ** (r + 1) * s2 * _eval_ordinary(der.coeffs, u)
+            der = _derivative_terms(a.terms, r, kind)
+            total += (-x) ** r / (1 - x) ** (r + 1) * s2 * _eval_ordinary(der, u)
         return total
     total = 0j
     for r in range(k + 1):
         s2 = stirling2(r, k)
         if s2 == 0:
             continue
-        der = series_derivative(base, r)
-        total += (-x) ** r * s2 * _eval_exponential(der.coeffs, -x)
+        der = _derivative_terms(a.terms, r, kind)
+        total += (-x) ** r * s2 * _eval_exponential(der, -x)
     return cexp(x) * total
 
 

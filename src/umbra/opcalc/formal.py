@@ -5,6 +5,9 @@ a formal parameter eps (standing for ik), with exact rational coefficients.
 Every operator term carries at least one power of eps, so exponentials
 truncate at the order cap and residuals are exactly zero or exactly nonzero;
 no numerical tolerance enters.
+
+An expansion is a sparse map {(eps order, x degree): nonzero Fraction}, so
+applying a term touches only the monomials that are present.
 """
 from __future__ import annotations
 
@@ -14,43 +17,19 @@ from math import isqrt
 
 from ..errors import InvalidParameterError
 
-Poly = tuple[Fraction, ...]
+Expansion = dict[tuple[int, int], Fraction]
 
-
-def _poly_trim(p: list[Fraction]) -> Poly:
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _poly_trim([
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ])
-
-
-def _poly_scale(a: Poly, s: Fraction) -> Poly:
-    if s == 0:
-        return ()
-    return tuple(c * s for c in a)
-
-
-def _poly_diff(a: Poly) -> Poly:
-    return tuple(i * a[i] for i in range(1, len(a)))
-
-
-def _poly_xmul(a: Poly) -> Poly:
-    return (Fraction(0),) + a if a else ()
-
-
+#: each action sends x^n to factor * x^(new degree); a zero factor kills the monomial
 _ACTIONS = {
-    "1": lambda p: p,
-    "d": _poly_diff,
-    "d2": lambda p: _poly_diff(_poly_diff(p)),
-    "x": _poly_xmul,
+    "1": lambda n: (1, n),
+    "d": lambda n: (n, n - 1),
+    "d2": lambda n: (n * (n - 1), n - 2),
+    "x": lambda n: (1, n + 1),
 }
+
+#: the identities are checked on every monomial x^n up to these degrees
+WEYL_MAX_DEGREE = 8
+CUBIC_MAX_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -68,68 +47,54 @@ class OperatorTerm:
             raise InvalidParameterError("operator terms must carry at least eps^1")
 
 
-@dataclass(frozen=True)
-class FormalExpansion:
-    """Polynomial-valued power series in eps, exact rational, truncated at order_cap."""
-
-    orders: tuple[Poly, ...]
-
-    @property
-    def order_cap(self) -> int:
-        return len(self.orders) - 1
-
-    @classmethod
-    def from_poly(cls, poly, order_cap: int) -> "FormalExpansion":
-        base = _poly_trim([Fraction(c) for c in poly])
-        return cls((base,) + ((),) * order_cap)
-
-    @classmethod
-    def monomial(cls, degree: int, order_cap: int) -> "FormalExpansion":
-        return cls.from_poly([0] * degree + [1], order_cap)
-
-    def __sub__(self, other: "FormalExpansion") -> "FormalExpansion":
-        if self.order_cap != other.order_cap:
-            raise InvalidParameterError("expansions must share an order cap")
-        return FormalExpansion(
-            tuple(_poly_add(a, _poly_scale(b, Fraction(-1))) for a, b in zip(self.orders, other.orders))
-        )
-
-    def max_abs(self) -> Fraction:
-        worst = Fraction(0)
-        for poly in self.orders:
-            for c in poly:
-                worst = max(worst, abs(c))
-        return worst
-
-    def is_zero(self) -> bool:
-        return all(len(p) == 0 for p in self.orders)
+def _accumulate(out: Expansion, key: tuple[int, int], value: Fraction) -> None:
+    value += out.get(key, 0)
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
 
 
-def apply_operator(terms: list[OperatorTerm], state: FormalExpansion) -> FormalExpansion:
-    cap = state.order_cap
-    out: list[Poly] = [()] * (cap + 1)
+def apply_operator(terms: list[OperatorTerm], state: Expansion, cap: int) -> Expansion:
+    """Apply the sum of terms, dropping every eps order above cap."""
+    out: Expansion = {}
     for term in terms:
         act = _ACTIONS[term.action]
-        for o in range(cap + 1 - term.eps_shift):
-            if not state.orders[o]:
-                continue
-            contrib = _poly_scale(act(state.orders[o]), term.scalar)
-            if contrib:
-                out[o + term.eps_shift] = _poly_add(out[o + term.eps_shift], contrib)
-    return FormalExpansion(tuple(out))
+        for (order, degree), c in state.items():
+            factor, new_degree = act(degree)
+            if factor and order + term.eps_shift <= cap:
+                _accumulate(out, (order + term.eps_shift, new_degree), term.scalar * factor * c)
+    return out
 
 
-def exp_apply(terms: list[OperatorTerm], state: FormalExpansion) -> FormalExpansion:
+def exp_apply(terms: list[OperatorTerm], state: Expansion, cap: int) -> Expansion:
     """Apply exp(sum of terms): the series terminates because every term raises the eps order."""
-    total = state
+    total = dict(state)
     current = state
-    for m in range(1, state.order_cap + 1):
-        current = apply_operator(terms, current)
-        current = FormalExpansion(tuple(_poly_scale(p, Fraction(1, m)) for p in current.orders))
-        if current.is_zero():
+    for m in range(1, cap + 1):
+        current = {key: c / m for key, c in apply_operator(terms, current, cap).items()}
+        if not current:
             break
-        total = FormalExpansion(tuple(_poly_add(a, b) for a, b in zip(total.orders, current.orders)))
+        for key, c in current.items():
+            _accumulate(total, key, c)
     return total
+
+
+def _residual(lhs: list[list[OperatorTerm]], rhs: list[list[OperatorTerm]],
+              order: int, max_degree: int) -> Fraction:
+    """Largest |coefficient| of lhs - rhs on x^n, n <= max_degree; a side lists its e^{sum} factors."""
+    worst = Fraction(0)
+    for degree in range(max_degree + 1):
+        sides = []
+        for product in (lhs, rhs):
+            state = {(0, degree): Fraction(1)}
+            for exponent in reversed(product):  # the rightmost factor acts first
+                state = exp_apply(exponent, state, order)
+            sides.append(state)
+        left, right = sides
+        for key in left.keys() | right.keys():
+            worst = max(worst, abs(left.get(key, 0) - right.get(key, 0)))
+    return worst
 
 
 def _exact_sqrt(q: Fraction) -> Fraction:
@@ -141,12 +106,12 @@ def _exact_sqrt(q: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-def weyl_check(a, b, order: int = 8, max_degree: int = 8) -> Fraction:
+def weyl_check(a, b, order: int = 8) -> Fraction:
     """Residual of e^{A+B} = e^A e^B e^{-[A,B]/2} for A = eps a d/dx, B = eps b x.
 
     [A, B] = eps^2 a b is central, so the residual must vanish identically;
     returns the largest coefficient of lhs - rhs over monomials up to
-    max_degree, exactly.
+    WEYL_MAX_DEGREE, exactly.
     """
     if order > 16:
         raise InvalidParameterError("weyl check is exact but quadratic in order; keep order <= 16")
@@ -154,24 +119,13 @@ def weyl_check(a, b, order: int = 8, max_degree: int = 8) -> Fraction:
     A = OperatorTerm(1, a, "d")
     B = OperatorTerm(1, b, "x")
     comm_half = OperatorTerm(2, -a * b / 2, "1")
-    worst = Fraction(0)
-    for degree in range(max_degree + 1):
-        state = FormalExpansion.monomial(degree, order)
-        lhs = exp_apply([A, B], state)
-        rhs = exp_apply([A], exp_apply([B], exp_apply([comm_half], state)))
-        worst = max(worst, (lhs - rhs).max_abs())
-    return worst
+    return _residual([[A, B]], [[A], [B], [comm_half]], order, WEYL_MAX_DEGREE)
 
 
-def cubic_disentangle_check(
-    alpha,
-    beta,
-    order: int = 8,
-    max_degree: int = 6,
-    printed_m: bool = False,
-) -> Fraction:
+def cubic_disentangle_check(alpha, beta, order: int = 8, printed_m: bool = False) -> Fraction:
     """Residual of the cubic disentanglement e^{A+B} = e^{m^2/12 - (m/2) A^{1/2} + A} e^B
-    with A = eps alpha d^2, B = eps beta x, [A, B] = m A^{1/2}.
+    with A = eps alpha d^2, B = eps beta x, [A, B] = m A^{1/2}, on monomials up
+    to CUBIC_MAX_DEGREE.
 
     The commutator forces m = 2 eps^{3/2} sqrt(alpha) beta, under which the
     exponent is rational: m^2/12 = eps^3 alpha beta^2 / 3 and (m/2) A^{1/2}
@@ -193,10 +147,4 @@ def cubic_disentangle_check(
     else:
         scalar = OperatorTerm(3, alpha * beta ** 2 / 3, "1")
         drift = OperatorTerm(2, -alpha * beta, "d")
-    worst = Fraction(0)
-    for degree in range(max_degree + 1):
-        state = FormalExpansion.monomial(degree, order)
-        lhs = exp_apply([A, B], state)
-        rhs = exp_apply([scalar, drift, A], exp_apply([B], state))
-        worst = max(worst, (lhs - rhs).max_abs())
-    return worst
+    return _residual([[A, B]], [[scalar, drift, A], [B]], order, CUBIC_MAX_DEGREE)

@@ -320,7 +320,7 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
 
 
 def umbral_operator_transform(
-    symbol: FourierSymbol | None,
+    symbol: FourierSymbol,
     a: Sequence,
     x: float,
     growth: tuple[float, float] | None = None,
@@ -331,16 +331,12 @@ def umbral_operator_transform(
 
     The shift e^{ik d/da^} sends a^ to a^ + ik, which puts 1 - ikx in the
     denominator; the printed 1 + ikx agrees only for even symbols.
-    symbol=None is the identity path (F == 1): plain series evaluation.
     """
     if growth is not None:
         M, rho = growth
         if rho * abs(x) >= 1.0:
             raise DivergenceError(f"rho |x| = {rho * abs(x):g} >= 1: outside the series radius")
     coeffs = [complex(t) for t in a.terms]
-
-    if symbol is None:
-        return complex(polyval_coeffs(coeffs, np.asarray(x, dtype=complex)))
 
     def g(k):
         den = 1.0 - 1j * k * x

@@ -21,13 +21,17 @@ from ..specfun import polyval_coeffs, tricomi_series
 from .operators import TruncatedOperator
 
 
+#: apply_entire_function sums at most this many Taylor orders and stops once
+#: four consecutive terms fall below _TAYLOR_RTOL times the running total
+_TAYLOR_TERMS = 160
+_TAYLOR_RTOL = 1e-18
+
+
 def apply_entire_function(
     taylor: Callable[[int], complex],
     op: TruncatedOperator,
     coeffs,
     x: complex,
-    max_terms: int = 160,
-    rtol: float = 1e-18,
 ) -> complex:
     """sum_j taylor(j) (op^j f)(x): Taylor sum of f(op) applied to a polynomial.
 
@@ -35,19 +39,19 @@ def apply_entire_function(
     against the small parameters used in the tests); summation stops after the
     terms stay negligible for several consecutive orders.
     """
-    if op.degree_cap < len(coeffs) - 1 + max_terms:
+    if op.degree_cap < len(coeffs) - 1 + _TAYLOR_TERMS:
         raise InvalidParameterError(
-            "operator cap too small for the Taylor sum: need input degree + max_terms"
+            f"operator cap too small for the Taylor sum: need input degree + {_TAYLOR_TERMS}"
         )
     v = list(coeffs) + [0] * (op.degree_cap + 1 - len(coeffs))
     total = 0j
     quiet = 0
-    for j in range(max_terms):
+    for j in range(_TAYLOR_TERMS):
         t = taylor(j)
         if t:
             term = complex(t) * complex(polyval_coeffs(v, x))
             total += term
-            if abs(term) < rtol * max(abs(total), 1e-30):
+            if abs(term) < _TAYLOR_RTOL * max(abs(total), 1e-30):
                 quiet += 1
             else:
                 quiet = 0
@@ -69,14 +73,14 @@ def pauli_spectral(f: Callable[[float], complex], omega_mag: float) -> np.ndarra
     return eigvecs @ np.diag([f(v) for v in eigvals]) @ eigvecs.conj().T
 
 
-def tricomi_evolution_series(x: float, tau: float, rtol: float = 1e-16) -> float:
+def tricomi_evolution_series(x: float, tau: float) -> float:
     """Series solution e^{-tau D^{-2}} 1 = sum_m (-tau)^m x^{2m} / (m! (2m)!)."""
     total, term, m = 0.0, 1.0, 0
     while True:
         total += term
         m += 1
         term *= -tau * x * x / (m * (2 * m) * (2 * m - 1))
-        if abs(term) < rtol * max(abs(total), 1e-30) and m > 4:
+        if abs(term) < 1e-16 * max(abs(total), 1e-30) and m > 4:
             return total
         if m > 500:
             raise InvalidParameterError("series solution failed to converge")

@@ -96,7 +96,6 @@ def adaptive_hermite(
     g: Callable[[np.ndarray], np.ndarray],
     *,
     start: int = DEFAULT_START_NODES,
-    cap: int = NODE_CAP,
     tol: float = CONVERGENCE_TOL,
 ) -> QuadratureResult:
     """Sum w_i g(u_i) over Gauss-Hermite rules, doubling nodes until stable."""
@@ -107,9 +106,9 @@ def adaptive_hermite(
         value = complex(np.sum(rule.weights * np.asarray(g(rule.nodes), dtype=complex)))
         if previous is not None and abs(value - previous) < tol * max(1.0, abs(value)):
             return QuadratureResult(value, n, True)
-        if n >= cap:
+        if n >= NODE_CAP:
             warnings.warn(
-                f"quadrature did not converge below {tol:g} at {cap} nodes",
+                f"quadrature did not converge below {tol:g} at {NODE_CAP} nodes",
                 QuadratureConvergenceWarning,
                 stacklevel=2,
             )

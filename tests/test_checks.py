@@ -25,6 +25,14 @@ def test_unknown_suite_rejected():
         checks.resolve_suites("hankel")
 
 
+@pytest.mark.parametrize("order", [0, checks.MAX_ORDER + 1])
+def test_order_outside_the_verified_range_raises(order):
+    # the bound holds for every caller, not only for `check --order`
+    for run in (checks.resolve_suites, checks.run_selected):
+        with pytest.raises(InvalidParameterError, match="between 1 and"):
+            run("gftrans", order=order)
+
+
 def test_every_check_appears_once_in_all():
     rows = checks.resolve_suites("all")
     names = [(suite, check.name) for suite, check in rows]

@@ -11,13 +11,13 @@ from umbra.gftrans import (
     binomial_gf_exponential,
     binomial_gf_involution_residual,
     binomial_gf_ordinary,
+    exponential_tail,
     hermite_gf,
     k_binomial_gf,
     laguerre_gf,
     modular_gf,
+    ordinary_tail,
     sequence_series_value,
-    series_derivative,
-    series_eval,
 )
 from umbra.seqcore import Sequence, rising_k_binomial
 from umbra.specfun import hermite2
@@ -29,29 +29,27 @@ def ones(n):
 
 class TestSeriesEval:
     def test_geometric_value_and_tail(self):
-        s = PowerSeries((1.0,) * 21, "ordinary")
-        res = series_eval(s, 0.5, growth=(1.0, 1.0))
-        assert res.value == pytest.approx(2 - 2.0 ** -20, rel=1e-15)
-        assert res.tail_bound == pytest.approx(2.0 ** -20, rel=1e-12)
-        assert abs(2.0 - res.value) <= res.tail_bound * (1 + 1e-12)
+        value = sequence_series_value(ones(21), 0.5, "ordinary")
+        tail = ordinary_tail(1.0, 1.0, 0.5, 21)
+        assert value == pytest.approx(2 - 2.0 ** -20, rel=1e-15)
+        assert tail == pytest.approx(2.0 ** -20, rel=1e-12)
+        assert abs(2.0 - value) <= tail * (1 + 1e-12)
 
     def test_exponential_reaches_e(self):
-        s = PowerSeries((1.0,) * 31, "exponential")
-        res = series_eval(s, 1.0, growth=(1.0, 1.0))
-        # tail bound covers truncation only; allow summation rounding on top
-        assert abs(res.value - np.e) <= res.tail_bound + 1e-15
-        assert res.tail_bound < 1e-25
+        value = sequence_series_value(ones(31), 1.0, "exponential")
+        tail = exponential_tail(1.0, 1.0, 1.0, 31)
+        # the tail bound covers truncation only; allow summation rounding on top
+        assert abs(value - np.e) <= tail + 1e-15
+        assert tail < 1e-25
 
     def test_zero_growth_means_zero_tail(self):
-        s = PowerSeries((3.0,), "ordinary")
-        res = series_eval(s, 0.25, growth=(0.0, 1.0))
-        assert res.value == 3.0
-        assert res.tail_bound == 0.0
+        assert sequence_series_value(Sequence.of([3]), 0.25, "ordinary") == 3.0
+        assert ordinary_tail(0.0, 1.0, 0.25, 1) == 0.0
+        assert exponential_tail(0.0, 1.0, 0.25, 1) == 0.0
 
     def test_radius_violation(self):
-        s = PowerSeries((1.0, 1.0), "ordinary")
-        with pytest.raises(DivergenceError):
-            series_eval(s, 0.8, growth=(1.0, 2.0))
+        # outside the declared radius no finite budget exists
+        assert ordinary_tail(1.0, 2.0, 0.8, 2) == float("inf")
 
     def test_bad_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -59,25 +57,45 @@ class TestSeriesEval:
 
 
 class TestSeriesDerivative:
+    """The exact derivatives k_binomial_gf takes of the input series, seen through
+    the closed form: S2(r, k) picks which derivatives enter."""
+
     def test_zeroth_is_identity(self):
-        s = PowerSeries((1.0, 2.0, 3.0), "ordinary")
-        assert series_derivative(s, 0).coeffs == s.coeffs
+        # k = 0 keeps only r = 0: the underived series at u = -x/(1-x)
+        a = Sequence.of([1, 2, 3])
+        x = 0.3
+        u = -x / (1 - x)
+        assert k_binomial_gf(a, 0, x, "ordinary") == pytest.approx((1 + 2 * u + 3 * u * u) / (1 - x), rel=1e-15)
 
     def test_ordinary_shift(self):
-        s = PowerSeries((1.0, 1.0, 1.0, 1.0), "ordinary")
-        assert series_derivative(s).coeffs == (1.0, 2.0, 3.0)
+        # k = 1 keeps only r = 1, and (1 + u + u^2 + u^3)' = 1 + 2u + 3u^2
+        x = 0.3
+        u = -x / (1 - x)
+        want = -x / (1 - x) ** 2 * (1 + 2 * u + 3 * u * u)
+        assert k_binomial_gf(ones(4), 1, x, "ordinary") == pytest.approx(want, rel=1e-15)
 
     def test_second_derivative_of_x_squared(self):
-        s = PowerSeries((0.0, 0.0, 1.0), "ordinary")
-        assert series_derivative(s, 2).coeffs == (2.0,)
+        # k = 2 keeps r = 1 and r = 2: (u^2)' = 2u, (u^2)'' = 2
+        x = 0.3
+        u = -x / (1 - x)
+        want = -x / (1 - x) ** 2 * 2 * u + x * x / (1 - x) ** 3 * 2
+        assert k_binomial_gf(Sequence.of([0, 0, 1]), 2, x, "ordinary") == pytest.approx(want, rel=1e-15)
 
     def test_exponential_kind_shifts(self):
-        s = PowerSeries((5.0, 7.0, 11.0), "exponential")
-        assert series_derivative(s).coeffs == (7.0, 11.0)
+        # g = 5 + 7y + 11y^2/2 has g' = 7 + 11y; k = 1 gives e^x (-x) g'(-x)
+        x = 0.3
+        want = np.exp(x) * -x * (7 - 11 * x)
+        assert k_binomial_gf(Sequence.of([5, 7, 11]), 1, x, "exponential") == pytest.approx(want, rel=1e-15)
 
     def test_overdraw_raises(self):
-        with pytest.raises(TruncationError):
-            series_derivative(PowerSeries((1.0, 1.0), "ordinary"), 3)
+        # k = 1 needs the first derivative, which a one-term prefix cannot supply
+        for kind in ("ordinary", "exponential"):
+            with pytest.raises(TruncationError):
+                k_binomial_gf(Sequence.of([1]), 1, 0.1, kind)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            k_binomial_gf(ones(4), 1, 0.1, "laurent")
 
 
 class TestBinomialClosedForms:

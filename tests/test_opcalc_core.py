@@ -1,6 +1,6 @@
 """Quadrature engine, formal disentanglement, truncated operators, series operators."""
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbra import opcalc
+from umbra.opcalc import formal
 from umbra.errors import InvalidParameterError, PreconditionError
 from umbra.gftrans import PowerSeries
 
@@ -68,7 +69,7 @@ class TestWeylCheck:
     @given(small_rationals, small_rationals)
     @settings(max_examples=15, deadline=None)
     def test_exact_for_rationals(self, a, b):
-        assert opcalc.weyl_check(a, b, order=6, max_degree=5) == 0
+        assert opcalc.weyl_check(a, b, order=6) == 0
 
 
 class TestCubicDisentangle:
@@ -87,7 +88,7 @@ class TestCubicDisentangle:
     def test_printed_constant_fails(self):
         # the printed alpha^2 factor in the commutator constant breaks the identity
         residual = opcalc.cubic_disentangle_check(4, 1, order=6, printed_m=True)
-        assert residual != 0
+        assert residual == 2042880
 
     def test_printed_constant_matches_at_alpha_one(self):
         # alpha = 1 hides the misprint: both constants coincide there
@@ -96,6 +97,37 @@ class TestCubicDisentangle:
     def test_printed_needs_square_alpha(self):
         with pytest.raises(InvalidParameterError):
             opcalc.cubic_disentangle_check(2, 1, printed_m=True)
+
+
+class TestExpApply:
+    """e^{eps^s c A} x^n against closed forms, one action at a time; the order cap
+    drops every eps^{s m} with s m > cap."""
+
+    @given(small_rationals, st.integers(1, 3), st.integers(0, 8), st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_x_term_multiplies_by_exponential(self, b, shift, n, cap):
+        # e^{eps b x} x^n = sum_m (eps b)^m x^{n+m} / m!
+        got = formal.exp_apply([formal.OperatorTerm(shift, b, "x")], {(0, n): Fraction(1)}, cap)
+        want = {(shift * m, n + m): b ** m / factorial(m) for m in range(cap // shift + 1) if b ** m}
+        assert got == want
+
+    @given(small_rationals, st.integers(1, 3), st.integers(0, 8), st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_d_term_is_the_taylor_shift(self, a, shift, n, cap):
+        # e^{eps a d/dx} x^n = (x + eps a)^n = sum_m C(n, m) (eps a)^m x^{n-m}
+        got = formal.exp_apply([formal.OperatorTerm(shift, a, "d")], {(0, n): Fraction(1)}, cap)
+        want = {(shift * m, n - m): comb(n, m) * a ** m
+                for m in range(min(n, cap // shift) + 1) if a ** m}
+        assert got == want
+
+    @given(small_rationals, st.integers(1, 3), st.integers(0, 8), st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_d2_term_is_the_heat_semigroup(self, a, shift, n, cap):
+        # e^{eps a d^2} x^n = sum_m (eps a)^m / m! n! / (n - 2m)! x^{n-2m}
+        got = formal.exp_apply([formal.OperatorTerm(shift, a, "d2")], {(0, n): Fraction(1)}, cap)
+        want = {(shift * m, n - 2 * m): a ** m / factorial(m) * factorial(n) / factorial(n - 2 * m)
+                for m in range(min(n // 2, cap // shift) + 1) if a ** m}
+        assert got == want
 
 
 class TestTruncatedOperator:

@@ -341,10 +341,6 @@ class TestUmbralTransform:
         self.taylor = opcalc.gaussian_taylor(self.scale, 120)
         self.a = Sequence.of([1] * 80)
 
-    def test_identity_path(self):
-        got = opcalc.umbral_operator_transform(None, Sequence.of([1, 2, 3]), 0.5)
-        assert got == pytest.approx(1 + 2 * 0.5 + 3 * 0.25, abs=1e-14)
-
     def test_origin_gives_f0_a0(self):
         got = opcalc.umbral_operator_transform(self.sym, self.a, 0.0)
         assert got == pytest.approx(1.0, abs=1e-12)  # F(0) = 1, a_0 = 1
