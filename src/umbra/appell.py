@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
 from .gftrans import hermite_gf
-from .opcalc.quadrature import FourierSymbol, gaussian_fourier_integral, gaussian_symbol
+from .opcalc.quadrature import FourierSymbol, gaussian_fourier_integral, gaussian_symbol, gaussian_taylor
 from .seqcore import Sequence, TransformParams, _egf_product, hermite_complementary_seq
 from .specfun import polyval_coeffs
 
@@ -139,13 +139,8 @@ def bernoulli_family(order: int = DEFAULT_FAMILY_ORDER) -> AppellFamily:
 
 def gauss_hermite_family(order: int = DEFAULT_FAMILY_ORDER) -> AppellFamily:
     """A(t) = e^{-t^2}: a Hermite-type family with [A(ik)]^{-1} = e^{-k^2}."""
-    a = [Fraction(0)] * (order + 1)
-    inv = [Fraction(0)] * (order + 1)
-    for l in range(order // 2 + 1):
-        a[2 * l] = Fraction((-1) ** l, factorial(l))
-        inv[2 * l] = Fraction(1, factorial(l))
     return AppellFamily(
-        "gauss-hermite-type", tuple(a), tuple(inv),
+        "gauss-hermite-type", gaussian_taylor(1, order), gaussian_taylor(-1, order),
         eval_a=lambda z: np.exp(-z * z),
         eval_inv=lambda z: np.exp(z * z),
     )
@@ -283,6 +278,16 @@ def operational_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> 
                 acc += cm * f.taylor(n + m) * (factorial(n + m) // factorial(n))
         out.append(acc)
     return tuple(out)
+
+
+def widening_coefficients(f: GaussianFunction, N: int) -> tuple:
+    """Oracle of the gauss-hermite-type family from the Eq. 40 widening law
+    e^{d^2} e^{-s x^2} = (1+4s)^{-1/2} e^{-s x^2/(1+4s)}: the Taylor coefficients of the
+    widened Gaussian.  The operational series of e^{d^2} diverges from s = 3/16 on.
+    """
+    widened = GaussianFunction(f.scale / (1 + 4 * f.scale))
+    amplitude = 1.0 / sqrt(1 + 4 * f.scale)
+    return tuple(amplitude * float(widened.taylor(n)) for n in range(N + 1))
 
 
 def reconstruct(fam: AppellFamily, res: ExpansionResult, x: complex) -> complex:

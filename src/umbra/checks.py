@@ -551,27 +551,24 @@ def _chk_laguerre_resolvent_special() -> Outcome:
     return Outcome(worst, "(1/(1-x)) e^{-x/(1-x)} on [0, 0.5]")
 
 
+#: widths y of the Gaussian symbol e^{-y u^2} in the shift-transform rows
+_SHIFT_WIDTHS = (Fraction(1, 10), Fraction(1, 2), Fraction(2))
+
+
 def _chk_hermite_integral_representation() -> Outcome:
-    # polynomial symbols: small rules are already exact, and large rules only
-    # add weight-precision noise amplified by the k^n cancellations
-    worst = 0.0
-    for n in range(0, 11, 2):
-        for x in (-2.0, 0.0, 1.0, 2.0):
-            for y in (0.1, 0.5, 2.0):
-                got = oc.phi_shift_transform(oc.gaussian_symbol(y), lambda u, n=n: u ** n, x, start=64, tol=5e-9)
-                want = complex(sf.hermite2(n, x, -y))
-                worst = max(worst, abs(got - want))
-    return Outcome(worst, "Gaussian-symbol shift transform vs H_n(x, -y)")
+    for n in range(11):
+        for y in _SHIFT_WIDTHS:
+            if oc.gaussian_shift_transform((0,) * n + (1,), y) != sf.hermite2_coeffs(n, -y):
+                return Outcome(1.0, f"shift transform of u^{n} is not H_{n}(x, -{y})", passed=False)
+    return Outcome(0.0, "Gaussian-symbol shift transform of u^n = H_n(x, -y), n <= 10, exact")
 
 
 def _chk_monomial_representation() -> Outcome:
-    worst = 0.0
-    for n in range(0, 11, 2):
-        for x in (-2.0, 0.5, 2.0):
-            for y in (0.1, 0.5, 2.0):
-                got = oc.monomial_from_hermite(n, x, y, start=64, tol=5e-9)
-                worst = max(worst, abs(got - x ** n))
-    return Outcome(worst, "integral representation of x^n via Hermite polynomials")
+    for n in range(11):
+        for y in _SHIFT_WIDTHS:
+            if oc.gaussian_shift_transform(sf.hermite2_coeffs(n, y), y) != (0,) * n + (1,):
+                return Outcome(1.0, f"shift transform of H_{n}(x, {y}) is not x^{n}", passed=False)
+    return Outcome(0.0, "shift transform of H_n(x, y) = x^n, n <= 10, exact")
 
 
 def _chk_tricomi_evolution() -> Outcome:
@@ -737,9 +734,9 @@ def _chk_appell_expansion() -> Outcome:
     gh = ap.gauss_hermite_family()
     g8 = ap.GaussianFunction(Fraction(1, 8))
     quad_h = ap.expansion_coefficients(gh, g8, 10)
-    oracle_h = ap.operational_coefficients(gh, g8, 10)
-    worst = max(worst, max(abs(complex(c) - float(o)) for c, o in zip(quad_h.coefficients, oracle_h)))
-    return Outcome(worst, "Fourier coefficients vs operational oracle, n <= 10")
+    oracle_h = ap.widening_coefficients(g8, 10)
+    worst = max(worst, max(abs(complex(c) - o) for c, o in zip(quad_h.coefficients, oracle_h)))
+    return Outcome(worst, "Fourier coefficients vs operational and widening-law oracles, n <= 10")
 
 
 def _chk_appell_reciprocity() -> Outcome:
@@ -954,8 +951,8 @@ def build_suites(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> dict[s
     ]
 
     suites["hermite-integral"] = [
-        Check("shift transform vs two-variable Hermite", "Eqs. 46/47", 1e-8, _chk_hermite_integral_representation),
-        Check("monomial integral representation", "Eq. 48", 1e-8, _chk_monomial_representation),
+        Check("shift transform vs two-variable Hermite", "Eqs. 46/47", 0.0, _chk_hermite_integral_representation),
+        Check("monomial integral representation", "Eq. 48", 0.0, _chk_monomial_representation),
     ]
 
     suites["tricomi"] = [

@@ -184,7 +184,8 @@ def cmd_expand(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = ap.expansion_coefficients(fam, f, args.count)
-        oracle = ap.operational_coefficients(fam, f, args.count)
+        oracle = (ap.widening_coefficients(f, args.count) if args.family == "gauss-hermite-type"
+                  else ap.operational_coefficients(fam, f, args.count))
         lines = ["section,n,value_re,value_im,oracle,abs_diff,nodes"]
         for n, (c, o, nodes) in enumerate(zip(result.coefficients, oracle, result.node_counts)):
             c = complex(c)

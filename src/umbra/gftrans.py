@@ -23,6 +23,11 @@ from .specfun import polyval_coeffs, stirling2
 Kind = Literal["ordinary", "exponential"]
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("ordinary", "exponential"):
+        raise InvalidParameterError(f"unknown series kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Truncated series: sum c_n x^n (ordinary) or sum c_n x^n / n! (exponential)."""
@@ -31,8 +36,7 @@ class PowerSeries:
     kind: Kind
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ordinary", "exponential"):
-            raise InvalidParameterError(f"unknown series kind {self.kind!r}")
+        _check_kind(self.kind)
         if len(self.coeffs) < 1:
             raise InvalidParameterError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -155,6 +159,7 @@ def modular_gf(a: Sequence, alpha, beta, x: complex, kind: Kind) -> complex:
     """Modular-transform closed forms: (1/(1-ax)) f(bx/(ax-1)) or e^{ax} g(-bx)."""
     from cmath import exp as cexp
 
+    _check_kind(kind)
     alpha = complex(alpha)
     beta = complex(beta)
     if kind == "ordinary":
@@ -174,8 +179,7 @@ def k_binomial_gf(a: Sequence, k: int, x: complex, kind: Kind) -> complex:
 
     if k < 0:
         raise InvalidParameterError("k must be nonnegative")
-    if kind not in ("ordinary", "exponential"):
-        raise InvalidParameterError(f"unknown series kind {kind!r}")
+    _check_kind(kind)
     if kind == "ordinary":
         _radius_guard("k-binomial ordinary closed form", abs(x))
         u = -x / (1 - x)
@@ -229,6 +233,7 @@ def laguerre_gf(a: Sequence, alpha, beta, x: complex, kind: Kind) -> complex:
     """
     from cmath import exp as cexp
 
+    _check_kind(kind)
     alpha = complex(alpha)
     beta = complex(beta)
     if kind == "ordinary":
@@ -250,6 +255,7 @@ def binomial_gf_involution_residual(a: Sequence, x: complex) -> float:
 
 def sequence_series_value(a: Sequence, x: complex, kind: Kind) -> complex:
     """Direct truncated summation of the generating function of a at x."""
+    _check_kind(kind)
     if kind == "ordinary":
         return _eval_ordinary(a.terms, x)
     return _eval_exponential(a.terms, x)

@@ -2,8 +2,9 @@
 
 Phi(op) f = (1/sqrt(2 pi)) integral Phi~(k) e^{i k op} f dk, with the ordered
 exponential worked out per operator family and the integral done by the
-Gauss-Hermite engine; the m = 2 integro-differential evolution, a Gaussian
-times a polynomial, is summed from Gaussian moments instead.  Ordered forms
+Gauss-Hermite engine.  Where the integrand is a Gaussian times a polynomial
+(the Gaussian symbol on a polynomial, the m = 2 integro-differential
+evolution) the integral is summed from Gaussian moments instead.  Ordered forms
 are the verified ones (regenerated from the disentanglement checks), not the
 printed constants.
 """
@@ -89,41 +90,24 @@ def heat_evolve_ft(f: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(np.fft.ifft(spectrum), f.extent)
 
 
-def phi_shift_transform(symbol: FourierSymbol, f: Callable, x: complex, **quad_opts) -> complex:
-    """F(x) = (1/sqrt(2 pi)) integral Phi~(k) f(x + i k) dk.
+def gaussian_shift_transform(coeffs, y) -> tuple:
+    """Phi(d/dx) p = (1/(2 sqrt(pi y))) integral e^{-k^2/4y} p(x + ik) dk for Phi(u) = e^{-y u^2}, y > 0.
 
-    f must be entire (evaluable on the needed strip) and vectorized over numpy
-    arrays; Phi~ must be Gaussian-dominated, which the FourierSymbol encodes.
+    Maps ascending coefficients of p to those of e^{-y d^2/dx^2} p.  As
+    p(x + ik) = sum_m x^m sum_j C(m+j, j) p_{m+j} (ik)^j, the integral is a sum of
+    Gaussian moments: odd ones vanish, the mean of (ik)^{2r} is (-y)^r (2r)!/r!.
+    Exact on rational input, plain arithmetic on floats.
     """
-    res = gaussian_fourier_integral(
-        symbol.gauss_coeff, lambda k: symbol.envelope(k) * f(x + 1j * k), **quad_opts
+    if not y > 0:
+        raise InvalidParameterError("the Gaussian shift transform needs y > 0")
+    coeffs = tuple(coeffs)
+    moments = [1]
+    for r in range(len(coeffs) // 2):
+        moments.append(moments[r] * -2 * (2 * r + 1) * y)
+    return tuple(
+        sum(comb(m + 2 * r, 2 * r) * coeffs[m + 2 * r] * moments[r] for r in range((len(coeffs) - 1 - m) // 2 + 1))
+        for m in range(len(coeffs))
     )
-    return res.value / _SQRT2PI
-
-
-def monomial_from_hermite(n: int, x: complex, y: float, **quad_opts) -> complex:
-    """(1/(2 sqrt(pi y))) integral e^{-k^2/4y} H_n(x + ik, y) dk; equals x^n."""
-    if y <= 0:
-        raise InvalidParameterError("monomial_from_hermite needs y > 0")
-    res = gauss_weighted_integral(lambda k: hermite2(n, x + 1j * k, y), y, **quad_opts)
-    return res.value / (2.0 * sqrt(pi * y))
-
-
-def gabor_like_transform(symbol: FourierSymbol, f_coeffs, alpha: float, beta: float, x: complex) -> complex:
-    """Phi(alpha d/dx + beta x) f for polynomial f:
-
-    (1/sqrt(2 pi)) integral Phi~(k) e^{-(alpha beta / 2) k^2 + i k beta x} f(x + i alpha k) dk.
-    """
-    if alpha * beta < 0:
-        raise DivergenceError("alpha*beta < 0 grows the integrand; no damped ordered form exists")
-    coeffs = [complex(c) for c in f_coeffs]
-
-    def g(k):
-        poly = polyval_coeffs(coeffs, x + 1j * alpha * k)
-        return symbol.envelope(k) * np.exp(1j * k * beta * x) * poly
-
-    res = gaussian_fourier_integral(symbol.gauss_coeff + alpha * beta / 2.0, g)
-    return res.value / _SQRT2PI
 
 
 def big_o_on_monomial(

@@ -92,23 +92,18 @@ class QuadratureResult:
         return complex(self.value)
 
 
-def adaptive_hermite(
-    g: Callable[[np.ndarray], np.ndarray],
-    *,
-    start: int = DEFAULT_START_NODES,
-    tol: float = CONVERGENCE_TOL,
-) -> QuadratureResult:
+def adaptive_hermite(g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
     """Sum w_i g(u_i) over Gauss-Hermite rules, doubling nodes until stable."""
     previous = None
-    n = start
+    n = DEFAULT_START_NODES
     while True:
         rule = gauss_hermite_rule(n)
         value = complex(np.sum(rule.weights * np.asarray(g(rule.nodes), dtype=complex)))
-        if previous is not None and abs(value - previous) < tol * max(1.0, abs(value)):
+        if previous is not None and abs(value - previous) < CONVERGENCE_TOL * max(1.0, abs(value)):
             return QuadratureResult(value, n, True)
         if n >= NODE_CAP:
             warnings.warn(
-                f"quadrature did not converge below {tol:g} at {NODE_CAP} nodes",
+                f"quadrature did not converge below {CONVERGENCE_TOL:g} at {NODE_CAP} nodes",
                 QuadratureConvergenceWarning,
                 stacklevel=2,
             )
@@ -117,27 +112,23 @@ def adaptive_hermite(
         n *= 2
 
 
-def gaussian_fourier_integral(
-    gauss_coeff: float,
-    g: Callable[[np.ndarray], np.ndarray],
-    **kwargs,
-) -> QuadratureResult:
+def gaussian_fourier_integral(gauss_coeff: float, g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
     """integral exp(-gauss_coeff k^2) g(k) dk via substitution k = u / sqrt(gauss_coeff)."""
     if gauss_coeff <= 0:
         raise InvalidParameterError("gaussian fourier integral needs a positive gaussian coefficient")
     s = 1.0 / sqrt(gauss_coeff)
-    res = adaptive_hermite(lambda u: g(u * s), **kwargs)
+    res = adaptive_hermite(lambda u: g(u * s))
     return QuadratureResult(res.value * s, res.node_count, res.converged)
 
 
-def gauss_weighted_integral(h: Callable[[np.ndarray], np.ndarray], y: float, **kwargs) -> QuadratureResult:
+def gauss_weighted_integral(h: Callable[[np.ndarray], np.ndarray], y: float) -> QuadratureResult:
     """integral exp(-k^2 / 4y) h(k) dk, y > 0, via k = 2 sqrt(y) u.
 
     With h = 1 the value is 2 sqrt(pi y).
     """
     if y <= 0:
         raise InvalidParameterError("gauss_weighted_integral needs y > 0")
-    return gaussian_fourier_integral(1.0 / (4.0 * y), h, **kwargs)
+    return gaussian_fourier_integral(1.0 / (4.0 * y), h)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,25 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-import numpy as np
-
 from .errors import InternalConsistencyError, InvalidParameterError
 
 
 def _is_exact(*values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def hermite2_coeffs(n: int, y) -> tuple:
+    """Ascending coefficients in x of H_n(x, y): x^{n-2r} carries n! y^r / ((n-2r)! r!).
+
+    Exact on rational y; y = 1 gives the integers n!/((n-2r)! r!).
+    """
+    out = [0 * y] * (n + 1)
+    number = 1
+    for r in range(n // 2 + 1):
+        out[n - 2 * r] = number * y ** r
+        # n!/((n-2r-2)! (r+1)!) from n!/((n-2r)! r!); the quotient is exact
+        number = number * (n - 2 * r) * (n - 2 * r - 1) // (r + 1)
+    return tuple(out)
 
 
 def hermite2(n: int, x, y):
@@ -26,10 +38,10 @@ def hermite2(n: int, x, y):
     Generating function: sum t^n H_n(x,y) / n! = exp(x t + y t^2).
     Accepts exact rationals (exact result), floats, complex, or numpy arrays.
     """
+    numbers = hermite2_coeffs(n, 1)
     total = 0
     for r in range(n // 2 + 1):
-        coeff = factorial(n) // (factorial(n - 2 * r) * factorial(r))
-        total = total + coeff * x ** (n - 2 * r) * y ** r
+        total = total + numbers[n - 2 * r] * x ** (n - 2 * r) * y ** r
     return total
 
 
@@ -59,6 +71,8 @@ def tricomi_c(n: int, x):
     summed until the term magnitude drops below 1e-18 of the running sum,
     with a minimum of n + 10 terms.  Accepts complex scalars or numpy arrays.
     """
+    import numpy as np
+
     z = np.asarray(x, dtype=complex)
     term = np.full(z.shape, 1.0 / factorial(n), dtype=complex)
     total = term.copy()

@@ -92,23 +92,20 @@ def test_05_laguerre_special_cases():
 
 
 def test_06_hermite_integral_representations():
+    # both sides are polynomials in x, compared coefficient by coefficient
     start = time.perf_counter()
-    worst = 0.0
-    ns = (0, 2, 5, 8, 10)
-    xs = np.linspace(-2.0, 2.0, 5)
-    ys = np.linspace(0.1, 2.0, 5)
-    for n in ns:
-        for x in xs:
-            for y in ys:
-                got = oc.phi_shift_transform(
-                    oc.gaussian_symbol(float(y)), lambda u, n=n: u ** n, float(x), start=64, tol=5e-9
-                )
-                worst = max(worst, abs(got - complex(sf.hermite2(n, float(x), -float(y)))))
-                mono = oc.monomial_from_hermite(n, float(x), float(y), start=64, tol=5e-9)
-                worst = max(worst, abs(mono - float(x) ** n))
+    failures = []
+    ys = [Fraction(1, 10) + Fraction(19, 40) * j for j in range(5)]  # 0.1 .. 2 in 5 steps
+    for n in (0, 2, 5, 8, 10):
+        monomial = (0,) * n + (1,)
+        for y in ys:
+            if oc.gaussian_shift_transform(monomial, y) != sf.hermite2_coeffs(n, -y):
+                failures.append(f"shift of u^{n} at y = {y}")
+            if oc.gaussian_shift_transform(sf.hermite2_coeffs(n, y), y) != monomial:
+                failures.append(f"shift of H_{n}(x, {y})")
     elapsed = time.perf_counter() - start
-    report(6, "hermite integral representations on the 125-point grid",
-           worst <= 1e-8 and elapsed < 10.0, f"worst {worst:.2e}, {elapsed:.1f}s")
+    report(6, "hermite integral representations, exact over n and y",
+           not failures and elapsed < 10.0, f"{failures or 'exact'}, {elapsed:.1f}s")
 
 
 def test_07_tricomi_evolution():

@@ -86,6 +86,7 @@ class TestLayering:
 
     @pytest.mark.parametrize("script", [
         "import umbra.seqcore",
+        "import umbra.gftrans",
         "from umbra.cli import main\n"
         "assert main(['transform', sys.argv[1], '--name', 'laguerre', '--alpha', '1/2', '--beta', '3']) == 0",
     ])
@@ -172,6 +173,14 @@ class TestExpand:
 
     def test_count_cap_exits_4(self):
         assert main(["expand", "--family", "bernoulli", "--count", "30"]) == 4
+
+    @pytest.mark.parametrize("scale", ["1/8", "1", "4"])
+    def test_gauss_hermite_oracle_column_matches(self, scale, capsys):
+        # the oracle is the Eq. 40 widening law, not the truncated e^{d^2} series
+        assert main(["expand", "--family", "gauss-hermite-type", "--scale", scale, "--count", "12"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        diffs = [float(l.split(",")[5]) for l in lines if l.startswith("coefficient")]
+        assert len(diffs) == 13 and max(diffs) <= 1e-14
 
 
 class TestEvolve:

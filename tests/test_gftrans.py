@@ -55,6 +55,18 @@ class TestSeriesEval:
         with pytest.raises(InvalidParameterError):
             PowerSeries((1.0,), "laurent")
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda kind: PowerSeries((1.0,), kind),
+        lambda kind: sequence_series_value(ones(3), 0.1, kind),
+        lambda kind: modular_gf(ones(3), 1, 1, 0.1, kind),
+        lambda kind: laguerre_gf(ones(3), 1, 1, 0.1, kind),
+        lambda kind: k_binomial_gf(ones(3), 1, 0.1, kind),
+    ], ids=["PowerSeries", "sequence_series_value", "modular_gf", "laguerre_gf", "k_binomial_gf"])
+    @pytest.mark.parametrize("kind", ["laurent", "ordinry", "ordinery"])
+    def test_misspelt_kind_rejected(self, evaluate, kind):
+        with pytest.raises(InvalidParameterError, match=f"unknown series kind '{kind}'"):
+            evaluate(kind)
+
 
 class TestSeriesDerivative:
     """The exact derivatives k_binomial_gf takes of the input series, seen through

@@ -48,7 +48,7 @@ class TestQuadratureRules:
     def test_convergence_warning_at_cap(self):
         # a spike the coarse rules cannot see forces doubling to the cap
         with pytest.warns(opcalc.QuadratureConvergenceWarning):
-            opcalc.adaptive_hermite(lambda u: np.exp(-((u * 3000.0) ** 2) % 7.0), start=128)
+            opcalc.adaptive_hermite(lambda u: np.exp(-((u * 3000.0) ** 2) % 7.0))
 
     def test_legendre_composite_integrates_poly(self):
         rule = opcalc.legendre_composite_rule(-1.0, 3.0, 8, 6)

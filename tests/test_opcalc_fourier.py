@@ -19,59 +19,76 @@ from umbra.errors import (
 )
 from umbra.gftrans import PowerSeries
 from umbra.seqcore import Sequence
-from umbra.specfun import hermite2
+from umbra.specfun import hermite2, hermite2_coeffs
+
+
+def _monomial(n):
+    return (0,) * n + (1,)
+
+
+positive_rationals = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(10), max_denominator=50)
 
 
 class TestPhiShift:
+    """Phi(d/dx) p for the Gaussian symbol e^{-y u^2}: the Gaussian-moment sum."""
+
     @pytest.mark.parametrize("n,x,y", [(0, 0.3, 0.7), (1, -1.0, 0.4), (2, 1.0, 0.5), (3, 1.0, 1.0)])
     def test_gaussian_symbol_gives_negative_y_hermite(self, n, x, y):
-        got = opcalc.phi_shift_transform(opcalc.gaussian_symbol(y), lambda u: u ** n, x)
-        assert got == pytest.approx(complex(hermite2(n, x, -y)), abs=1e-10)
+        got = opcalc.polyval_coeffs(opcalc.gaussian_shift_transform(_monomial(n), y), x)
+        assert got == pytest.approx(hermite2(n, x, -y), abs=1e-12)
 
     def test_n0_normalization(self):
-        got = opcalc.phi_shift_transform(opcalc.gaussian_symbol(1.3), lambda u: np.ones_like(u), 0.9)
-        assert got == pytest.approx(1.0, abs=1e-12)
+        assert opcalc.gaussian_shift_transform((1,), 1.3) == (1,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=50), min_size=1, max_size=17),
+           positive_rationals)
+    def test_matches_nilpotent_exponential(self, coeffs, y):
+        # e^{-y d^2} on polynomials as the terminating operator exponential
+        d = opcalc.derivative_op(len(coeffs) - 1)
+        assert opcalc.gaussian_shift_transform(coeffs, y) == d.compose(d).expm_apply(coeffs, scale=-y)
+
+    @pytest.mark.parametrize("y", [0.1, 0.5, 2.0])
+    def test_floats_match_fixed_hermite_rule(self, y):
+        # 32 nodes integrate e^{-u^2} times a polynomial of degree <= 63 exactly;
+        # k = 2 sqrt(y) u turns e^{-k^2/4y} dk / (2 sqrt(pi y)) into e^{-u^2} du / sqrt(pi)
+        rule = opcalc.gauss_hermite_rule(32)
+        coeffs = list(np.random.default_rng(3).uniform(-1.0, 1.0, 17))
+        for x in (-2.0, -0.5, 0.0, 1.0, 2.0):
+            got = opcalc.polyval_coeffs(opcalc.gaussian_shift_transform(coeffs, y), x)
+            nodes = x + 2j * sqrt(y) * rule.nodes
+            want = np.sum(rule.weights * opcalc.polyval_coeffs(coeffs, nodes)) / sqrt(pi)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestMonomialFromHermite:
+    """The Gaussian shift transform undoes H_n(x, y): Eq. 48's x^n."""
+
     def test_n0(self):
-        assert opcalc.monomial_from_hermite(0, 0.4, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert opcalc.gaussian_shift_transform(hermite2_coeffs(0, 1.0), 1.0) == (1,)
 
     def test_n1_imaginary_cancels(self):
-        got = opcalc.monomial_from_hermite(1, 0.7, 0.5)
-        assert got == pytest.approx(0.7, abs=1e-10)
+        # the odd Gaussian moments vanish
+        assert opcalc.gaussian_shift_transform(hermite2_coeffs(1, Fraction(1, 2)), Fraction(1, 2)) == (0, 1)
 
     def test_n2(self):
-        assert opcalc.monomial_from_hermite(2, 1.0, 1.0) == pytest.approx(1.0, abs=1e-8)
+        assert opcalc.gaussian_shift_transform(hermite2_coeffs(2, 1.0), 1.0) == (0, 0, 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(positive_rationals)
+    def test_recovers_monomials_through_n20(self, y):
+        for n in range(21):
+            assert opcalc.gaussian_shift_transform(hermite2_coeffs(n, y), y) == _monomial(n)
 
     def test_rejects_bad_y(self):
-        with pytest.raises(InvalidParameterError):
-            opcalc.monomial_from_hermite(1, 0.0, -1.0)
+        for y in (-1.0, 0.0, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                opcalc.gaussian_shift_transform((0, 1), y)
 
 
 def _gaussian_taylor_float(order=200, scale=Fraction(1)):
     tab = opcalc.gaussian_taylor(scale, order)
     return lambda j: float(tab[j]) if j < len(tab) else 0.0
-
-
-class TestGaborLike:
-    def test_beta_zero_reduces_to_phi_shift(self):
-        sym = opcalc.gaussian_symbol(1.0)
-        got = opcalc.gabor_like_transform(sym, [0.0, 0.0, 1.0], 1.0, 0.0, 0.7)
-        ref = opcalc.phi_shift_transform(sym, lambda u: u ** 2, 0.7)
-        assert got == pytest.approx(ref, abs=1e-12)
-
-    @pytest.mark.parametrize("coeffs", [[1.0], [0.0, 1.0]])
-    def test_matches_taylor_oracle(self, coeffs):
-        sym = opcalc.gaussian_symbol(1.0)
-        op = opcalc.derivative_op(220).scale(0.5) + opcalc.x_multiply_op(220).scale(0.5)
-        got = opcalc.gabor_like_transform(sym, coeffs, 0.5, 0.5, 0.3)
-        ref = opcalc.apply_entire_function(_gaussian_taylor_float(), op, coeffs, 0.3)
-        assert got == pytest.approx(ref, abs=1e-8)
-
-    def test_rejects_undamped_signature(self):
-        with pytest.raises(DivergenceError):
-            opcalc.gabor_like_transform(opcalc.gaussian_symbol(1.0), [1.0], 1.0, -1.0, 0.1)
 
 
 class TestBigO:

@@ -1,5 +1,6 @@
 """Reference special functions: exact values and oracle comparisons."""
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from umbra.specfun import (
     Stirling2Table,
     hermite2,
+    hermite2_coeffs,
     hermite_addition_check,
+    polyval_coeffs,
     laguerre2,
     stirling2,
     tricomi_c,
@@ -54,6 +57,19 @@ class TestHermite2:
         for t in (0.5, -0.5, 0.25):
             total = sum(hermite2(n, x, y) * t ** n / scipy.special.factorial(n) for n in range(41))
             assert total == pytest.approx(np.exp(x * t + y * t * t), abs=1e-12)
+
+    def test_coefficient_numbers(self):
+        # the recurrence for n!/((n-2r)! r!) against the factorials, odd degrees skipped
+        for n in range(31):
+            want = [0] * (n + 1)
+            for r in range(n // 2 + 1):
+                want[n - 2 * r] = factorial(n) // (factorial(n - 2 * r) * factorial(r))
+            assert hermite2_coeffs(n, 1) == tuple(want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 16), small_rationals, small_rationals)
+    def test_coefficients_evaluate_to_h(self, n, x, y):
+        assert polyval_coeffs(hermite2_coeffs(n, y), x) == hermite2(n, x, y)
 
     def test_exact_and_float_paths_agree(self):
         exact = hermite2(7, Fraction(1, 3), Fraction(-2, 5))
