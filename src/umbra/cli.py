@@ -178,8 +178,6 @@ def cmd_expand(args) -> int:
 
     _at_least_one(args.count, "--count")
     fam = _build_family(args)
-    if args.function != "gaussian":
-        raise InvalidParameterError(f"unknown function selector {args.function!r}")
     f = ap.GaussianFunction(_parse_fraction(args.scale, "--scale"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--family", required=True,
                           choices=("bernoulli", "identity", "gauss-hermite-type", "user-taylor-file"))
     p_expand.add_argument("--taylor-file", help="JSON list of rational Taylor coefficients of A(t)")
-    p_expand.add_argument("--function", default="gaussian", help="function selector (gaussian)")
     p_expand.add_argument("--scale", default="1", help="gaussian scale s in exp(-s x^2), rational")
     p_expand.add_argument("--count", type=int, required=True, help="number of coefficients (max 24)")
     p_expand.add_argument("--output", help="output path (default stdout)")

@@ -41,10 +41,6 @@ class PowerSeries:
             raise InvalidParameterError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def ordinary_tail(M: float, rho: float, xabs: float, first_omitted: int) -> float:
     """Tail of sum_{n >= first_omitted} M (rho |x|)^n, assuming |c_n| <= M rho^n."""

@@ -53,9 +53,6 @@ from .series_ops import (
     commutator_check_LD,
     exp_laguerre_derivative,
     exp_negD,
-    laguerre_derivative,
-    neg_derivative_pow,
-    x_multiply,
 )
 
 __all__ = [
@@ -101,7 +98,4 @@ __all__ = [
     "commutator_check_LD",
     "exp_laguerre_derivative",
     "exp_negD",
-    "laguerre_derivative",
-    "neg_derivative_pow",
-    "x_multiply",
 ]

@@ -34,7 +34,6 @@ from .quadrature import (
     gaussian_fourier_integral,
     legendre_composite_rule,
 )
-from .series_ops import _to_ordinary
 
 _SQRT2PI = sqrt(2.0 * pi)
 
@@ -266,7 +265,9 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
         raise InvalidParameterError("needs tau >= 0")
     if abs(x) > INTEGRO_REGION:
         raise TruncationError(f"|x| = {abs(x):g} outside the truncation-controlled region {INTEGRO_REGION}")
-    f_ord = [complex(c) for c in _to_ordinary(f)]
+    if f.kind != "ordinary":
+        raise InvalidParameterError("integro_diff_evolve needs an ordinary-kind series")
+    f_ord = [complex(c) for c in f.coeffs]
     if tau == 0:
         return polyval_coeffs(f_ord, x)
     a, b = _evolution_tables(f_ord, beta, x, max(len(f_ord) - 1, 48) + 16)

@@ -33,8 +33,6 @@ class QuadratureConvergenceWarning(UserWarning):
 class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
-    family: str
-    node_count: int
 
 
 def _check_hermite_moments(nodes: np.ndarray, weights: np.ndarray) -> None:
@@ -64,7 +62,7 @@ def gauss_hermite_rule(node_count: int) -> QuadratureRule:
     """Gauss-Hermite rule for weight e^{-k^2}, moment-checked at construction."""
     nodes, weights = scipy.special.roots_hermite(node_count)
     _check_hermite_moments(nodes, weights)
-    return QuadratureRule(nodes, weights, "gauss-hermite", node_count)
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +77,7 @@ def legendre_composite_rule(a: float, b: float, panels: int, order: int = 12) ->
         mid, half = (lo + hi) / 2, (hi - lo) / 2
         nodes.append(mid + half * base_nodes)
         weights.append(half * base_weights)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), "gauss-legendre-composite", panels * order)
+    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,6 @@ class QuadratureResult:
     value: complex
     node_count: int
     converged: bool
-
-    def __complex__(self) -> complex:
-        return complex(self.value)
 
 
 def adaptive_hermite(g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:

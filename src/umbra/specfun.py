@@ -7,7 +7,6 @@ imaginary arguments).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
@@ -123,42 +122,6 @@ def stirling2(k: int, n: int) -> int:
     if rem:
         raise InternalConsistencyError(f"S2({k},{n}) sum not divisible by {k}!")
     return q
-
-
-def _falling(x: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
-@dataclass(frozen=True)
-class Stirling2Table:
-    """Triangular table of S2(k, n) for n up to nmax, self-checked at construction.
-
-    Self-check: x^n = sum_k S2(k, n) * falling(x, k) for integer x, the
-    classical power-to-falling-factorial identity.
-    """
-
-    nmax: int
-    rows: tuple[tuple[int, ...], ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(stirling2(k, n) for k in range(n + 1)) for n in range(self.nmax + 1))
-        object.__setattr__(self, "rows", rows)
-        for n in range(self.nmax + 1):
-            for x in range(self.nmax + 2):
-                lhs = 1 if n == 0 else x ** n
-                rhs = sum(rows[n][k] * _falling(x, k) for k in range(n + 1))
-                if lhs != rhs:
-                    raise InternalConsistencyError(f"Stirling row {n} fails the power identity at x={x}")
-
-    def value(self, k: int, n: int) -> int:
-        if n > self.nmax:
-            raise InvalidParameterError(f"table built for n <= {self.nmax}")
-        if k > n:
-            return 0
-        return self.rows[n][k]
 
 
 def hermite_addition_check(n: int, x, y, z):

@@ -1,5 +1,6 @@
 """The identity-check registry: statuses, errata rows, overrides."""
 import json
+import warnings
 from fractions import Fraction
 
 import convolution_oracle
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from umbra import checks
 from umbra.cli import main
 from umbra.errors import InvalidParameterError
+from umbra.opcalc import ValidityWarning
 from umbra.seqcore import Sequence
 
 rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40)
@@ -44,6 +46,15 @@ def test_suites_pass_with_flagged_errata_only(suite):
     results = checks.run_selected(suite)
     statuses = {r.status for _, r in results}
     assert statuses <= {"pass", "flagged-errata"}
+
+
+def test_catalog_stays_inside_the_operator_caps():
+    # every truncated operator the catalog applies is used within its trusted degree
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ValidityWarning)
+        results = checks.run_selected("all")
+    statuses = [r.status for _, r in results]
+    assert (statuses.count("pass"), statuses.count("flagged-errata")) == (53, 10)
 
 
 def test_disentangle_reports_two_errata_rows(recwarn):

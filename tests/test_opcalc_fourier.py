@@ -218,6 +218,11 @@ class TestIntegroDiff:
         with pytest.raises(TruncationError):
             opcalc.integro_diff_evolve(self.f, 1.0, 2, 0.1, 0.75)
 
+    def test_exponential_kind_rejected(self):
+        # the series is read as ordinary coefficients; an EGF is not converted
+        with pytest.raises(InvalidParameterError, match="ordinary"):
+            opcalc.integro_diff_evolve(PowerSeries(self.f.coeffs, "exponential"), 1.0, 2, 0.1, 0.1)
+
     def test_beta_zero_eigenfunction(self):
         tau, x = 0.4, 0.3
         got = opcalc.integro_diff_evolve(self.f, 0.0, 2, tau, x)

@@ -1,6 +1,6 @@
 """Reference special functions: exact values and oracle comparisons."""
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbra.specfun import (
-    Stirling2Table,
     hermite2,
     hermite2_coeffs,
     hermite_addition_check,
@@ -152,9 +151,12 @@ class TestStirling2:
         assert stirling2(0, 0) == 1
 
     def test_table_self_checks(self):
-        table = Stirling2Table(8)
-        assert table.value(2, 3) == 3
-        assert table.value(5, 3) == 0
+        # x^n = sum_k S2(k, n) x(x-1)...(x-k+1), and S2(k, n) = 0 for k > n
+        for n in range(9):
+            for x in range(10):
+                assert x ** n == sum(stirling2(k, n) * perm(x, k) for k in range(n + 1))
+        assert stirling2(2, 3) == 3
+        assert stirling2(5, 3) == 0
 
 
 class TestHermiteAddition:
