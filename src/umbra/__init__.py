@@ -1,7 +1,7 @@
 """Generalized sequence transforms, operator calculus, and Appell expansions.
 
 Importing the package loads only the exact layer (`Sequence` and the error
-types), without numpy or scipy; import the submodules by name:
+types), without numpy; import the submodules by name:
 `from umbra import appell, checks, gftrans, opcalc, seqcore, specfun`.
 """
 
@@ -10,7 +10,6 @@ from .errors import (
     DomainTooSmallError,
     InternalConsistencyError,
     InvalidParameterError,
-    PreconditionError,
     SequenceFormatError,
     TruncationError,
     UmbraError,
@@ -26,7 +25,6 @@ __all__ = [
     "DomainTooSmallError",
     "TruncationError",
     "UnsupportedSymbolError",
-    "PreconditionError",
     "SequenceFormatError",
     "InternalConsistencyError",
 ]

@@ -20,7 +20,6 @@ from math import comb, exp, factorial, lcm, perm, pi, sqrt
 from typing import Callable
 
 import numpy as np
-import scipy.special
 
 from . import appell as ap
 from . import gftrans as gf
@@ -160,7 +159,7 @@ class MasterCase:
     label: str
     equation: str
     transform: Callable[[sq.Sequence], sq.Sequence]
-    closed: Callable[[sq.Sequence, complex], complex]
+    closed: Callable[[sq.Sequence], Callable[[complex], complex]]  # binds a, then takes x
     kind: str  # series kind of the direct side
     radius: Callable[[TestSequence], float]
     closed_tail: Callable[[TestSequence, float, int], float]
@@ -185,7 +184,7 @@ def _binomial_ordinary_case() -> MasterCase:
     return MasterCase(
         "binomial transform, ordinary closed form", "Eq. 9",
         sq.binomial_transform,
-        lambda a, x: gf.binomial_gf_ordinary(a, x),
+        lambda a: lambda x: gf.binomial_gf_ordinary(a, x),
         "ordinary", radius, closed_tail, direct_total,
     )
 
@@ -200,7 +199,7 @@ def _binomial_exponential_case() -> MasterCase:
     return MasterCase(
         "binomial transform, exponential closed form", "Eq. 10",
         sq.binomial_transform,
-        lambda a, x: gf.binomial_gf_exponential(a, x),
+        lambda a: lambda x: gf.binomial_gf_exponential(a, x),
         "exponential", lambda ts: 0.45, closed_tail, direct_total,
     )
 
@@ -227,7 +226,7 @@ def _modular_ordinary_case() -> MasterCase:
     return MasterCase(
         "modular transform, ordinary closed form", "Eq. 13",
         lambda a: sq.modular_transform(a, sq.TransformParams(_MOD_ALPHA, _MOD_BETA)),
-        lambda a, x: gf.modular_gf(a, al, be, x, "ordinary"),
+        lambda a: lambda x: gf.modular_gf(a, al, be, x, "ordinary"),
         "ordinary", radius, closed_tail, direct_total,
     )
 
@@ -244,7 +243,7 @@ def _modular_exponential_case() -> MasterCase:
     return MasterCase(
         "modular transform, exponential closed form", "Eq. 13",
         lambda a: sq.modular_transform(a, sq.TransformParams(_MODX_ALPHA, _MODX_BETA)),
-        lambda a, x: gf.modular_gf(a, al, be, x, "exponential"),
+        lambda a: lambda x: gf.modular_gf(a, al, be, x, "exponential"),
         "exponential", lambda ts: 0.45, closed_tail, direct_total,
     )
 
@@ -301,14 +300,14 @@ def _k_binomial_cases(k: int) -> tuple[MasterCase, MasterCase]:
     ordinary = MasterCase(
         f"rising {k}-binomial, ordinary closed form", "Eq. 21",
         lambda a: sq.rising_k_binomial(a, k),
-        lambda a, x: gf.k_binomial_gf(a, k, x, "ordinary"),
+        lambda a: gf.k_binomial_closed(a, k, "ordinary"),
         "ordinary", radius_ord, closed_tail_ord, direct_total_ord,
         transform_majorant=abs_k_transform,
     )
     exponential = MasterCase(
         f"rising {k}-binomial, exponential closed form", "Eq. 22",
         lambda a: sq.rising_k_binomial(a, k),
-        lambda a, x: gf.k_binomial_gf(a, k, x, "exponential"),
+        lambda a: gf.k_binomial_closed(a, k, "exponential"),
         "exponential", lambda ts: 0.4, closed_tail_exp, direct_total_exp,
         transform_majorant=abs_k_transform,
     )
@@ -343,7 +342,7 @@ def _hermite_case(variant: str) -> MasterCase:
         f"hermite transform ({variant}), closed form",
         "Eq. 27" if variant == "standard" else "Eq. 29",
         transform,
-        lambda a, x: gf.hermite_gf(a, al, be, x, variant),
+        lambda a: lambda x: gf.hermite_gf(a, al, be, x, variant),
         "exponential", lambda ts: 0.45, closed_tail, direct_total,
     )
 
@@ -371,7 +370,7 @@ def _laguerre_case(kind: str) -> MasterCase:
     return MasterCase(
         f"laguerre transform, {kind} closed form", "Eq. 35",
         lambda a: sq.laguerre_transform_seq(a, sq.TransformParams(_LAG_ALPHA, _LAG_BETA)),
-        lambda a, x: gf.laguerre_gf(a, al, be, x, kind),
+        lambda a: lambda x: gf.laguerre_gf(a, al, be, x, kind),
         kind, lambda ts: 0.45, closed_tail, direct_total,
     )
 
@@ -403,8 +402,9 @@ def run_master_case(case: MasterCase, order: int = DEFAULT_ORDER, sequences=None
         r = case.radius(ts)
         direct_total = case.direct_total(ts, r)
         budget_direct = max(direct_total - _partial_weighted(maj_transformed, r, case.kind), 0.0)
+        closed = case.closed(a)
         for x in sample_points(r):
-            closed_value = case.closed(a, x)
+            closed_value = closed(x)
             direct_value = gf.sequence_series_value(transformed, x, case.kind)
             diff = abs(closed_value - direct_value)
             budget = (
@@ -535,12 +535,26 @@ def _chk_stirling_table() -> Outcome:
     return Outcome(0.0, "power-to-falling-factorial identity holds through n=10")
 
 
+#: nodes of the 64-point trapezoid rule on [0, pi]; the integrand's two equal
+#: end values count once, so every node weighs 1/64
+_J0_ANGLES = np.pi * np.arange(64) / 64
+
+
+def _bessel_j0(z: float) -> float:
+    """J_0(z) = (1/pi) integral_0^pi cos(z sin theta) d theta by the trapezoid rule.
+
+    The integrand is smooth and pi-periodic, so the rule converges
+    geometrically; with 64 points its error is far below rounding for |z| <= 20.
+    """
+    return float(np.mean(np.cos(z * np.sin(_J0_ANGLES))))
+
+
 def _chk_laguerre_specials() -> Outcome:
     ones = MASTER_SEQUENCES[0].build(DEFAULT_ORDER)
     worst = 0.0
     for x in np.linspace(0.0, 0.5, 11):
         got = gf.laguerre_gf(ones, 1, 1, complex(x), "exponential")
-        want = exp(x) * scipy.special.j0(2 * sqrt(x))
+        want = exp(x) * _bessel_j0(2 * sqrt(x))
         worst = max(worst, abs(got - want))
     return Outcome(worst, "e^x J_0(2 sqrt(x)) on [0, 0.5]")
 

@@ -25,10 +25,6 @@ class UnsupportedSymbolError(UmbraError):
     """The requested symbol function has no usable Fourier transform (odd exponents)."""
 
 
-class PreconditionError(UmbraError):
-    """An input fails a structural precondition (e.g. nonzero constant term)."""
-
-
 class SequenceFormatError(UmbraError):
     """The sequence exchange document cannot be parsed."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import exp, factorial, inf, lgamma, log
-from typing import Literal
+from typing import Callable, Literal
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
 from .seqcore import Sequence
@@ -165,36 +165,49 @@ def modular_gf(a: Sequence, alpha, beta, x: complex, kind: Kind) -> complex:
     return cexp(alpha * x) * _eval_exponential(a.terms, -beta * x)
 
 
-def k_binomial_gf(a: Sequence, k: int, x: complex, kind: Kind) -> complex:
-    """Rising k-binomial closed forms via Stirling-weighted derivatives.
+def k_binomial_closed(a: Sequence, k: int, kind: Kind) -> Callable[[complex], complex]:
+    """Rising k-binomial closed form of a, as a function of x.
 
     ordinary:    sum_r (-x)^r / (1-x)^{r+1} S2(r,k) f^(r)(-x/(1-x)),  |x| < 1
     exponential: e^x sum_r (-x)^r S2(r,k) g^(r)(-x)
+
+    The exact derivatives f^(r), g^(r) do not depend on x; they are taken once
+    here, so a caller evaluating at many points binds the sequence once.
     """
     from cmath import exp as cexp
 
     if k < 0:
         raise InvalidParameterError("k must be nonnegative")
     _check_kind(kind)
-    if kind == "ordinary":
-        _radius_guard("k-binomial ordinary closed form", abs(x))
-        u = -x / (1 - x)
-        total = 0j
-        for r in range(k + 1):
-            s2 = stirling2(r, k)
-            if s2 == 0:
-                continue
-            der = _derivative_terms(a.terms, r, kind)
-            total += (-x) ** r / (1 - x) ** (r + 1) * s2 * _eval_ordinary(der, u)
-        return total
-    total = 0j
+    derivatives = []
     for r in range(k + 1):
         s2 = stirling2(r, k)
-        if s2 == 0:
-            continue
-        der = _derivative_terms(a.terms, r, kind)
-        total += (-x) ** r * s2 * _eval_exponential(der, -x)
-    return cexp(x) * total
+        if s2:
+            derivatives.append((r, s2, tuple(map(complex, _derivative_terms(a.terms, r, kind)))))
+    if kind == "ordinary":
+
+        def closed(x: complex) -> complex:
+            _radius_guard("k-binomial ordinary closed form", abs(x))
+            u = -x / (1 - x)
+            total = 0j
+            for r, s2, der in derivatives:
+                total += (-x) ** r / (1 - x) ** (r + 1) * s2 * _eval_ordinary(der, u)
+            return total
+
+        return closed
+
+    def closed(x: complex) -> complex:
+        total = 0j
+        for r, s2, der in derivatives:
+            total += (-x) ** r * s2 * _eval_exponential(der, -x)
+        return cexp(x) * total
+
+    return closed
+
+
+def k_binomial_gf(a: Sequence, k: int, x: complex, kind: Kind) -> complex:
+    """Rising k-binomial closed form of a at x; see k_binomial_closed."""
+    return k_binomial_closed(a, k, kind)(x)
 
 
 HermiteVariant = Literal["standard", "complementary"]

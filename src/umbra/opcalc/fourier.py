@@ -16,7 +16,6 @@ from math import comb, exp, factorial, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..errors import (
     DivergenceError,
@@ -33,6 +32,7 @@ from .quadrature import (
     gauss_weighted_integral,
     gaussian_fourier_integral,
     legendre_composite_rule,
+    log_gamma_half,
 )
 
 _SQRT2PI = sqrt(2.0 * pi)
@@ -213,7 +213,9 @@ def _gaussian_moment_sum(a: np.ndarray, b: np.ndarray, beta: float, tau: float) 
     # i^{2p} Gamma(p + 1/2) / A^{p + 1/2} / sqrt(4 pi tau), in log space: A^{p+1/2}
     # and Gamma(p + 1/2) overflow separately long before their ratio does
     half = np.arange(0, degree, 2) / 2.0 + 0.5
-    log_moments = gammaln(half) - half * log(1.0 / (4.0 * tau) + beta / 2.0) - 0.5 * log(4.0 * pi * tau)
+    log_moments = (
+        log_gamma_half(len(half)) - half * log(1.0 / (4.0 * tau) + beta / 2.0) - 0.5 * log(4.0 * pi * tau)
+    )
     moments = np.zeros(degree)
     moments[::2] = np.where(np.arange(len(half)) % 2, -1.0, 1.0) * np.exp(log_moments)
     hankel = moments[np.arange(a.shape[1])[:, None] + np.arange(b.shape[1])]

@@ -8,12 +8,11 @@ evolution solutions, and exact-rational double sums for the umbral transform.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lgamma, sqrt
 from typing import Callable, Sequence as SequenceABC
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from ..errors import InvalidParameterError, TruncationError
 from ..seqcore import Sequence, _egf_product
@@ -94,6 +93,20 @@ ORACLE_TAYLOR_BETA = 0.04
 ORACLE_TAYLOR_ORDERS = 400
 
 
+@lru_cache(maxsize=None)
+def _unit_eigensystem(n_basis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the symmetric tridiagonal matrix with zero
+    diagonal and off-diagonals sqrt(n), n = 1 .. n_basis - 1, with log n! for
+    n < n_basis; all read-only.  The matrix with off-diagonals sqrt(n beta) is
+    sqrt(beta) times this one, so every beta shares it."""
+    off = np.sqrt(np.arange(1.0, n_basis))
+    eigvals, eigvecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    log_fact = np.array([lgamma(n + 1.0) for n in range(n_basis)])
+    for table in (eigvals, eigvecs, log_fact):
+        table.flags.writeable = False
+    return eigvals, eigvecs, log_fact
+
+
 def integro_matrix_oracle(
     f_ord_coeffs: SequenceABC[complex],
     beta: float,
@@ -163,10 +176,10 @@ def integro_matrix_oracle(
             )
         evolved_e = total
     else:
-        off = np.sqrt(beta * np.arange(1, n_basis))
-        eigvals, eigvecs = scipy.linalg.eigh_tridiagonal(np.zeros(n_basis), off)
+        unit_vals, eigvecs, log_fact = _unit_eigensystem(n_basis)
+        eigvals = sqrt(beta) * unit_vals
         # log-scale the similarity transform to dodge under/overflow
-        log_s = 0.5 * (np.arange(n_basis) * np.log(beta) - scipy.special.gammaln(np.arange(n_basis) + 1.0))
+        log_s = 0.5 * (np.arange(n_basis) * np.log(beta) - log_fact)
         d = e_coeffs * np.exp(-log_s)
         d = eigvecs @ (np.exp(-tau * eigvals ** m) * (eigvecs.T @ d))
         evolved_e = d * np.exp(log_s)

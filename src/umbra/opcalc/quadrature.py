@@ -12,11 +12,10 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, sqrt
+from math import factorial, isinf, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
-import scipy.special
 
 from ..errors import InvalidParameterError
 
@@ -35,6 +34,28 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def log_gamma_half(size: int) -> np.ndarray:
+    """log Gamma(p + 1/2) for p < size, read-only.
+
+    Taken from the exact ratio Gamma(p + 1/2) = sqrt(pi) (2p)! / (4^p p!), rounded
+    once; where that ratio overflows a float, from the logs of its two integers.
+    """
+    out = np.empty(size)
+    num = den = 1  # (2p)! and 4^p p!
+    for p in range(size):
+        if p:
+            num *= (2 * p - 1) * 2 * p
+            den *= 4 * p
+        try:
+            value = sqrt(pi) * (num / den)
+        except OverflowError:
+            value = float("inf")
+        out[p] = 0.5 * log(pi) + log(num) - log(den) if isinf(value) else log(value)
+    out.flags.writeable = False
+    return out
+
+
 def _check_hermite_moments(nodes: np.ndarray, weights: np.ndarray) -> None:
     # moments: integral e^{-k^2} k^{2m} dk = Gamma(m + 1/2); checked in log space
     # densely for small m and on a sparse sample up to the theoretical limit.
@@ -48,8 +69,9 @@ def _check_hermite_moments(nodes: np.ndarray, weights: np.ndarray) -> None:
         # extreme-node weights underflow to 0 at >= 1024 nodes; -inf drops them
         logw = np.log(weights)
         logk = np.log(np.abs(nodes))
+    log_gamma = log_gamma_half(limit + 1)
     for m in sorted(set(ms)):
-        ref = scipy.special.gammaln(m + 0.5)
+        ref = log_gamma[m]
         terms = np.exp(logw - ref) if m == 0 else np.exp(logw + 2 * m * logk - ref)
         if abs(np.sum(terms) - 1.0) > 1e-13 * (1.0 + m / 32.0):
             raise InvalidParameterError(
@@ -57,20 +79,67 @@ def _check_hermite_moments(nodes: np.ndarray, weights: np.ndarray) -> None:
             )
 
 
+#: Newton steps that polish the eigenvalue estimates of the Hermite nodes
+_NEWTON_STEPS = 3
+
+
 @lru_cache(maxsize=None)
 def gauss_hermite_rule(node_count: int) -> QuadratureRule:
-    """Gauss-Hermite rule for weight e^{-k^2}, moment-checked at construction."""
-    nodes, weights = scipy.special.roots_hermite(node_count)
+    """Gauss-Hermite rule for weight e^{-k^2}, moment-checked at construction.
+
+    The nodes are the eigenvalues of the Jacobi matrix J (zero diagonal,
+    off-diagonals sqrt(k/2)), polished by Newton steps on the three-term
+    recurrence of the orthonormal Hermite polynomials p_k.  They come in pairs
+    +-x, so only the nonnegative half is computed: its squares are the
+    eigenvalues of the even-index block of J^2, a tridiagonal matrix of half
+    the size.  The weights are 1 / (n p_{n-1}(x)^2), formed in log space
+    because p_{n-1} overflows at the outer nodes of large rules.
+    """
+    n = node_count
+    if n < 1:
+        raise InvalidParameterError("a gauss-hermite rule needs at least one node")
+    b2 = np.r_[0.0, np.arange(1, n) / 2.0, 0.0]  # squared off-diagonals b_0 .. b_n of J
+    even = np.arange(0, n, 2)
+    off = np.sqrt(b2[even[:-1] + 1] * b2[even[:-1] + 2])
+    block = np.diag(b2[even] + b2[even + 1]) + np.diag(off, 1) + np.diag(off, -1)
+    # the recurrence runs in long double where the platform has one: in doubles
+    # its rounding costs the weights up to 1e-13 at 256 nodes, here about an ulp
+    x = np.sqrt(np.maximum(np.linalg.eigvalsh(block), 0.0)).astype(np.longdouble)
+    for _ in range(_NEWTON_STEPS):
+        q_prev, q, log_scale = _hermite_pair(x, n)
+        x = x - q / (np.sqrt(np.longdouble(2 * n)) * q_prev)
+    # q_prev was taken at the last step's start, a node converged already
+    with np.errstate(under="ignore"):
+        w = np.exp(log(sqrt(pi) / n) - 2 * (np.log(np.abs(q_prev)) + log_scale)).astype(float)
+    x = x.astype(float)
+    # mirror the half; for odd n its first node is 0 and appears once
+    nodes = np.r_[-x[::-1], x[n % 2 :]]
+    weights = np.r_[w[::-1], w[n % 2 :]]
     _check_hermite_moments(nodes, weights)
     return QuadratureRule(nodes, weights)
 
 
+def _hermite_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q_{n-1}, q_n, log s) at the long-double points x, where q_k = pi^{1/4} p_k
+    (so q_0 = 1) and s is a common scale that keeps the pair inside float range."""
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    up, back = np.sqrt(2 / k), np.sqrt((k - 1) / k)
+    q_prev, q, log_scale = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    for j in range(n):
+        q_prev, q = q, up[j] * x * q - back[j] * q_prev
+        if j % 16 == 15:  # 16 steps grow the pair by less than 1e30
+            s = np.maximum(np.abs(q), np.abs(q_prev))
+            q, q_prev = q / s, q_prev / s
+            log_scale += np.log(s)
+    return q_prev, q, log_scale
+
+
 @lru_cache(maxsize=None)
-def legendre_composite_rule(a: float, b: float, panels: int, order: int = 12) -> QuadratureRule:
+def legendre_composite_rule(a: float, b: float, panels: int, order: int) -> QuadratureRule:
     """Composite Gauss-Legendre rule over [a, b] split into equal panels."""
     if b <= a or panels < 1:
         raise InvalidParameterError("legendre composite rule needs b > a and panels >= 1")
-    base_nodes, base_weights = scipy.special.roots_legendre(order)
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):

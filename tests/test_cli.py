@@ -81,8 +81,25 @@ class TestTransform:
         assert json.loads(dst.read_text()) == {"terms": ["1", "1", "1"]}
 
 
+def _loaded_modules(script: str, tmp_path, roots: tuple) -> str:
+    """Run script in a fresh interpreter (sys.argv[1] is a small sequence file) and
+    return the sorted list of loaded modules under the given top-level names."""
+    src = write(tmp_path, "a.json", '{"terms": ["1", "2/3", "-5"]}')
+    probe = (
+        "import sys\n" + script + "\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(umbra.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe, src], env=env, capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 class TestLayering:
-    """The exact layer and the transform command run without numpy or scipy."""
+    """The exact layer and the transform command run without numpy; nothing loads scipy."""
 
     @pytest.mark.parametrize("script", [
         "import umbra.seqcore",
@@ -91,18 +108,17 @@ class TestLayering:
         "assert main(['transform', sys.argv[1], '--name', 'laguerre', '--alpha', '1/2', '--beta', '3']) == 0",
     ])
     def test_float_stack_not_loaded(self, script, tmp_path):
-        src = write(tmp_path, "a.json", '{"terms": ["1", "2/3", "-5"]}')
-        probe = (
-            "import sys\n" + script + "\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(umbra.__file__).parents[1]),
-                                                          env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", probe, src], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert _loaded_modules(script, tmp_path, ("numpy", "scipy")) == "[]"
+
+    @pytest.mark.parametrize("script", [
+        "import umbra.checks, umbra.opcalc",
+        "from umbra.cli import main\nassert main(['check', '--suite', 'all']) == 0",
+        "from umbra.cli import main\nassert main(['expand', '--family', 'bernoulli', '--count', '6']) == 0",
+        "from umbra.cli import main\n"
+        "assert main(['evolve', '--equation', 'integro-diff', '--x-count', '2', '--tau-count', '2']) == 0",
+    ], ids=["import", "check", "expand", "evolve"])
+    def test_scipy_not_loaded(self, script, tmp_path):
+        assert _loaded_modules(script, tmp_path, ("scipy",)) == "[]"
 
 
 class TestCheck:

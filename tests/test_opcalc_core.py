@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbra import opcalc
-from umbra.opcalc import formal
+from umbra.opcalc import formal, quadrature
 from umbra.errors import InvalidParameterError
 
 small_rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6)
@@ -49,6 +49,40 @@ class TestQuadratureRules:
         # a spike the coarse rules cannot see forces doubling to the cap
         with pytest.warns(opcalc.QuadratureConvergenceWarning):
             opcalc.adaptive_hermite(lambda u: np.exp(-((u * 3000.0) ** 2) % 7.0))
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024])
+    def test_hermite_rule_matches_scipy(self, n):
+        nodes, weights = scipy.special.roots_hermite(n)
+        rule = opcalc.gauss_hermite_rule(n)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 3e-14
+        kept = weights > 1e-250  # scipy's smallest weights are not accurate to the last bits
+        assert np.max(np.abs(rule.weights[kept] / weights[kept] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 32, 127])
+    def test_hermite_rule_small_and_odd_counts(self, n):
+        nodes, weights = scipy.special.roots_hermite(n)
+        rule = opcalc.gauss_hermite_rule(n)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
+        # below 150 nodes scipy takes Golub-Welsch weights, off by up to 1e-12 at the outer nodes
+        assert np.max(np.abs(rule.weights / weights - 1.0)) <= 3e-12
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+
+    def test_hermite_rule_rejects_empty(self):
+        with pytest.raises(InvalidParameterError):
+            opcalc.gauss_hermite_rule(0)
+
+    def test_log_gamma_half_matches_scipy(self):
+        table = quadrature.log_gamma_half(600)
+        ref = scipy.special.gammaln(np.arange(600) + 0.5)
+        assert np.max(np.abs(table - ref) / np.maximum(1.0, np.abs(ref))) <= 2e-15
+        assert not table.flags.writeable
+
+    def test_legendre_rule_matches_scipy(self):
+        for order in (12, 16):
+            nodes, weights = scipy.special.roots_legendre(order)
+            rule = opcalc.legendre_composite_rule(-1.0, 1.0, 1, order)
+            assert np.max(np.abs(rule.nodes - nodes)) <= 1e-15
+            assert np.max(np.abs(rule.weights - weights)) <= 5e-15
 
     def test_legendre_composite_integrates_poly(self):
         rule = opcalc.legendre_composite_rule(-1.0, 3.0, 8, 6)

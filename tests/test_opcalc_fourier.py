@@ -5,11 +5,13 @@ from math import comb, exp, factorial, pi, sqrt
 import convolution_oracle
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbra import opcalc
-from umbra.opcalc import fourier, quadrature
+from umbra.opcalc import fourier, oracles, quadrature
 from umbra.errors import (
     DivergenceError,
     DomainTooSmallError,
@@ -259,6 +261,19 @@ class TestIntegroDiff:
         got = opcalc.integro_diff_evolve(self.f, beta, 2, tau, x)
         assert abs(got - self.hermite_reference(self.f_ord, beta, tau, x)) <= 1e-12
         assert abs(got - opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, x)) <= 1e-10
+
+    @pytest.mark.parametrize("n_basis", [41, 82])
+    @pytest.mark.parametrize("beta", [0.04, 0.5, 2.0])
+    def test_cached_eigensystem_scales_like_scipy(self, n_basis, beta):
+        unit_vals, vecs, log_fact = oracles._unit_eigensystem(n_basis)
+        off = np.sqrt(beta * np.arange(1, n_basis))
+        vals, ref_vecs = scipy.linalg.eigh_tridiagonal(np.zeros(n_basis), off)
+        assert np.max(np.abs(np.sqrt(beta) * unit_vals - vals)) <= 1e-13 * np.sqrt(beta) * n_basis
+        # eigenvectors agree up to sign
+        signs = np.sign(np.sum(vecs * ref_vecs, axis=0))
+        assert np.max(np.abs(vecs * signs - ref_vecs)) <= 1e-12
+        assert np.max(np.abs(log_fact - scipy.special.gammaln(np.arange(n_basis) + 1.0))) <= 1e-12
+        assert not (unit_vals.flags.writeable or vecs.flags.writeable or log_fact.flags.writeable)
 
     def test_matrix_oracle_small_beta(self):
         # F(0, tau) = 1 - tau (1 + beta) + O(tau^2) for f = C_0
