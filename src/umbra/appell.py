@@ -266,18 +266,31 @@ def expansion_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> Ex
 def operational_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> tuple:
     """Series oracle: Taylor coefficients of [A(d/dx)]^{-1} f.
 
-    alpha_n = sum_m c^-_m f_{n+m} (n+m)!/n! over the family's stored Taylor
-    data; the built-in families carry enough orders for the tail to die.
+    alpha_n = sum_m c^-_m F_{n+m} / n!, F_j = j! f_j, over the family's stored
+    Taylor data; the built-in families carry enough orders for the tail to die.
+    A rational family sums on integers: the c^-_m over one denominator D, the
+    F_j over q^R for the scale p/q, so alpha_n = Fraction(sum, D q^R n!).
     """
     inv = fam.a_inv_taylor
-    out = []
-    for n in range(N + 1):
-        acc = Fraction(0) if isinstance(inv[0], (int, Fraction)) else 0.0
-        for m, cm in enumerate(inv):
-            if cm:
-                acc += cm * f.taylor(n + m) * (factorial(n + m) // factorial(n))
-        out.append(acc)
-    return tuple(out)
+    if not all(isinstance(c, (int, Fraction)) for c in inv):
+        return tuple(
+            sum((cm * f.taylor(n + m) * (factorial(n + m) // factorial(n)) for m, cm in enumerate(inv) if cm), 0.0)
+            for n in range(N + 1)
+        )
+    den = lcm(*(c.denominator for c in inv))
+    terms = [(m, c.numerator * (den // c.denominator)) for m, c in enumerate(inv) if c]
+    p, q = f.scale.numerator, f.scale.denominator
+    rank = (N + len(inv) - 1) // 2
+    # q^R F_{2l} = (2l)!/l! (-p)^l q^{R-l}; odd orders vanish
+    scaled = [0] * (2 * rank + 2)
+    ratio = 1  # (2l)!/l!
+    for l in range(rank + 1):
+        scaled[2 * l] = ratio * (-p) ** l * q ** (rank - l)
+        ratio *= 2 * (2 * l + 1)
+    return tuple(
+        Fraction(sum(c * scaled[n + m] for m, c in terms), den * q ** rank * factorial(n))
+        for n in range(N + 1)
+    )
 
 
 def widening_coefficients(f: GaussianFunction, N: int) -> tuple:

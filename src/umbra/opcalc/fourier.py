@@ -4,15 +4,17 @@ Phi(op) f = (1/sqrt(2 pi)) integral Phi~(k) e^{i k op} f dk, with the ordered
 exponential worked out per operator family and the integral done by the
 Gauss-Hermite engine.  Where the integrand is a Gaussian times a polynomial
 (the Gaussian symbol on a polynomial, the m = 2 integro-differential
-evolution) the integral is summed from Gaussian moments instead.  Ordered forms
-are the verified ones (regenerated from the disentanglement checks), not the
-printed constants.
+evolution) the integral is summed from Gaussian moments instead, and where it
+is the transform pair of e^{-tau x^m} times a polynomial (the beta = 0
+evolution) from the moments of that pair.  Ordered forms are the verified
+ones (regenerated from the disentanglement checks), not the printed
+constants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, exp, factorial, log, pi, sqrt
+from math import comb, exp, factorial, inf, lgamma, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -222,6 +224,32 @@ def _gaussian_moment_sum(a: np.ndarray, b: np.ndarray, beta: float, tau: float) 
     return complex(np.sum((a @ hankel) * b))
 
 
+def _moment_law_sum(f_ord: list[complex], a: np.ndarray, b: np.ndarray, m: int, tau: float) -> complex:
+    """The beta = 0 integral of integro_diff_evolve for even m >= 4, from the moments of e~_m.
+
+    (1/sqrt(2 pi)) integral e~_m(k, tau) (ik)^n dk = n! [u^n] e^{-tau u^m}, and at
+    beta = 0 the bracket is the polynomial sum_n P_n (ik)^n with P = b[:, 0] @ a,
+    so the integral is the finite sum sum_j P_{mj} (mj)! (-tau)^j / j!.  A
+    degree-T series feeds it through j = T // m only; the first order dropped,
+    J = T // m + 1, carries about tau^J / J! max |n!^2 f_n| (1 for C_0), which
+    must stay below 1e-15.
+    """
+    order = (len(f_ord) - 1) // m + 1
+    # in log space: n!^2 overflows a double from n = 99 on
+    log_scale = max((2.0 * lgamma(n + 1.0) + log(abs(c)) for n, c in enumerate(f_ord) if c), default=-inf)
+    log_tail = order * log(tau) - lgamma(order + 1.0) + log_scale
+    if log_tail > log(1e-15):
+        raise TruncationError(
+            f"m={m}, tau={tau:g}: a degree-{len(f_ord) - 1} series feeds the moment sum through "
+            f"order {order - 1} only, and the first order dropped is ~{exp(log_tail):.1e}"
+        )
+    j = np.arange(order)
+    # (mj)!/j! tau^j in log space: the ratio overflows long before the product does
+    log_ratio = np.array([log(factorial(m * i) // factorial(i)) for i in range(order)])
+    weights = np.where(j % 2, -1.0, 1.0) * np.exp(log_ratio + j * log(tau))
+    return complex((b[:, 0] @ a)[::m] @ weights)
+
+
 def _e_tilde_grid(m: int, tau: float, ks: np.ndarray) -> np.ndarray:
     """Numerical transform pair of e^{-tau x^m} for even m >= 4, chunked over k."""
     X = (40.0 / tau) ** (1.0 / m)
@@ -251,9 +279,10 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
 
     with e~_m the transform pair of e^{-tau x^m}.  The bracket is one polynomial
     in k for every m (_evolution_tables).  For m = 2, e~_m is a Gaussian and the
-    integral is summed in closed form from its moments; even m >= 4 evaluates
-    the polynomial at Gauss-Legendre nodes against a grid transform of e~_m.
-    Odd m has no transform pair on the line and is rejected.
+    integral is summed in closed form from its moments.  For even m >= 4 at
+    beta = 0 it is the finite sum over the moments of e~_m; at beta > 0 the
+    polynomial is evaluated at Gauss-Legendre nodes against a grid transform
+    of e~_m.  Odd m has no transform pair on the line and is rejected.
     """
     if m <= 0 or m % 2:
         raise UnsupportedSymbolError(f"m = {m}: m must be a positive even integer for e^(-tau x^m) to decay")
@@ -263,7 +292,7 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
         raise TruncationError(
             f"beta = {beta:g} outside the truncation-controlled range [0, {INTEGRO_BETA_BOUND:g}]"
         )
-    if tau < 0:
+    if not tau >= 0:
         raise InvalidParameterError("needs tau >= 0")
     if abs(x) > INTEGRO_REGION:
         raise TruncationError(f"|x| = {abs(x):g} outside the truncation-controlled region {INTEGRO_REGION}")
@@ -276,10 +305,12 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
 
     if m == 2:
         return _gaussian_moment_sum(a, b, beta, tau)
+    if beta == 0:
+        return _moment_law_sum(f_ord, a, b, m, tau)
 
-    # even m >= 4: locate a cutoff where the damped symbol is negligible; a
-    # symbol still above it at |k| = 32 (beta = 0, tau ~ 0.375-0.4 at m = 4) is
-    # rejected, never integrated short
+    # even m >= 4, beta > 0: locate a cutoff where the damped symbol is
+    # negligible; a symbol still above it at |k| = 32 (beta = 1e-3, tau ~ 0.4 at
+    # m = 4) is rejected, never integrated short
     for K in (4.0, 8.0, 16.0, 32.0):
         tail = abs(_e_tilde_grid(m, tau, np.array([K, 1.25 * K])).max()) * np.exp(-beta * K * K / 2.0)
         if tail < 1e-15:

@@ -39,6 +39,7 @@ from math import comb, factorial, gcd, lcm
 from typing import Iterable
 
 from .errors import InvalidParameterError, SequenceFormatError
+from .specfun import hermite2_coeffs
 
 Rational = Fraction | int | str
 
@@ -258,14 +259,13 @@ def composed_hermite_modular_closed_form(a: Sequence, alpha, beta, gamma, delta)
     alpha, beta, gamma, delta = map(_frac, (alpha, beta, gamma, delta))
     out = []
     for n in range(len(a)):
-        total = Fraction(0)
-        for r in range(n // 2 + 1):
-            m = n - 2 * r
-            hcoeff = factorial(n) // (factorial(m) * factorial(r))
-            # (alpha - beta*gamma*a^)^m . 1 expanded binomially
-            inner = sum(comb(m, s) * alpha ** (m - s) * (-beta * gamma) ** s * a[s] for s in range(m + 1))
-            total += hcoeff * (beta ** 2 * delta) ** r * inner
-        out.append(total)
+        # H_n(u, beta^2 delta) = sum_m h_m u^m, with u^m = (alpha - beta*gamma*a^)^m . 1
+        # expanded binomially
+        h = hermite2_coeffs(n, beta ** 2 * delta)
+        out.append(sum(
+            h[m] * sum(comb(m, s) * alpha ** (m - s) * (-beta * gamma) ** s * a[s] for s in range(m + 1))
+            for m in range(n % 2, n + 1, 2)
+        ))
     return Sequence.of(out)
 
 

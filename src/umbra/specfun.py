@@ -1,9 +1,8 @@
 """Reference special functions the rest of the package tests against.
 
-Two-variable Hermite and Laguerre polynomials, Tricomi-Bessel functions,
-Stirling numbers of the second kind.  Rational inputs stay exact; complex
-inputs go through float arithmetic (the quadrature engine evaluates C_n at
-imaginary arguments).
+Two-variable Hermite polynomials, Tricomi-Bessel functions, Stirling numbers
+of the second kind.  Rational inputs stay exact; complex inputs go through
+float arithmetic (the quadrature engine evaluates C_n at imaginary arguments).
 """
 from __future__ import annotations
 
@@ -11,10 +10,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import InternalConsistencyError, InvalidParameterError
-
-
-def _is_exact(*values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 def hermite2_coeffs(n: int, y) -> tuple:
@@ -41,21 +36,6 @@ def hermite2(n: int, x, y):
     total = 0
     for r in range(n // 2 + 1):
         total = total + numbers[n - 2 * r] * x ** (n - 2 * r) * y ** r
-    return total
-
-
-def laguerre2(n: int, x, y):
-    """Two-variable Laguerre polynomial L_n(x, y) = n! sum_r (-1)^r x^r y^{n-r} / ((r!)^2 (n-r)!).
-
-    L_n(x, 1) is the classical Laguerre polynomial.
-    """
-    exact = _is_exact(x, y)
-    total = Fraction(0) if exact else 0
-    for r in range(n + 1):
-        coeff = Fraction((-1) ** r * factorial(n), factorial(r) ** 2 * factorial(n - r))
-        if not exact:
-            coeff = float(coeff)
-        total = total + coeff * x ** r * y ** (n - r)
     return total
 
 

@@ -1,5 +1,6 @@
 """Plain `Fraction` double sums for the exact convolutions that the catalog,
-the umbral oracle and the Appell self-check compute with `seqcore`'s kernel.
+the umbral oracle and the Appell self-check compute with `seqcore`'s kernel,
+and for the Appell operational oracle, which sums on cleared integers.
 
 Each function is the direct loop over the index range of its formula: no
 cleared denominators, no exponential generating functions, and no code shared
@@ -63,3 +64,16 @@ def bernoulli_numbers(order):
 def series_product(a, b):
     """Cauchy product sum_{j<=n} a_j b_{n-j} for n < len(a)."""
     return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(len(a))]
+
+
+def operational_coefficients(inv, f, N):
+    """alpha_n = sum_m c_m f_{n+m} (n+m)!/n! over the Taylor table inv of 1/A, with
+    f.taylor the function's Taylor coefficients; floats stay floats."""
+    out = []
+    for n in range(N + 1):
+        acc = Fraction(0) if isinstance(inv[0], (int, Fraction)) else 0.0
+        for m, cm in enumerate(inv):
+            if cm:
+                acc += cm * f.taylor(n + m) * (factorial(n + m) // factorial(n))
+        out.append(acc)
+    return out

@@ -148,6 +148,22 @@ class TestExpansion:
         for got, want in zip(res.coefficients, oracle):
             assert abs(complex(got) - float(want)) < 1e-8
 
+    @pytest.mark.parametrize("family", ["bernoulli", "identity", "hermite_type"])
+    @pytest.mark.parametrize("scale", [Fraction(1, 16), Fraction(5, 64), Fraction(1, 8), Fraction(3, 16)])
+    def test_operational_oracle_matches_fraction_loop(self, request, family, scale):
+        fam = request.getfixturevalue(family)
+        g = appell.GaussianFunction(scale)
+        for n in (0, 1, 10, 24):
+            want = convolution_oracle.operational_coefficients(fam.a_inv_taylor, g, n)
+            assert list(appell.operational_coefficients(fam, g, n)) == want
+
+    def test_float_family_operational_oracle_sums_floats(self):
+        fam = appell.family_from_taylor([1.0, -0.5, 1 / 6, -1 / 24, 1 / 120, -1 / 720, 1 / 5040])
+        g = appell.GaussianFunction(Fraction(1, 8))
+        got = appell.operational_coefficients(fam, g, 10)
+        assert all(type(c) is float for c in got)
+        assert list(got) == convolution_oracle.operational_coefficients(fam.a_inv_taylor, g, 10)
+
     def test_coefficient_cap(self, bernoulli):
         with pytest.raises(TruncationError):
             appell.expansion_coefficients(bernoulli, appell.GaussianFunction(Fraction(1)), 30)

@@ -59,6 +59,16 @@ def test_catalog_stays_inside_the_operator_caps():
     assert (statuses.count("pass"), statuses.count("flagged-errata")) == (53, 10)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e-9])
+def test_tricomi_spot_row_sees_a_small_route_error(monkeypatch, offset):
+    # the row compares with the series solution, not a 7-digit constant, so a
+    # route error far below the constant's rounding (1.7e-8) fails it
+    route = checks.oc.tricomi_evolution
+    monkeypatch.setattr(checks.oc, "tricomi_evolution", lambda x, tau: route(x, tau) + offset)
+    (row,) = [chk for _, chk in checks.resolve_suites("tricomi") if chk.name == "evolution spot value F(1,1)"]
+    assert checks.run_check(row).status == ("fail" if offset else "pass")
+
+
 def test_disentangle_reports_two_errata_rows(recwarn):
     results = checks.run_selected("disentangle")
     errata = [r for _, r in results if r.status == "flagged-errata"]

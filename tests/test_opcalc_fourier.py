@@ -21,7 +21,7 @@ from umbra.errors import (
 )
 from umbra.gftrans import PowerSeries
 from umbra.seqcore import Sequence
-from umbra.specfun import hermite2, hermite2_coeffs
+from umbra.specfun import hermite2, hermite2_coeffs, tricomi_c
 
 
 def _monomial(n):
@@ -220,6 +220,12 @@ class TestIntegroDiff:
         with pytest.raises(TruncationError):
             opcalc.integro_diff_evolve(self.f, 1.0, 2, 0.1, 0.75)
 
+    @pytest.mark.parametrize("m,beta", [(2, 0.5), (4, 0.0)])
+    @pytest.mark.parametrize("tau", [-0.1, float("nan")])
+    def test_tau_guard(self, m, beta, tau):
+        with pytest.raises(InvalidParameterError):
+            opcalc.integro_diff_evolve(self.f, beta, m, tau, 0.1)
+
     def test_exponential_kind_rejected(self):
         # the series is read as ordinary coefficients; an EGF is not converted
         with pytest.raises(InvalidParameterError, match="ordinary"):
@@ -331,7 +337,44 @@ class TestIntegroDiff:
         )
         assert abs(got - ref) < 1e-6
 
-    @pytest.mark.parametrize("beta,x,tau", [(0.0, 0.25, 0.3), (0.5, 0.5, 0.1), (1.0, 0.1, 0.35), (0.5, 0.25, 0.2)])
+    @pytest.mark.parametrize("m,degree", [(4, 81), (6, 97)])
+    def test_beta_zero_moment_law(self, m, degree):
+        # LD C_0 = -C_0, so e^{-tau LD^m} C_0 = e^{-tau} C_0 for every even m; at
+        # m = 6 degree 81 drops a moment of 7e-16 at tau = 1/2, hence degree 97
+        f = PowerSeries(opcalc.c0_series(degree), "ordinary")
+        f_ord = [float(c) for c in opcalc.c0_series(degree)]
+        for x in np.linspace(0.0, 0.5, 11):
+            for tau in (1e-12, 0.1, 0.375, 0.4, 0.5):
+                got = opcalc.integro_diff_evolve(f, 0.0, m, tau, float(x))
+                assert abs(got - exp(-tau) * tricomi_c(0, float(x))) <= 1e-15
+                assert abs(got - opcalc.integro_matrix_oracle(f_ord, 0.0, m, tau, float(x), degree)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_beta_zero_makes_no_legendre_call(self, monkeypatch, m):
+        def no_rule(*args, **kwargs):
+            raise AssertionError("a beta = 0 evolution reached the Gauss-Legendre rule")
+
+        monkeypatch.setattr(fourier, "legendre_composite_rule", no_rule)
+        got = opcalc.integro_diff_evolve(PowerSeries(opcalc.c0_series(81), "ordinary"), 0.0, m, 0.4, 0.3)
+        assert abs(got - exp(-0.4) * tricomi_c(0, 0.3)) <= 1e-15
+
+    @pytest.mark.parametrize("x,tau", [(0.25, 0.3), (0.5, 0.1), (0.1, 0.35)])
+    def test_beta_zero_matches_legendre_route(self, x, tau):
+        # the Gauss-Legendre route the moment sum replaced: the grid transform of
+        # the symbol against the bracket evaluated node by node, out to the
+        # first cutoff where the symbol is below 1e-15
+        K = next(
+            K for K in (4.0, 8.0, 16.0, 32.0)
+            if abs(fourier._e_tilde_grid(4, tau, np.array([K, 1.25 * K])).max()) < 1e-15
+        )
+        rule = quadrature.legendre_composite_rule(-K, K, max(64, int(8 * K)), 12)
+        f81 = [float(c) for c in opcalc.c0_series(81)]
+        integrand = fourier._e_tilde_grid(4, tau, rule.nodes) * _evolved_series_values(f81, 0.0, rule.nodes, x, 81 + 16)
+        legendre = np.sum(rule.weights * integrand) / sqrt(2.0 * pi)
+        got = opcalc.integro_diff_evolve(PowerSeries(opcalc.c0_series(81), "ordinary"), 0.0, 4, tau, x)
+        assert abs(got - legendre) <= 1e-14
+
+    @pytest.mark.parametrize("beta,x,tau", [(0.5, 0.5, 0.1), (1.0, 0.1, 0.35), (0.5, 0.25, 0.2)])
     def test_m4_polynomial_matches_per_node_reference(self, monkeypatch, beta, x, tau):
         # same Gauss-Legendre nodes, bracket evaluated node by node instead
         rules = []
@@ -353,13 +396,13 @@ class TestIntegroDiff:
         )
         assert abs(got - np.sum(rule.weights * integrand) / sqrt(2.0 * pi)) <= 1e-15
 
-    @pytest.mark.parametrize("tau", [0.375, 0.4])
+    @pytest.mark.parametrize("tau", [0.4])
     def test_m4_cutoff_search_exhausted(self, tau):
-        # the damped symbol is still above 1e-15 at |k| = 32 (beta = 0); this
+        # the damped symbol is still above 1e-15 at |k| = 32 (beta = 1e-3); this
         # used to integrate out to 64 unchecked, about 1e6 off the oracle
         f161 = PowerSeries(opcalc.c0_series(161), "ordinary")
         with pytest.raises(TruncationError):
-            opcalc.integro_diff_evolve(f161, 0.0, 4, tau, 0.3)
+            opcalc.integro_diff_evolve(f161, 1e-3, 4, tau, 0.3)
 
     def test_m4_value_pinned(self):
         # recorded before the m = 2 route changed: the m >= 4 route must stay

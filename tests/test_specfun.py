@@ -13,13 +13,21 @@ from umbra.specfun import (
     hermite2_coeffs,
     hermite_addition_check,
     polyval_coeffs,
-    laguerre2,
     stirling2,
     tricomi_c,
     tricomi_series,
 )
 
 small_rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12)
+
+
+def laguerre2(n, x, y):
+    """Two-variable Laguerre polynomial L_n(x, y) = n! sum_r (-1)^r x^r y^{n-r} / ((r!)^2 (n-r)!),
+    exact on rational input; L_n(x, 1) is the classical Laguerre polynomial."""
+    return sum(
+        Fraction((-1) ** r * factorial(n), factorial(r) ** 2 * factorial(n - r)) * x ** r * y ** (n - r)
+        for r in range(n + 1)
+    )
 
 
 def classical_laguerre(n, x):
