@@ -153,8 +153,43 @@ def _bessel_total(u: float) -> float:
 
 
 @dataclass(frozen=True)
+class Term:
+    """One summand w P(x) S^(r)(U(x)) of a master closed form, P and U taken at |x|.
+
+    S is the input series: ordinary sum a_n u^n, exponential sum a_n u^n / n!,
+    or bessel sum a_n u^n / (n!)^2 (r = 0 only).
+    """
+
+    weight: int
+    prefactor: Callable[[float], float]
+    argument: Callable[[float], float]
+    series: str
+    r: int = 0
+
+
+def _majorant_tail(series: str, M: float, rho: float, r: int, u: float, first_omitted: int) -> float:
+    """Tail from first_omitted of S^(r) at u >= 0 when |a_n| <= M rho^n."""
+    if series == "ordinary":
+        return gf.derivative_tail_ordinary(M, rho, r, u, first_omitted)
+    if series == "exponential":
+        return rho ** r * gf.exponential_tail(M, rho, u, first_omitted)
+    # (n!)^2 >= (first_omitted!)^2 ((n - first_omitted)!)^2
+    return M * gf.power_over_factorial(sqrt(rho * u), first_omitted) ** 2 * _bessel_total(rho * u)
+
+
+def _majorant_total(series: str, M: float, rho: float, r: int, u: float) -> float:
+    """S^(r)(u) for a_n = M rho^n: M/(1 - rho u), M e^{rho u} or M C_0(-rho u), differentiated r times."""
+    s = rho * u
+    if series == "ordinary":
+        return M * rho ** r * factorial(r) / (1 - s) ** (r + 1)
+    if series == "exponential":
+        return M * rho ** r * exp(s)
+    return M * _bessel_total(s)
+
+
+@dataclass(frozen=True)
 class MasterCase:
-    """One transform kind: exact transform, closed form, radius and tail budgets."""
+    """One transform kind: exact transform, closed form, radius, and the terms both budgets follow from."""
 
     label: str
     equation: str
@@ -162,231 +197,108 @@ class MasterCase:
     closed: Callable[[sq.Sequence], Callable[[complex], complex]]  # binds a, then takes x
     kind: str  # series kind of the direct side
     radius: Callable[[TestSequence], float]
-    closed_tail: Callable[[TestSequence, float, int], float]
-    direct_total: Callable[[TestSequence, float], float]
+    terms: tuple[Term, ...]
     transform_majorant: Callable[[sq.Sequence], sq.Sequence] | None = None
 
+    def closed_tail(self, ts: TestSequence, xa: float, order: int) -> float:
+        """What truncating a after `order` can omit from the closed form at |x| = xa."""
+        M, rho = float(ts.growth_M), float(ts.growth_rho)
+        total = 0.0
+        for t in self.terms:
+            total += t.weight * t.prefactor(xa) * _majorant_tail(
+                t.series, M, rho, t.r, t.argument(xa), order + 1 - t.r)
+        return total
 
-def _binomial_ordinary_case() -> MasterCase:
-    def radius(ts):
-        rho = float(ts.growth_rho)
-        return min(0.45, 0.52 / (1 + rho), 0.54 / (rho + 0.54))
-
-    def closed_tail(ts, xa, order):
-        u = xa / (1 - xa)
-        return (1 / (1 - xa)) * gf.ordinary_tail(float(ts.growth_M), float(ts.growth_rho), u, order + 1)
-
-    def direct_total(ts, r):
-        # |b_n| <= M (1 + rho)^n: geometric total
-        s = (1 + float(ts.growth_rho)) * r
-        return float(ts.growth_M) / (1 - s)
-
-    return MasterCase(
-        "binomial transform, ordinary closed form", "Eq. 9",
-        sq.binomial_transform,
-        lambda a: lambda x: gf.binomial_gf_ordinary(a, x),
-        "ordinary", radius, closed_tail, direct_total,
-    )
+    def direct_total(self, ts: TestSequence, r: float) -> float:
+        """Bound on sum_n |b_n| r^n (over n! for the exponential kind), b the transformed majorant."""
+        M, rho = float(ts.growth_M), float(ts.growth_rho)
+        return sum(t.weight * t.prefactor(r) * _majorant_total(t.series, M, rho, t.r, t.argument(r))
+                   for t in self.terms)
 
 
-def _binomial_exponential_case() -> MasterCase:
-    def closed_tail(ts, xa, order):
-        return exp(xa) * gf.exponential_tail(float(ts.growth_M), float(ts.growth_rho), xa, order + 1)
-
-    def direct_total(ts, r):
-        return float(ts.growth_M) * exp((1 + float(ts.growth_rho)) * r)
-
-    return MasterCase(
-        "binomial transform, exponential closed form", "Eq. 10",
-        sq.binomial_transform,
-        lambda a: lambda x: gf.binomial_gf_exponential(a, x),
-        "exponential", lambda ts: 0.45, closed_tail, direct_total,
-    )
+#: (alpha, beta) of the modular (ordinary, exponential), Hermite and Laguerre cases
+_MODULAR_ORDINARY = sq.TransformParams(Fraction(3, 4), Fraction(1, 2))
+_MODULAR_EXPONENTIAL = sq.TransformParams(2, 1)
+_HERMITE = sq.TransformParams(1, Fraction(1, 2))
+_LAGUERRE = sq.TransformParams(1, Fraction(1, 2))
 
 
-_MOD_ALPHA, _MOD_BETA = Fraction(3, 4), Fraction(1, 2)
-_MODX_ALPHA, _MODX_BETA = Fraction(2), Fraction(1)
+def _modular_terms(p: sq.TransformParams, kind: str) -> tuple[Term, ...]:
+    # (1/(1-ax)) f(bx/(ax-1)) or e^{ax} g(-bx)
+    al, be = float(p.alpha), float(p.beta)
+    if kind == "ordinary":
+        return (Term(1, lambda x: 1 / (1 - al * x), lambda x: be * x / (1 - al * x), "ordinary"),)
+    return (Term(1, lambda x: exp(al * x), lambda x: be * x, "exponential"),)
 
 
-def _modular_ordinary_case() -> MasterCase:
-    al, be = float(_MOD_ALPHA), float(_MOD_BETA)
+def _modular_radius(p: sq.TransformParams) -> Callable[[TestSequence], float]:
+    al, be = float(p.alpha), float(p.beta)
 
     def radius(ts):
         rho = float(ts.growth_rho)
         return min(0.45, 0.52 / (al + rho * be), 0.54 / (rho * be + 0.54 * al), 0.55 / al)
 
-    def closed_tail(ts, xa, order):
-        u = be * xa / (1 - al * xa)
-        return (1 / (1 - al * xa)) * gf.ordinary_tail(float(ts.growth_M), float(ts.growth_rho), u, order + 1)
-
-    def direct_total(ts, r):
-        s = (al + float(ts.growth_rho) * be) * r
-        return float(ts.growth_M) / (1 - s)
-
-    return MasterCase(
-        "modular transform, ordinary closed form", "Eq. 13",
-        lambda a: sq.modular_transform(a, sq.TransformParams(_MOD_ALPHA, _MOD_BETA)),
-        lambda a: lambda x: gf.modular_gf(a, al, be, x, "ordinary"),
-        "ordinary", radius, closed_tail, direct_total,
-    )
-
-
-def _modular_exponential_case() -> MasterCase:
-    al, be = float(_MODX_ALPHA), float(_MODX_BETA)
-
-    def closed_tail(ts, xa, order):
-        return exp(al * xa) * gf.exponential_tail(float(ts.growth_M), float(ts.growth_rho) * be, xa, order + 1)
-
-    def direct_total(ts, r):
-        return float(ts.growth_M) * exp((al + float(ts.growth_rho) * be) * r)
-
-    return MasterCase(
-        "modular transform, exponential closed form", "Eq. 13",
-        lambda a: sq.modular_transform(a, sq.TransformParams(_MODX_ALPHA, _MODX_BETA)),
-        lambda a: lambda x: gf.modular_gf(a, al, be, x, "exponential"),
-        "exponential", lambda ts: 0.45, closed_tail, direct_total,
-    )
+    return radius
 
 
 def _k_binomial_cases(k: int) -> tuple[MasterCase, MasterCase]:
-    def radius_ord(ts):
-        rho = float(ts.growth_rho)
-        return 0.5 / (rho + 0.5)  # keeps t = rho r/(1-r) <= 0.5
-
-    def closed_tail_ord(ts, xa, order):
-        u = xa / (1 - xa)
-        total = 0.0
-        for r_ in range(k + 1):
-            s2 = sf.stirling2(r_, k)
-            if s2 == 0:
-                continue
-            pref = xa ** r_ / (1 - xa) ** (r_ + 1)
-            total += pref * s2 * gf.derivative_tail_ordinary(
-                float(ts.growth_M), float(ts.growth_rho), r_, u, order + 1 - r_
-            )
-        return total
-
-    def direct_total_ord(ts, r):
-        # sum_n r^n sum_s C(n,s) s^k M rho^s = (1/(1-r)) (t d/dt)^k geometric at t
-        rho, M = float(ts.growth_rho), float(ts.growth_M)
-        t = rho * r / (1 - r)
-        return (M / (1 - r)) * sum(
-            sf.stirling2(j, k) * factorial(j) * t ** j / (1 - t) ** (j + 1) for j in range(k + 1)
-        )
-
-    def closed_tail_exp(ts, xa, order):
-        total = 0.0
-        for r_ in range(k + 1):
-            s2 = sf.stirling2(r_, k)
-            if s2 == 0:
-                continue
-            total += exp(xa) * xa ** r_ * s2 * gf.derivative_tail_exponential(
-                float(ts.growth_M), float(ts.growth_rho), r_, xa, order + 1 - r_
-            )
-        return total
-
-    def direct_total_exp(ts, r):
-        # sum_n r^n/n! sum_s C(n,s) s^k M rho^s <= M k-shifted exponential bound
-        rho, M = float(ts.growth_rho), float(ts.growth_M)
-        # crude positive closed form: e^r * (t d/dt)^k e^t at t = rho r
-        t = rho * r
-        poly = sum(sf.stirling2(j, k) * t ** j for j in range(k + 1))
-        return M * exp(r) * poly * exp(t)
+    # sum_r S2(r, k) (-x)^r / (1-x)^{r+1} f^(r)(-x/(1-x)) and e^x sum_r S2(r, k) (-x)^r g^(r)(-x)
+    weights = [(r, w) for r in range(k + 1) if (w := sf.stirling2(r, k))]
+    ordinary_terms = tuple(Term(w, lambda x, r=r: x ** r / (1 - x) ** (r + 1), lambda x: x / (1 - x), "ordinary", r)
+                           for r, w in weights)
+    exponential_terms = tuple(Term(w, lambda x, r=r: exp(x) * x ** r, lambda x: x, "exponential", r)
+                              for r, w in weights)
 
     def abs_k_transform(a: sq.Sequence) -> sq.Sequence:
         # sign-free majorant sum_s C(n,s) s^k a_s: the EGF product of e^x and (s^k a_s)
         return sq._egf_product([1] * len(a), [s ** k * a[s] for s in range(len(a))])
 
-    ordinary = MasterCase(
-        f"rising {k}-binomial, ordinary closed form", "Eq. 21",
-        lambda a: sq.rising_k_binomial(a, k),
-        lambda a: gf.k_binomial_closed(a, k, "ordinary"),
-        "ordinary", radius_ord, closed_tail_ord, direct_total_ord,
-        transform_majorant=abs_k_transform,
-    )
-    exponential = MasterCase(
-        f"rising {k}-binomial, exponential closed form", "Eq. 22",
-        lambda a: sq.rising_k_binomial(a, k),
-        lambda a: gf.k_binomial_closed(a, k, "exponential"),
-        "exponential", lambda ts: 0.4, closed_tail_exp, direct_total_exp,
-        transform_majorant=abs_k_transform,
-    )
-    return ordinary, exponential
+    def case(kind, equation, radius, terms):
+        return MasterCase(f"rising {k}-binomial, {kind} closed form", equation, lambda a: sq.rising_k_binomial(a, k),
+                          lambda a: gf.k_binomial_closed(a, k, kind), kind, radius, terms, abs_k_transform)
 
-
-_HERM_ALPHA, _HERM_BETA = Fraction(1), Fraction(1, 2)
-_LAG_ALPHA, _LAG_BETA = Fraction(1), Fraction(1, 2)
-
-
-def _hermite_case(variant: str) -> MasterCase:
-    al, be = float(_HERM_ALPHA), float(_HERM_BETA)
-
-    def closed_tail(ts, xa, order):
-        M, rho = float(ts.growth_M), float(ts.growth_rho)
-        if variant == "standard":
-            return exp(al * xa) * gf.exponential_tail(M, rho, be * xa * xa, order + 1)
-        return exp(be * xa * xa) * gf.exponential_tail(M, rho, al * xa, order + 1)
-
-    def direct_total(ts, r):
-        M, rho = float(ts.growth_M), float(ts.growth_rho)
-        if variant == "standard":
-            return M * exp(al * r) * exp(rho * be * r * r)
-        return M * exp(be * r * r) * exp(rho * al * r)
-
-    transform = (
-        (lambda a: sq.hermite_transform_seq(a, sq.TransformParams(_HERM_ALPHA, _HERM_BETA)))
-        if variant == "standard"
-        else (lambda a: sq.hermite_complementary_seq(a, sq.TransformParams(_HERM_ALPHA, _HERM_BETA)))
-    )
-    return MasterCase(
-        f"hermite transform ({variant}), closed form",
-        "Eq. 27" if variant == "standard" else "Eq. 29",
-        transform,
-        lambda a: lambda x: gf.hermite_gf(a, al, be, x, variant),
-        "exponential", lambda ts: 0.45, closed_tail, direct_total,
-    )
-
-
-def _laguerre_case(kind: str) -> MasterCase:
-    al, be = float(_LAG_ALPHA), float(_LAG_BETA)
-
-    def closed_tail(ts, xa, order):
-        M, rho = float(ts.growth_M), float(ts.growth_rho)
-        if kind == "ordinary":
-            u = al * xa / (1 - be * xa)
-            return (1 / (1 - be * xa)) * gf.exponential_tail(M, rho, u, order + 1)
-        # bessel-kind argument tail
-        u = rho * al * xa
-        fo = order + 1
-        # u^fo / (fo!)^2 = (sqrt(u)^fo / fo!)^2
-        return exp(be * xa) * M * gf.power_over_factorial(sqrt(u), fo) ** 2 * _bessel_total(u)
-
-    def direct_total(ts, r):
-        M, rho = float(ts.growth_M), float(ts.growth_rho)
-        if kind == "ordinary":
-            return (M / (1 - be * r)) * exp(rho * al * r / (1 - be * r))
-        return M * exp(be * r) * _bessel_total(rho * al * r)
-
-    return MasterCase(
-        f"laguerre transform, {kind} closed form", "Eq. 35",
-        lambda a: sq.laguerre_transform_seq(a, sq.TransformParams(_LAG_ALPHA, _LAG_BETA)),
-        lambda a: lambda x: gf.laguerre_gf(a, al, be, x, kind),
-        kind, lambda ts: 0.45, closed_tail, direct_total,
-    )
+    # the ordinary radius keeps t = rho r/(1-r) <= 0.5
+    return (case("ordinary", "Eq. 21", lambda ts: 0.5 / (float(ts.growth_rho) + 0.5), ordinary_terms),
+            case("exponential", "Eq. 22", lambda ts: 0.4, exponential_terms))
 
 
 def master_cases() -> list[MasterCase]:
-    cases = [
-        _binomial_ordinary_case(),
-        _binomial_exponential_case(),
-        _modular_ordinary_case(),
-        _modular_exponential_case(),
-        _hermite_case("standard"),
-        _hermite_case("complementary"),
-        _laguerre_case("ordinary"),
-        _laguerre_case("exponential"),
+    one = sq.TransformParams(1, 1)  # the binomial transform is the modular one at alpha = beta = 1
+    ha, hb = float(_HERMITE.alpha), float(_HERMITE.beta)
+    la, lb = float(_LAGUERRE.alpha), float(_LAGUERRE.beta)
+
+    def modular(p, kind, radius):
+        return MasterCase(f"modular transform, {kind} closed form", "Eq. 13", lambda a: sq.modular_transform(a, p),
+                          lambda a: lambda x: gf.modular_gf(a, p.alpha, p.beta, x, kind), kind, radius,
+                          _modular_terms(p, kind))
+
+    return [
+        MasterCase("binomial transform, ordinary closed form", "Eq. 9", sq.binomial_transform,
+                   lambda a: lambda x: gf.binomial_gf_ordinary(a, x), "ordinary", _modular_radius(one),
+                   _modular_terms(one, "ordinary")),
+        MasterCase("binomial transform, exponential closed form", "Eq. 10", sq.binomial_transform,
+                   lambda a: lambda x: gf.binomial_gf_exponential(a, x), "exponential", lambda ts: 0.45,
+                   _modular_terms(one, "exponential")),
+        modular(_MODULAR_ORDINARY, "ordinary", _modular_radius(_MODULAR_ORDINARY)),
+        modular(_MODULAR_EXPONENTIAL, "exponential", lambda ts: 0.45),
+        MasterCase("hermite transform (standard), closed form", "Eq. 27",
+                   lambda a: sq.hermite_transform_seq(a, _HERMITE),
+                   lambda a: lambda x: gf.hermite_gf(a, ha, hb, x, "standard"), "exponential", lambda ts: 0.45,
+                   (Term(1, lambda x: exp(ha * x), lambda x: hb * x * x, "exponential"),)),
+        MasterCase("hermite transform (complementary), closed form", "Eq. 29",
+                   lambda a: sq.hermite_complementary_seq(a, _HERMITE),
+                   lambda a: lambda x: gf.hermite_gf(a, ha, hb, x, "complementary"), "exponential", lambda ts: 0.45,
+                   (Term(1, lambda x: exp(hb * x * x), lambda x: ha * x, "exponential"),)),
+        # (1/(1-bx)) G(-ax/(1-bx)) with G the EGF, and e^{bx} q(-ax) with q(u) = sum a_r u^r / (r!)^2
+        MasterCase("laguerre transform, ordinary closed form", "Eq. 35",
+                   lambda a: sq.laguerre_transform_seq(a, _LAGUERRE),
+                   lambda a: lambda x: gf.laguerre_gf(a, la, lb, x, "ordinary"), "ordinary", lambda ts: 0.45,
+                   (Term(1, lambda x: 1 / (1 - lb * x), lambda x: la * x / (1 - lb * x), "exponential"),)),
+        MasterCase("laguerre transform, exponential closed form", "Eq. 35",
+                   lambda a: sq.laguerre_transform_seq(a, _LAGUERRE),
+                   lambda a: lambda x: gf.laguerre_gf(a, la, lb, x, "exponential"), "exponential", lambda ts: 0.45,
+                   (Term(1, lambda x: exp(lb * x), lambda x: la * x, "bessel"),)),
     ]
-    return cases
 
 
 def run_master_case(case: MasterCase, order: int = DEFAULT_ORDER, sequences=None) -> Outcome:

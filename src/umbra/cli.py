@@ -93,6 +93,14 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise InvalidParameterError(f"{what} is not a valid rational: {text!r}") from exc
 
 
+def _parse_float_sized(text: str, flag: str) -> Fraction:
+    """An exact flag value that is also used as a float, so must not overflow one."""
+    value = _parse_fraction(text, flag)
+    if abs(value) > sys.float_info.max:
+        raise InvalidParameterError(f"{flag} must be small enough for a float, got {text!r}")
+    return value
+
+
 def _finite(value: float, flag: str) -> float:
     if not math.isfinite(value):
         raise InvalidParameterError(f"{flag} must be finite, got {value}")
@@ -162,6 +170,9 @@ def _build_family(args):
         try:
             with open(args.taylor_file) as fh:
                 raw = json.load(fh)
+            # as for sequence terms: JSON true/false are not coefficients, and a string is not a list
+            if not isinstance(raw, list) or not raw or any(isinstance(c, bool) for c in raw):
+                raise ValueError("the document must be a non-empty list of rationals")
             coeffs = [Fraction(str(c)) for c in raw]
         except OSError as exc:
             raise SequenceFormatError(f"cannot read {args.taylor_file}: {exc}") from exc
@@ -178,7 +189,7 @@ def cmd_expand(args) -> int:
 
     _at_least_one(args.count, "--count")
     fam = _build_family(args)
-    f = ap.GaussianFunction(_parse_fraction(args.scale, "--scale"))
+    f = ap.GaussianFunction(_parse_float_sized(args.scale, "--scale"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = ap.expansion_coefficients(fam, f, args.count)
@@ -207,7 +218,7 @@ def _evolve_heat(args) -> list[str]:
 
     from . import opcalc as oc
 
-    scale = float(_parse_fraction(args.scale, "--scale"))
+    scale = float(_parse_float_sized(args.scale, "--scale"))
     grid = oc.GridFunction.sample(lambda t: np.exp(-scale * t * t), args.extent, args.points)
     evolved = oc.heat_evolve_ft(grid, args.alpha)
     # exact Gaussian widening: variance 1/(2 s) -> 1/(2 s) + 2 alpha

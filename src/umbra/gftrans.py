@@ -72,8 +72,12 @@ def derivative_tail_ordinary(M: float, rho: float, r: int, uabs: float, first_om
 
     f^(r)(u) = sum_n c_{n+r} (n+r)!/n! u^n; the geometric majorant sums in
     closed form to M rho^r r! / (1-s)^{r+1}, so the tail is that total minus
-    the kept partial sum (exact for the majorant).
+    the kept partial sum (exact for the majorant).  At r = 0 the tail is
+    `ordinary_tail`, the geometric closed form: the subtraction would lose it
+    to cancellation once it falls below the rounding of the total.
     """
+    if r == 0:
+        return ordinary_tail(M, rho, uabs, first_omitted)
     s = rho * uabs
     if s >= 1.0:
         return float("inf")
@@ -82,11 +86,6 @@ def derivative_tail_ordinary(M: float, rho: float, r: int, uabs: float, first_om
     for n in range(first_omitted):
         kept += M * rho ** r * (factorial(n + r) // factorial(n)) * s ** n
     return max(total - kept, 0.0)
-
-
-def derivative_tail_exponential(M: float, rho: float, r: int, uabs: float, first_omitted: int) -> float:
-    """Truncation tail of the r-th derivative of an exponential-kind series."""
-    return rho ** r * exponential_tail(M, rho, uabs, first_omitted)
 
 
 def _eval_ordinary(coeffs, x: complex) -> complex:
@@ -118,6 +117,7 @@ def _derivative_terms(terms: tuple, r: int, kind: Kind) -> tuple:
     """Exact r-th derivative of the truncated series, in one pass over its terms.
 
     ordinary: c_{n+r} (n+r)!/n! by a running falling factorial; exponential: c_{n+r}.
+    A prefix of r terms or fewer has no r-th derivative: TruncationError.
     """
     if r >= len(terms):
         raise TruncationError(f"derivative order {r} exceeds truncation order {len(terms) - 1}")
@@ -203,11 +203,6 @@ def k_binomial_closed(a: Sequence, k: int, kind: Kind) -> Callable[[complex], co
         return cexp(x) * total
 
     return closed
-
-
-def k_binomial_gf(a: Sequence, k: int, x: complex, kind: Kind) -> complex:
-    """Rising k-binomial closed form of a at x; see k_binomial_closed."""
-    return k_binomial_closed(a, k, kind)(x)
 
 
 HermiteVariant = Literal["standard", "complementary"]

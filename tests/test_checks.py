@@ -96,6 +96,26 @@ def test_master_case_runner_reports_worst_point():
     assert "worst" in outcome.detail
 
 
+@pytest.mark.parametrize("order", [4, 16])
+def test_master_budgets_are_rigorous(order):
+    # 100 more input terms move the closed form by at most closed_tail, and the direct
+    # series of |transformed majorant|, 100 terms longer, stays below direct_total
+    cases = [(case, checks.MASTER_SEQUENCES) for case in checks.master_cases()]
+    cases += [(case, checks.K_BINOMIAL_SEQUENCES) for k in range(4) for case in checks._k_binomial_cases(k)]
+    assert len(cases) == 16
+    for case, sequences in cases:
+        for ts in sequences:
+            r = case.radius(ts)
+            short, long = case.closed(ts.build(order)), case.closed(ts.build(order + 100))
+            for x in checks.sample_points(r):
+                value = long(x)
+                slack = checks._FLOAT_SLACK * (abs(value) + 1)
+                assert abs(value - short(x)) <= case.closed_tail(ts, abs(x), order) + slack, (case.label, ts.label, x)
+            majorant = (case.transform_majorant or case.transform)(ts.majorant(order + 100))
+            majorant = Sequence.of(abs(b) for b in majorant.terms)
+            assert checks._partial_weighted(majorant, r, case.kind) <= case.direct_total(ts, r) * (1 + 1e-12)
+
+
 def test_seed_changes_random_draws_not_status():
     a = checks.run_selected("involution", seed=1)
     b = checks.run_selected("involution", seed=2)

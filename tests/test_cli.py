@@ -198,6 +198,14 @@ class TestExpand:
         diffs = [float(l.split(",")[5]) for l in lines if l.startswith("coefficient")]
         assert len(diffs) == 13 and max(diffs) <= 1e-14
 
+    @pytest.mark.parametrize("doc", ["5", '"12"', "[]", "[true, 1]", '{"0": 1}'])
+    def test_taylor_file_that_is_not_a_list_exits_2(self, doc, tmp_path, capsys):
+        # a bare number is not iterable, and a string would be read digit by digit
+        taylor = write(tmp_path, "t.json", doc)
+        assert main(["expand", "--family", "user-taylor-file", "--taylor-file", taylor, "--count", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: bad taylor file" in err
+
 
 class TestEvolve:
     def test_tricomi_spot_row(self, capsys):
@@ -262,6 +270,9 @@ def test_range_guard_exits_4(argv, capsys):
     ["evolve", "--equation", "integro-diff", "--beta=-inf"],
     ["evolve", "--equation", "tricomi", "--tau-count", "0"],
     ["expand", "--family", "bernoulli", "--count", "-1"],
+    # the Gaussian scale is exact, but these two commands also use it as a float
+    ["expand", "--family", "bernoulli", "--count", "4", "--scale", "1e400"],
+    ["evolve", "--equation", "heat", "--scale", "1e400"],
     ["check", "--tolerance", "nan"],
     ["check", "--tolerance", "-0.5"],
     ["check", "--order", "0"],
@@ -272,3 +283,10 @@ def test_bad_numeric_flag_exits_3(argv, capsys):
     out, err = capsys.readouterr()
     assert "Traceback" not in err and "must be" in err
     assert "nan" not in out.lower()
+
+
+def test_exact_transform_parameters_take_any_size(tmp_path, capsys):
+    src = write(tmp_path, "a.json", '{"terms": ["1", "2"]}')
+    assert main(["transform", src, "--name", "modular", "--alpha", "1e400", "--beta", "1"]) == 0
+    want = expected("modular", ["1", "2"], Fraction(10 ** 400), Fraction(1), None)
+    assert json.loads(capsys.readouterr().out)["terms"] == [str(w) for w in want]

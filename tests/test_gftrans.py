@@ -13,7 +13,7 @@ from umbra.gftrans import (
     binomial_gf_ordinary,
     exponential_tail,
     hermite_gf,
-    k_binomial_gf,
+    k_binomial_closed,
     laguerre_gf,
     modular_gf,
     ordinary_tail,
@@ -60,8 +60,8 @@ class TestSeriesEval:
         lambda kind: sequence_series_value(ones(3), 0.1, kind),
         lambda kind: modular_gf(ones(3), 1, 1, 0.1, kind),
         lambda kind: laguerre_gf(ones(3), 1, 1, 0.1, kind),
-        lambda kind: k_binomial_gf(ones(3), 1, 0.1, kind),
-    ], ids=["PowerSeries", "sequence_series_value", "modular_gf", "laguerre_gf", "k_binomial_gf"])
+        lambda kind: k_binomial_closed(ones(3), 1, kind)(0.1),
+    ], ids=["PowerSeries", "sequence_series_value", "modular_gf", "laguerre_gf", "k_binomial_closed"])
     @pytest.mark.parametrize("kind", ["laurent", "ordinry", "ordinery"])
     def test_misspelt_kind_rejected(self, evaluate, kind):
         with pytest.raises(InvalidParameterError, match=f"unknown series kind '{kind}'"):
@@ -69,7 +69,7 @@ class TestSeriesEval:
 
 
 class TestSeriesDerivative:
-    """The exact derivatives k_binomial_gf takes of the input series, seen through
+    """The exact derivatives k_binomial_closed takes of the input series, seen through
     the closed form: S2(r, k) picks which derivatives enter."""
 
     def test_zeroth_is_identity(self):
@@ -77,37 +77,37 @@ class TestSeriesDerivative:
         a = Sequence.of([1, 2, 3])
         x = 0.3
         u = -x / (1 - x)
-        assert k_binomial_gf(a, 0, x, "ordinary") == pytest.approx((1 + 2 * u + 3 * u * u) / (1 - x), rel=1e-15)
+        assert k_binomial_closed(a, 0, "ordinary")(x) == pytest.approx((1 + 2 * u + 3 * u * u) / (1 - x), rel=1e-15)
 
     def test_ordinary_shift(self):
         # k = 1 keeps only r = 1, and (1 + u + u^2 + u^3)' = 1 + 2u + 3u^2
         x = 0.3
         u = -x / (1 - x)
         want = -x / (1 - x) ** 2 * (1 + 2 * u + 3 * u * u)
-        assert k_binomial_gf(ones(4), 1, x, "ordinary") == pytest.approx(want, rel=1e-15)
+        assert k_binomial_closed(ones(4), 1, "ordinary")(x) == pytest.approx(want, rel=1e-15)
 
     def test_second_derivative_of_x_squared(self):
         # k = 2 keeps r = 1 and r = 2: (u^2)' = 2u, (u^2)'' = 2
         x = 0.3
         u = -x / (1 - x)
         want = -x / (1 - x) ** 2 * 2 * u + x * x / (1 - x) ** 3 * 2
-        assert k_binomial_gf(Sequence.of([0, 0, 1]), 2, x, "ordinary") == pytest.approx(want, rel=1e-15)
+        assert k_binomial_closed(Sequence.of([0, 0, 1]), 2, "ordinary")(x) == pytest.approx(want, rel=1e-15)
 
     def test_exponential_kind_shifts(self):
         # g = 5 + 7y + 11y^2/2 has g' = 7 + 11y; k = 1 gives e^x (-x) g'(-x)
         x = 0.3
         want = np.exp(x) * -x * (7 - 11 * x)
-        assert k_binomial_gf(Sequence.of([5, 7, 11]), 1, x, "exponential") == pytest.approx(want, rel=1e-15)
+        assert k_binomial_closed(Sequence.of([5, 7, 11]), 1, "exponential")(x) == pytest.approx(want, rel=1e-15)
 
     def test_overdraw_raises(self):
         # k = 1 needs the first derivative, which a one-term prefix cannot supply
         for kind in ("ordinary", "exponential"):
             with pytest.raises(TruncationError):
-                k_binomial_gf(Sequence.of([1]), 1, 0.1, kind)
+                k_binomial_closed(Sequence.of([1]), 1, kind)(0.1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
-            k_binomial_gf(ones(4), 1, 0.1, "laurent")
+            k_binomial_closed(ones(4), 1, "laurent")(0.1)
 
 
 class TestBinomialClosedForms:
@@ -170,27 +170,27 @@ class TestKBinomialClosedForms:
     def test_k0_matches_plain_forms(self):
         a = Sequence.of([Fraction(2, n + 3) for n in range(65)])
         for x in (0.2, -0.3):
-            assert k_binomial_gf(a, 0, x, "ordinary") == pytest.approx(
+            assert k_binomial_closed(a, 0, "ordinary")(x) == pytest.approx(
                 binomial_gf_ordinary(a, x), rel=1e-13
             )
-            assert k_binomial_gf(a, 0, x, "exponential") == pytest.approx(
+            assert k_binomial_closed(a, 0, "exponential")(x) == pytest.approx(
                 binomial_gf_exponential(a, x), rel=1e-13
             )
 
     def test_ones_k1_exponential(self):
-        got = k_binomial_gf(ones(65), 1, 0.4, "exponential")
+        got = k_binomial_closed(ones(65), 1, "exponential")(0.4)
         assert got == pytest.approx(-0.4, abs=1e-12)
 
     def test_ones_k2_ordinary_vs_series(self):
         a = ones(65)
         x = 0.25
-        got = k_binomial_gf(a, 2, x, "ordinary")
+        got = k_binomial_closed(a, 2, "ordinary")(x)
         direct = sequence_series_value(rising_k_binomial(a, 2), x, "ordinary")
         assert got == pytest.approx(direct, abs=1e-10)
 
     def test_negative_k_rejected(self):
         with pytest.raises(InvalidParameterError):
-            k_binomial_gf(ones(4), -1, 0.1, "ordinary")
+            k_binomial_closed(ones(4), -1, "ordinary")(0.1)
 
 
 class TestHermiteClosedForms:
