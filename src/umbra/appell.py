@@ -16,7 +16,7 @@ from typing import Callable, Sequence as SequenceABC
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
-from .gftrans import hermite_gf
+from .gftrans import hermite_form
 from .opcalc.quadrature import FourierSymbol, gaussian_fourier_integral, gaussian_symbol, gaussian_taylor
 from .seqcore import Sequence, TransformParams, _egf_product, hermite_complementary_seq
 from .specfun import polyval_coeffs
@@ -342,12 +342,13 @@ def gauss_umbral_bridge_residual(a: Sequence, y, xs) -> float:
     The evolution e^{y (d/da^)^2} turns a_n into the complementary Hermite
     transform with parameters (1, y); its EGF must match the closed product.
     """
-    transformed = hermite_complementary_seq(a, TransformParams(1, Fraction(y)))
+    p = TransformParams(1, Fraction(y))
+    transformed = hermite_complementary_seq(a, p)
+    closed = hermite_form(p, "complementary").bind(a)
     worst = 0.0
     for x in xs:
         umbral_side = 0j
         for n, b in enumerate(transformed.terms):
             umbral_side += complex(b) * complex(x) ** n / factorial(n)
-        closed = hermite_gf(a, 1, float(y), complex(x), "complementary")
-        worst = max(worst, abs(umbral_side - closed))
+        worst = max(worst, abs(umbral_side - closed(complex(x))))
     return worst

@@ -10,10 +10,8 @@ this registry.
 from __future__ import annotations
 
 import cmath
-import os
 import random
 import time
-import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, lcm, perm, pi, sqrt
@@ -67,10 +65,8 @@ def run_check(check: Check) -> CheckResult:
     try:
         outcome = check.run()
     except Exception as exc:  # one broken check must not hide the rest of the catalog
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        detail = f"{type(exc).__name__}: {exc} ({os.path.basename(where.filename)}:{where.lineno})"
         return CheckResult(check.name, check.equation, "error", float("nan"), check.tolerance,
-                           time.perf_counter() - start, detail)
+                           time.perf_counter() - start, f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - start
     if check.errata:
         status = "flagged-errata"
@@ -140,31 +136,17 @@ def sample_points(radius: float) -> list[complex]:
 
 
 def _partial_weighted(b: sq.Sequence, r: float, kind: str) -> float:
+    """sum_n |b_n| r^n (over n! for the exponential kind)."""
     total = 0.0
     for n, t in enumerate(b.terms):
         w = gf.power_over_factorial(r, n) if kind == "exponential" else r ** n
-        total += float(t) * w
+        total += abs(float(t)) * w
     return total
 
 
 def _bessel_total(u: float) -> float:
     # sum u^r / (r!)^2 for u >= 0, i.e. C_0(-u)
     return float(np.real(sf.tricomi_c(0, -u)))
-
-
-@dataclass(frozen=True)
-class Term:
-    """One summand w P(x) S^(r)(U(x)) of a master closed form, P and U taken at |x|.
-
-    S is the input series: ordinary sum a_n u^n, exponential sum a_n u^n / n!,
-    or bessel sum a_n u^n / (n!)^2 (r = 0 only).
-    """
-
-    weight: int
-    prefactor: Callable[[float], float]
-    argument: Callable[[float], float]
-    series: str
-    r: int = 0
 
 
 def _majorant_tail(series: str, M: float, rho: float, r: int, u: float, first_omitted: int) -> float:
@@ -189,31 +171,36 @@ def _majorant_total(series: str, M: float, rho: float, r: int, u: float) -> floa
 
 @dataclass(frozen=True)
 class MasterCase:
-    """One transform kind: exact transform, closed form, radius, and the terms both budgets follow from."""
+    """One transform kind: exact transform, its closed form, and the radius of the sample points.
+
+    Both budgets read the form's terms at |x|, with the majorant |a_n| <= M rho^n.
+    """
 
     label: str
     equation: str
     transform: Callable[[sq.Sequence], sq.Sequence]
-    closed: Callable[[sq.Sequence], Callable[[complex], complex]]  # binds a, then takes x
-    kind: str  # series kind of the direct side
+    form: gf.Form
     radius: Callable[[TestSequence], float]
-    terms: tuple[Term, ...]
     transform_majorant: Callable[[sq.Sequence], sq.Sequence] | None = None
+
+    @property
+    def kind(self) -> str:
+        """Series kind of the direct side."""
+        return self.form.kind
 
     def closed_tail(self, ts: TestSequence, xa: float, order: int) -> float:
         """What truncating a after `order` can omit from the closed form at |x| = xa."""
         M, rho = float(ts.growth_M), float(ts.growth_rho)
         total = 0.0
-        for t in self.terms:
-            total += t.weight * t.prefactor(xa) * _majorant_tail(
-                t.series, M, rho, t.r, t.argument(xa), order + 1 - t.r)
+        for t in self.form.terms:
+            total += abs(t.scale(xa)) * _majorant_tail(t.series, M, rho, t.r, abs(t.argument(xa)), order + 1 - t.r)
         return total
 
     def direct_total(self, ts: TestSequence, r: float) -> float:
         """Bound on sum_n |b_n| r^n (over n! for the exponential kind), b the transformed majorant."""
         M, rho = float(ts.growth_M), float(ts.growth_rho)
-        return sum(t.weight * t.prefactor(r) * _majorant_total(t.series, M, rho, t.r, t.argument(r))
-                   for t in self.terms)
+        return sum(abs(t.scale(r)) * _majorant_total(t.series, M, rho, t.r, abs(t.argument(r)))
+                   for t in self.form.terms)
 
 
 #: (alpha, beta) of the modular (ordinary, exponential), Hermite and Laguerre cases
@@ -221,14 +208,8 @@ _MODULAR_ORDINARY = sq.TransformParams(Fraction(3, 4), Fraction(1, 2))
 _MODULAR_EXPONENTIAL = sq.TransformParams(2, 1)
 _HERMITE = sq.TransformParams(1, Fraction(1, 2))
 _LAGUERRE = sq.TransformParams(1, Fraction(1, 2))
-
-
-def _modular_terms(p: sq.TransformParams, kind: str) -> tuple[Term, ...]:
-    # (1/(1-ax)) f(bx/(ax-1)) or e^{ax} g(-bx)
-    al, be = float(p.alpha), float(p.beta)
-    if kind == "ordinary":
-        return (Term(1, lambda x: 1 / (1 - al * x), lambda x: be * x / (1 - al * x), "ordinary"),)
-    return (Term(1, lambda x: exp(al * x), lambda x: be * x, "exponential"),)
+#: alpha = beta = 1: the binomial transform is the modular one here, and the Laguerre specials sit here
+_UNIT = sq.TransformParams(1, 1)
 
 
 def _modular_radius(p: sq.TransformParams) -> Callable[[TestSequence], float]:
@@ -242,62 +223,43 @@ def _modular_radius(p: sq.TransformParams) -> Callable[[TestSequence], float]:
 
 
 def _k_binomial_cases(k: int) -> tuple[MasterCase, MasterCase]:
-    # sum_r S2(r, k) (-x)^r / (1-x)^{r+1} f^(r)(-x/(1-x)) and e^x sum_r S2(r, k) (-x)^r g^(r)(-x)
-    weights = [(r, w) for r in range(k + 1) if (w := sf.stirling2(r, k))]
-    ordinary_terms = tuple(Term(w, lambda x, r=r: x ** r / (1 - x) ** (r + 1), lambda x: x / (1 - x), "ordinary", r)
-                           for r, w in weights)
-    exponential_terms = tuple(Term(w, lambda x, r=r: exp(x) * x ** r, lambda x: x, "exponential", r)
-                              for r, w in weights)
-
     def abs_k_transform(a: sq.Sequence) -> sq.Sequence:
         # sign-free majorant sum_s C(n,s) s^k a_s: the EGF product of e^x and (s^k a_s)
         return sq._egf_product([1] * len(a), [s ** k * a[s] for s in range(len(a))])
 
-    def case(kind, equation, radius, terms):
+    def case(kind, equation, radius):
         return MasterCase(f"rising {k}-binomial, {kind} closed form", equation, lambda a: sq.rising_k_binomial(a, k),
-                          lambda a: gf.k_binomial_closed(a, k, kind), kind, radius, terms, abs_k_transform)
+                          gf.k_binomial_form(k, kind), radius, abs_k_transform)
 
     # the ordinary radius keeps t = rho r/(1-r) <= 0.5
-    return (case("ordinary", "Eq. 21", lambda ts: 0.5 / (float(ts.growth_rho) + 0.5), ordinary_terms),
-            case("exponential", "Eq. 22", lambda ts: 0.4, exponential_terms))
+    return (case("ordinary", "Eq. 21", lambda ts: 0.5 / (float(ts.growth_rho) + 0.5)),
+            case("exponential", "Eq. 22", lambda ts: 0.4))
 
 
 def master_cases() -> list[MasterCase]:
-    one = sq.TransformParams(1, 1)  # the binomial transform is the modular one at alpha = beta = 1
-    ha, hb = float(_HERMITE.alpha), float(_HERMITE.beta)
-    la, lb = float(_LAGUERRE.alpha), float(_LAGUERRE.beta)
-
     def modular(p, kind, radius):
         return MasterCase(f"modular transform, {kind} closed form", "Eq. 13", lambda a: sq.modular_transform(a, p),
-                          lambda a: lambda x: gf.modular_gf(a, p.alpha, p.beta, x, kind), kind, radius,
-                          _modular_terms(p, kind))
+                          gf.modular_form(p, kind), radius)
 
     return [
         MasterCase("binomial transform, ordinary closed form", "Eq. 9", sq.binomial_transform,
-                   lambda a: lambda x: gf.binomial_gf_ordinary(a, x), "ordinary", _modular_radius(one),
-                   _modular_terms(one, "ordinary")),
+                   gf.modular_form(_UNIT, "ordinary"), _modular_radius(_UNIT)),
         MasterCase("binomial transform, exponential closed form", "Eq. 10", sq.binomial_transform,
-                   lambda a: lambda x: gf.binomial_gf_exponential(a, x), "exponential", lambda ts: 0.45,
-                   _modular_terms(one, "exponential")),
+                   gf.modular_form(_UNIT, "exponential"), lambda ts: 0.45),
         modular(_MODULAR_ORDINARY, "ordinary", _modular_radius(_MODULAR_ORDINARY)),
         modular(_MODULAR_EXPONENTIAL, "exponential", lambda ts: 0.45),
         MasterCase("hermite transform (standard), closed form", "Eq. 27",
-                   lambda a: sq.hermite_transform_seq(a, _HERMITE),
-                   lambda a: lambda x: gf.hermite_gf(a, ha, hb, x, "standard"), "exponential", lambda ts: 0.45,
-                   (Term(1, lambda x: exp(ha * x), lambda x: hb * x * x, "exponential"),)),
+                   lambda a: sq.hermite_transform_seq(a, _HERMITE), gf.hermite_form(_HERMITE, "standard"),
+                   lambda ts: 0.45),
         MasterCase("hermite transform (complementary), closed form", "Eq. 29",
-                   lambda a: sq.hermite_complementary_seq(a, _HERMITE),
-                   lambda a: lambda x: gf.hermite_gf(a, ha, hb, x, "complementary"), "exponential", lambda ts: 0.45,
-                   (Term(1, lambda x: exp(hb * x * x), lambda x: ha * x, "exponential"),)),
-        # (1/(1-bx)) G(-ax/(1-bx)) with G the EGF, and e^{bx} q(-ax) with q(u) = sum a_r u^r / (r!)^2
+                   lambda a: sq.hermite_complementary_seq(a, _HERMITE), gf.hermite_form(_HERMITE, "complementary"),
+                   lambda ts: 0.45),
         MasterCase("laguerre transform, ordinary closed form", "Eq. 35",
-                   lambda a: sq.laguerre_transform_seq(a, _LAGUERRE),
-                   lambda a: lambda x: gf.laguerre_gf(a, la, lb, x, "ordinary"), "ordinary", lambda ts: 0.45,
-                   (Term(1, lambda x: 1 / (1 - lb * x), lambda x: la * x / (1 - lb * x), "exponential"),)),
+                   lambda a: sq.laguerre_transform_seq(a, _LAGUERRE), gf.laguerre_form(_LAGUERRE, "ordinary"),
+                   lambda ts: 0.45),
         MasterCase("laguerre transform, exponential closed form", "Eq. 35",
-                   lambda a: sq.laguerre_transform_seq(a, _LAGUERRE),
-                   lambda a: lambda x: gf.laguerre_gf(a, la, lb, x, "exponential"), "exponential", lambda ts: 0.45,
-                   (Term(1, lambda x: exp(lb * x), lambda x: la * x, "bessel"),)),
+                   lambda a: sq.laguerre_transform_seq(a, _LAGUERRE), gf.laguerre_form(_LAGUERRE, "exponential"),
+                   lambda ts: 0.45),
     ]
 
 
@@ -314,7 +276,7 @@ def run_master_case(case: MasterCase, order: int = DEFAULT_ORDER, sequences=None
         r = case.radius(ts)
         direct_total = case.direct_total(ts, r)
         budget_direct = max(direct_total - _partial_weighted(maj_transformed, r, case.kind), 0.0)
-        closed = case.closed(a)
+        closed = case.form.bind(a)
         for x in sample_points(r):
             closed_value = closed(x)
             direct_value = gf.sequence_series_value(transformed, x, case.kind)
@@ -462,20 +424,20 @@ def _bessel_j0(z: float) -> float:
 
 
 def _chk_laguerre_specials() -> Outcome:
-    ones = MASTER_SEQUENCES[0].build(DEFAULT_ORDER)
+    closed = gf.laguerre_form(_UNIT, "exponential").bind(MASTER_SEQUENCES[0].build(DEFAULT_ORDER))
     worst = 0.0
     for x in np.linspace(0.0, 0.5, 11):
-        got = gf.laguerre_gf(ones, 1, 1, complex(x), "exponential")
+        got = closed(complex(x))
         want = exp(x) * _bessel_j0(2 * sqrt(x))
         worst = max(worst, abs(got - want))
     return Outcome(worst, "e^x J_0(2 sqrt(x)) on [0, 0.5]")
 
 
 def _chk_laguerre_resolvent_special() -> Outcome:
-    ones = MASTER_SEQUENCES[0].build(DEFAULT_ORDER)
+    closed = gf.laguerre_form(_UNIT, "ordinary").bind(MASTER_SEQUENCES[0].build(DEFAULT_ORDER))
     worst = 0.0
     for x in np.linspace(0.0, 0.5, 11):
-        got = gf.laguerre_gf(ones, 1, 1, complex(x), "ordinary")
+        got = closed(complex(x))
         want = (1 / (1 - x)) * exp(-x / (1 - x))
         worst = max(worst, abs(got - want))
     return Outcome(worst, "(1/(1-x)) e^{-x/(1-x)} on [0, 0.5]")
@@ -716,7 +678,6 @@ def _errata_eq32() -> Outcome:
 def _errata_eq33() -> Outcome:
     # printed l_{n,r} without the n! prefactor breaks the generating function
     a = sq.Sequence.of([1] * 33)
-    p = sq.TransformParams(1, 1)
     x = 0.25
     printed_series = sum(
         float(sum(
@@ -725,7 +686,7 @@ def _errata_eq33() -> Outcome:
         )) * x ** n / factorial(n)
         for n in range(len(a))
     )
-    closed = gf.laguerre_gf(a, 1, 1, complex(x), "exponential")
+    closed = gf.laguerre_form(_UNIT, "exponential").bind(a)(complex(x))
     return Outcome(abs(printed_series - closed), "printed coefficient without n! vs e^{beta x} q(-alpha x)")
 
 

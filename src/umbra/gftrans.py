@@ -1,10 +1,12 @@
 """Truncated generating-function evaluation and the closed-form transform identities.
 
 Each section-1..3 transform has a closed form acting on the ordinary (OGF) or
-exponential (EGF) generating function of the input sequence.  These are
-evaluated here on truncated series with rigorous geometric / factorial tail
-bounds, so the identity suite can compare them against direct series summation
-of the transformed sequence within computed error budgets.
+exponential (EGF) generating function of the input sequence.  Each is written
+once, as a `Form`: a sum of terms w P(x) S^(r)(U(x)) built from
+`TransformParams`.  The same terms evaluate the form on a truncated series and,
+with the geometric / factorial tail bounds here, give the truncation budgets
+under which the identity suite compares it against direct series summation of
+the transformed sequence.
 
 Coefficients are complex floats in this module; the exact sequences of seqcore
 convert losslessly on entry.
@@ -12,15 +14,18 @@ convert losslessly on entry.
 from __future__ import annotations
 
 import sys
+from cmath import exp as cexp
 from dataclasses import dataclass
 from math import exp, factorial, inf, lgamma, log
 from typing import Callable, Literal
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
-from .seqcore import Sequence
+from .seqcore import Sequence, TransformParams
 from .specfun import polyval_coeffs, stirling2
 
 Kind = Literal["ordinary", "exponential"]
+#: the input series of a closed-form term; "bessel" is sum a_n u^n / (n!)^2
+Series = Literal["ordinary", "exponential", "bessel"]
 
 
 def _check_kind(kind: str) -> None:
@@ -113,15 +118,15 @@ def _eval_bessel(coeffs, x: complex) -> complex:
     return value
 
 
-def _derivative_terms(terms: tuple, r: int, kind: Kind) -> tuple:
+def _derivative_terms(terms: tuple, r: int, kind: Series) -> tuple:
     """Exact r-th derivative of the truncated series, in one pass over its terms.
 
-    ordinary: c_{n+r} (n+r)!/n! by a running falling factorial; exponential: c_{n+r}.
-    A prefix of r terms or fewer has no r-th derivative: TruncationError.
+    ordinary: c_{n+r} (n+r)!/n! by a running falling factorial; exponential: c_{n+r};
+    r = 0: the terms themselves.  A prefix of r terms or fewer has no r-th derivative: TruncationError.
     """
     if r >= len(terms):
         raise TruncationError(f"derivative order {r} exceeds truncation order {len(terms) - 1}")
-    if kind == "exponential":
+    if r == 0 or kind == "exponential":
         return terms[r:]
     falling = factorial(r)
     out = []
@@ -132,100 +137,113 @@ def _derivative_terms(terms: tuple, r: int, kind: Kind) -> tuple:
     return tuple(out)
 
 
-def _radius_guard(label: str, s: float) -> None:
-    if s >= 1.0:
-        raise DivergenceError(f"{label}: |argument| = {s:g} outside the unit-radius condition")
+_EVALUATORS = {"ordinary": _eval_ordinary, "exponential": _eval_exponential, "bessel": _eval_bessel}
 
 
-def binomial_gf_ordinary(a: Sequence, x: complex) -> complex:
-    """Closed form of the binomial transform on the OGF: (1/(1-x)) f(-x/(1-x)), |x| < 1."""
-    _radius_guard("binomial ordinary closed form", abs(x))
-    u = -x / (1 - x)
-    return _eval_ordinary(a.terms, u) / (1 - x)
+def _unit(x: complex) -> int:
+    return 1
 
 
-def binomial_gf_exponential(a: Sequence, x: complex) -> complex:
-    """Closed form of the binomial transform on the EGF: e^x g(-x); entire."""
-    from cmath import exp as cexp
+@dataclass(frozen=True)
+class Term:
+    """One summand w P(x) S^(r)(U(x)) of a closed form, with P = prefactor / divisor.
 
-    return cexp(x) * _eval_exponential(a.terms, -x)
+    S is the input series: ordinary sum a_n u^n, exponential sum a_n u^n / n!,
+    or bessel sum a_n u^n / (n!)^2 (r = 0 only).  P and U are signed maps of
+    complex x, e.g. U(x) = -x/(1-x); a divisor (a pole factor 1 - c x) divides
+    the term last.  Taken at |x| they bound the term, |P(x)| <= |P(|x|)| and
+    |U(x)| <= |U(|x|)|, whenever P and U have Taylor coefficients of one sign:
+    the forms below have that for alpha, beta >= 0.
+    """
+
+    weight: int
+    prefactor: Callable[[complex], complex]
+    argument: Callable[[complex], complex]
+    series: Series
+    r: int = 0
+    divisor: Callable[[complex], complex] | None = None
+
+    def scale(self, x: complex) -> complex:
+        """w P(x)."""
+        p = self.weight * self.prefactor(x)
+        return p / self.divisor(x) if self.divisor else p
 
 
-def modular_gf(a: Sequence, alpha, beta, x: complex, kind: Kind) -> complex:
-    """Modular-transform closed forms: (1/(1-ax)) f(bx/(ax-1)) or e^{ax} g(-bx)."""
-    from cmath import exp as cexp
+@dataclass(frozen=True)
+class Form:
+    """A closed form sum_t w P(x) S^(r)(U(x)) of a transformed sequence's generating function.
 
+    kind is the generating function the form equals; a nonzero pole c makes
+    it hold for |c x| < 1 only.
+    """
+
+    terms: tuple[Term, ...]
+    kind: Kind
+    pole: float = 0.0
+
+    def bind(self, a: Sequence) -> Callable[[complex], complex]:
+        """The form for input a, as a function of x; the exact derivatives are taken once."""
+        bound = [(t, _EVALUATORS[t.series], tuple(map(complex, _derivative_terms(a.terms, t.r, t.series))))
+                 for t in self.terms]
+        pole = self.pole
+
+        def value(x: complex) -> complex:
+            if abs(pole * x) >= 1.0:
+                raise DivergenceError(f"{self.kind} closed form needs |{pole:g} x| < 1, got {abs(pole * x):g}")
+            total = 0j
+            for t, evaluate, series in bound:
+                v = t.weight * t.prefactor(x) * evaluate(series, t.argument(x))
+                total += v / t.divisor(x) if t.divisor else v
+            return total
+
+        return value
+
+
+def modular_form(p: TransformParams, kind: Kind) -> Form:
+    """(1/(1-ax)) f(bx/(ax-1)) or e^{ax} g(-bx); the binomial transform's at a = b = 1."""
     _check_kind(kind)
-    alpha = complex(alpha)
-    beta = complex(beta)
+    al, be = float(p.alpha), float(p.beta)
     if kind == "ordinary":
-        _radius_guard("modular ordinary closed form", abs(alpha * x))
-        u = beta * x / (alpha * x - 1)
-        return _eval_ordinary(a.terms, u) / (1 - alpha * x)
-    return cexp(alpha * x) * _eval_exponential(a.terms, -beta * x)
+        return Form((Term(1, _unit, lambda x: be * x / (al * x - 1), "ordinary", divisor=lambda x: 1 - al * x),),
+                    kind, al)
+    return Form((Term(1, lambda x: cexp(al * x), lambda x: -be * x, "exponential"),), kind)
 
 
-def k_binomial_closed(a: Sequence, k: int, kind: Kind) -> Callable[[complex], complex]:
-    """Rising k-binomial closed form of a, as a function of x.
+def k_binomial_form(k: int, kind: Kind) -> Form:
+    """Rising k-binomial closed form, terms r <= k weighted by S2(r, k).
 
     ordinary:    sum_r (-x)^r / (1-x)^{r+1} S2(r,k) f^(r)(-x/(1-x)),  |x| < 1
     exponential: e^x sum_r (-x)^r S2(r,k) g^(r)(-x)
-
-    The exact derivatives f^(r), g^(r) do not depend on x; they are taken once
-    here, so a caller evaluating at many points binds the sequence once.
     """
-    from cmath import exp as cexp
-
     if k < 0:
         raise InvalidParameterError("k must be nonnegative")
     _check_kind(kind)
-    derivatives = []
-    for r in range(k + 1):
-        s2 = stirling2(r, k)
-        if s2:
-            derivatives.append((r, s2, tuple(map(complex, _derivative_terms(a.terms, r, kind)))))
+    weights = [(r, w) for r in range(k + 1) if (w := stirling2(r, k))]
     if kind == "ordinary":
-
-        def closed(x: complex) -> complex:
-            _radius_guard("k-binomial ordinary closed form", abs(x))
-            u = -x / (1 - x)
-            total = 0j
-            for r, s2, der in derivatives:
-                total += (-x) ** r / (1 - x) ** (r + 1) * s2 * _eval_ordinary(der, u)
-            return total
-
-        return closed
-
-    def closed(x: complex) -> complex:
-        total = 0j
-        for r, s2, der in derivatives:
-            total += (-x) ** r * s2 * _eval_exponential(der, -x)
-        return cexp(x) * total
-
-    return closed
+        return Form(tuple(Term(w, lambda x, r=r: (-x) ** r / (1 - x) ** (r + 1), lambda x: -x / (1 - x), kind, r)
+                          for r, w in weights), kind, 1.0)
+    return Form(tuple(Term(w, lambda x, r=r: cexp(x) * (-x) ** r, lambda x: -x, kind, r)
+                      for r, w in weights), kind)
 
 
 HermiteVariant = Literal["standard", "complementary"]
 
 
-def hermite_gf(a: Sequence, alpha, beta, x: complex, variant: HermiteVariant = "standard") -> complex:
+def hermite_form(p: TransformParams, variant: HermiteVariant = "standard") -> Form:
     """Hermite-transform closed forms on the EGF.
 
     standard:      e^{alpha x} g(beta x^2)
     complementary: e^{beta x^2} g(alpha x)
     """
-    from cmath import exp as cexp
-
-    alpha = complex(alpha)
-    beta = complex(beta)
+    al, be = float(p.alpha), float(p.beta)
     if variant == "standard":
-        return cexp(alpha * x) * _eval_exponential(a.terms, beta * x * x)
+        return Form((Term(1, lambda x: cexp(al * x), lambda x: be * x * x, "exponential"),), "exponential")
     if variant == "complementary":
-        return cexp(beta * x * x) * _eval_exponential(a.terms, alpha * x)
+        return Form((Term(1, lambda x: cexp(be * x * x), lambda x: al * x, "exponential"),), "exponential")
     raise InvalidParameterError(f"unknown hermite variant {variant!r}")
 
 
-def laguerre_gf(a: Sequence, alpha, beta, x: complex, kind: Kind) -> complex:
+def laguerre_form(p: TransformParams, kind: Kind) -> Form:
     """Laguerre-transform closed forms.
 
     ordinary:    (1/(1-beta x)) G(-alpha x / (1-beta x)) with G the EGF of a
@@ -235,23 +253,19 @@ def laguerre_gf(a: Sequence, alpha, beta, x: complex, kind: Kind) -> complex:
     generating function of the same sequence; that reading reproduces the
     (1/(1-x)) e^{-x/(1-x)} special case exactly.
     """
-    from cmath import exp as cexp
-
     _check_kind(kind)
-    alpha = complex(alpha)
-    beta = complex(beta)
+    al, be = float(p.alpha), float(p.beta)
     if kind == "ordinary":
-        _radius_guard("laguerre ordinary closed form", abs(beta * x))
-        u = -alpha * x / (1 - beta * x)
-        return _eval_exponential(a.terms, u) / (1 - beta * x)
-    return cexp(beta * x) * _eval_bessel(a.terms, -alpha * x)
+        return Form((Term(1, _unit, lambda x: -al * x / (1 - be * x), "exponential", divisor=lambda x: 1 - be * x),),
+                    kind, be)
+    return Form((Term(1, lambda x: cexp(be * x), lambda x: -al * x, "bessel"),), kind)
 
 
 def binomial_gf_involution_residual(a: Sequence, x: complex) -> float:
     """|twice-applied closed-form map - f(x)|: x -> -x/(1-x) composed with its
     prefactor is an exact involution, so this should vanish to rounding."""
     u = -x / (1 - x)
-    inner = binomial_gf_ordinary(a, u)
+    inner = modular_form(TransformParams(1, 1), "ordinary").bind(a)(u)
     twice = inner / (1 - x)
     direct = _eval_ordinary(a.terms, x)
     return abs(twice - direct)

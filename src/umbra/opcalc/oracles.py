@@ -181,7 +181,9 @@ def integro_matrix_oracle(
         # log-scale the similarity transform to dodge under/overflow
         log_s = 0.5 * (np.arange(n_basis) * np.log(beta) - log_fact)
         d = e_coeffs * np.exp(-log_s)
-        d = eigvecs @ (np.exp(-tau * eigvals ** m) * (eigvecs.T @ d))
+        # at tau = 0 the decay is 1 even where lambda^m overflows (-0 * inf would be nan)
+        decay = np.exp(-tau * eigvals ** m) if tau else 1.0
+        d = eigvecs @ (decay * (eigvecs.T @ d))
         evolved_e = d * np.exp(log_s)
 
     evolved = np.array([evolved_e[n] / factorial(n) for n in range(n_basis)])

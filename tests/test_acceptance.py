@@ -82,11 +82,14 @@ def test_04_generating_function_master_property():
 
 def test_05_laguerre_special_cases():
     ones = sq.Sequence.of([1] * 65)
+    unit = sq.TransformParams(1, 1)
+    bessel_form = gf.laguerre_form(unit, "exponential").bind(ones)
+    resolvent_form = gf.laguerre_form(unit, "ordinary").bind(ones)
     worst = 0.0
     for x in np.linspace(0.0, 0.5, 11):
-        bessel = gf.laguerre_gf(ones, 1, 1, complex(x), "exponential")
+        bessel = bessel_form(complex(x))
         worst = max(worst, abs(bessel - exp(x) * scipy.special.j0(2 * sqrt(x))))
-        resolvent = gf.laguerre_gf(ones, 1, 1, complex(x), "ordinary")
+        resolvent = resolvent_form(complex(x))
         worst = max(worst, abs(resolvent - exp(-x / (1 - x)) / (1 - x)))
     report(5, "laguerre specials vs independent Bessel oracle", worst <= 1e-10, f"worst {worst:.2e}")
 

@@ -157,6 +157,14 @@ class TestCheck:
         doc = json.loads(out.read_text())
         assert doc["checks"] and all(c["status"] == "pass" for c in doc["checks"])
 
+    def test_error_rows_name_no_source_line(self, tmp_path):
+        # order 1 is below the k = 2, 3 forms' derivative order: the detail is the error alone
+        out = tmp_path / "r.json"
+        assert main(["check", "--suite", "kbinomial", "--order", "1", "--output", str(out)]) == 1
+        errors = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "error"]
+        assert len(errors) == 4
+        assert all(c["detail"].startswith("TruncationError: ") and ".py:" not in c["detail"] for c in errors)
+
 
 class TestExpand:
     def test_identity_family_taylor_pattern(self, capsys):
@@ -245,6 +253,12 @@ class TestEvolve:
         assert main(["evolve", "--equation", "integro-diff", "--beta", "1e-6"]) == 0
         rows = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith(("#", "x,"))]
         assert len(rows) == 36 and all(float(r.split(",")[3]) < 1e-10 for r in rows)
+
+    def test_integro_large_m_oracle_at_tau_zero(self, capsys):
+        # lambda^400 overflows in the oracle's eigensystem; -0 * inf printed nan at tau = 0
+        argv = ["evolve", "--equation", "integro-diff", "--m", "400", "--beta", "1", "--x-count", "2", "--tau-count", "2"]
+        assert main(argv) == 0
+        assert "nan" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

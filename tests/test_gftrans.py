@@ -4,27 +4,39 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umbra import seqcore as sq
 from umbra.errors import DivergenceError, InvalidParameterError, TruncationError
 from umbra.gftrans import (
     PowerSeries,
-    binomial_gf_exponential,
     binomial_gf_involution_residual,
-    binomial_gf_ordinary,
     exponential_tail,
-    hermite_gf,
-    k_binomial_closed,
-    laguerre_gf,
-    modular_gf,
+    hermite_form,
+    k_binomial_form,
+    laguerre_form,
+    modular_form,
     ordinary_tail,
     sequence_series_value,
 )
-from umbra.seqcore import Sequence, rising_k_binomial
+from umbra.seqcore import Sequence, TransformParams, rising_k_binomial
 from umbra.specfun import hermite2
+
+UNIT = TransformParams(1, 1)
 
 
 def ones(n):
     return Sequence.of([1] * n)
+
+
+def binomial(a, x, kind):
+    # the binomial transform's closed form is the modular one at alpha = beta = 1
+    return modular_form(UNIT, kind).bind(a)(x)
+
+
+def k_binomial(a, k, kind):
+    return k_binomial_form(k, kind).bind(a)
 
 
 class TestSeriesEval:
@@ -58,9 +70,9 @@ class TestSeriesEval:
     @pytest.mark.parametrize("evaluate", [
         lambda kind: PowerSeries((1.0,), kind),
         lambda kind: sequence_series_value(ones(3), 0.1, kind),
-        lambda kind: modular_gf(ones(3), 1, 1, 0.1, kind),
-        lambda kind: laguerre_gf(ones(3), 1, 1, 0.1, kind),
-        lambda kind: k_binomial_closed(ones(3), 1, kind)(0.1),
+        lambda kind: modular_form(UNIT, kind),
+        lambda kind: laguerre_form(UNIT, kind),
+        lambda kind: k_binomial_form(1, kind),
     ], ids=["PowerSeries", "sequence_series_value", "modular_gf", "laguerre_gf", "k_binomial_closed"])
     @pytest.mark.parametrize("kind", ["laurent", "ordinry", "ordinery"])
     def test_misspelt_kind_rejected(self, evaluate, kind):
@@ -69,7 +81,7 @@ class TestSeriesEval:
 
 
 class TestSeriesDerivative:
-    """The exact derivatives k_binomial_closed takes of the input series, seen through
+    """The exact derivatives a bound k-binomial form takes of the input series, seen through
     the closed form: S2(r, k) picks which derivatives enter."""
 
     def test_zeroth_is_identity(self):
@@ -77,64 +89,64 @@ class TestSeriesDerivative:
         a = Sequence.of([1, 2, 3])
         x = 0.3
         u = -x / (1 - x)
-        assert k_binomial_closed(a, 0, "ordinary")(x) == pytest.approx((1 + 2 * u + 3 * u * u) / (1 - x), rel=1e-15)
+        assert k_binomial(a, 0, "ordinary")(x) == pytest.approx((1 + 2 * u + 3 * u * u) / (1 - x), rel=1e-15)
 
     def test_ordinary_shift(self):
         # k = 1 keeps only r = 1, and (1 + u + u^2 + u^3)' = 1 + 2u + 3u^2
         x = 0.3
         u = -x / (1 - x)
         want = -x / (1 - x) ** 2 * (1 + 2 * u + 3 * u * u)
-        assert k_binomial_closed(ones(4), 1, "ordinary")(x) == pytest.approx(want, rel=1e-15)
+        assert k_binomial(ones(4), 1, "ordinary")(x) == pytest.approx(want, rel=1e-15)
 
     def test_second_derivative_of_x_squared(self):
         # k = 2 keeps r = 1 and r = 2: (u^2)' = 2u, (u^2)'' = 2
         x = 0.3
         u = -x / (1 - x)
         want = -x / (1 - x) ** 2 * 2 * u + x * x / (1 - x) ** 3 * 2
-        assert k_binomial_closed(Sequence.of([0, 0, 1]), 2, "ordinary")(x) == pytest.approx(want, rel=1e-15)
+        assert k_binomial(Sequence.of([0, 0, 1]), 2, "ordinary")(x) == pytest.approx(want, rel=1e-15)
 
     def test_exponential_kind_shifts(self):
         # g = 5 + 7y + 11y^2/2 has g' = 7 + 11y; k = 1 gives e^x (-x) g'(-x)
         x = 0.3
         want = np.exp(x) * -x * (7 - 11 * x)
-        assert k_binomial_closed(Sequence.of([5, 7, 11]), 1, "exponential")(x) == pytest.approx(want, rel=1e-15)
+        assert k_binomial(Sequence.of([5, 7, 11]), 1, "exponential")(x) == pytest.approx(want, rel=1e-15)
 
     def test_overdraw_raises(self):
         # k = 1 needs the first derivative, which a one-term prefix cannot supply
         for kind in ("ordinary", "exponential"):
             with pytest.raises(TruncationError):
-                k_binomial_closed(Sequence.of([1]), 1, kind)(0.1)
+                k_binomial(Sequence.of([1]), 1, kind)(0.1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
-            k_binomial_closed(ones(4), 1, "laurent")(0.1)
+            k_binomial(ones(4), 1, "laurent")(0.1)
 
 
 class TestBinomialClosedForms:
     def test_ones_map_to_constant_one(self):
         a = ones(65)
         for x in (0.3, -0.4, 0.2 + 0.1j):
-            assert binomial_gf_ordinary(a, x) == pytest.approx(1.0, abs=1e-12)
-            assert binomial_gf_exponential(a, x) == pytest.approx(1.0, abs=1e-12)
+            assert binomial(a, x, "ordinary") == pytest.approx(1.0, abs=1e-12)
+            assert binomial(a, x, "exponential") == pytest.approx(1.0, abs=1e-12)
 
     def test_x_zero_gives_a0(self):
         a = Sequence.of([7, 1, 1])
-        assert binomial_gf_ordinary(a, 0.0) == pytest.approx(7.0)
-        assert binomial_gf_exponential(a, 0.0) == pytest.approx(7.0)
+        assert binomial(a, 0.0, "ordinary") == pytest.approx(7.0)
+        assert binomial(a, 0.0, "exponential") == pytest.approx(7.0)
 
     def test_powers_of_two_example(self):
         a = Sequence.of([2 ** n for n in range(65)])
-        got = binomial_gf_ordinary(a, 0.2)
+        got = binomial(a, 0.2, "ordinary")
         assert got == pytest.approx(1 / 1.2, rel=1e-12)  # series of (-1)^n at 0.2
 
     def test_linear_sequence_exponential(self):
         a = Sequence.of(list(range(65)))
         for x in (0.4, -0.7):
-            assert binomial_gf_exponential(a, x) == pytest.approx(-x, abs=1e-12)
+            assert binomial(a, x, "exponential") == pytest.approx(-x, abs=1e-12)
 
     def test_radius_enforced(self):
         with pytest.raises(DivergenceError):
-            binomial_gf_ordinary(ones(10), 1.2)
+            binomial(ones(10), 1.2, "ordinary")
 
     def test_function_level_involution(self):
         a = Sequence.of([Fraction(1, n + 1) for n in range(65)])
@@ -144,61 +156,62 @@ class TestBinomialClosedForms:
 
 class TestModularClosedForms:
     def test_unit_params_reduce_to_binomial(self):
+        # at alpha = beta = 1 the ordinary argument bx/(ax-1) is the binomial -x/(1-x)
         a = Sequence.of([Fraction(1, n + 2) for n in range(40)])
         for x in (0.25, -0.3):
-            assert modular_gf(a, 1, 1, x, "ordinary") == pytest.approx(
-                binomial_gf_ordinary(a, x), rel=1e-14
-            )
-            assert modular_gf(a, 1, 1, x, "exponential") == pytest.approx(
-                binomial_gf_exponential(a, x), rel=1e-14
+            u = -x / (1 - x)
+            assert binomial(a, x, "ordinary") == pytest.approx(sequence_series_value(a, u, "ordinary") / (1 - x),
+                                                               rel=1e-14)
+            assert binomial(a, x, "exponential") == pytest.approx(
+                np.exp(x) * sequence_series_value(a, -x, "exponential"), rel=1e-14
             )
 
     def test_exponential_ones(self):
-        got = modular_gf(ones(65), 2, 1, 0.3, "exponential")
+        got = modular_form(TransformParams(2, 1), "exponential").bind(ones(65))(0.3)
         assert got == pytest.approx(np.exp(0.3), rel=1e-12)
 
     def test_x_zero(self):
         a = Sequence.of([5, 1])
-        assert modular_gf(a, 3, 2, 0.0, "ordinary") == pytest.approx(5.0)
+        assert modular_form(TransformParams(3, 2), "ordinary").bind(a)(0.0) == pytest.approx(5.0)
 
     def test_ordinary_radius(self):
         with pytest.raises(DivergenceError):
-            modular_gf(ones(10), 4, 1, 0.3, "ordinary")
+            modular_form(TransformParams(4, 1), "ordinary").bind(ones(10))(0.3)
 
 
 class TestKBinomialClosedForms:
     def test_k0_matches_plain_forms(self):
         a = Sequence.of([Fraction(2, n + 3) for n in range(65)])
         for x in (0.2, -0.3):
-            assert k_binomial_closed(a, 0, "ordinary")(x) == pytest.approx(
-                binomial_gf_ordinary(a, x), rel=1e-13
+            assert k_binomial(a, 0, "ordinary")(x) == pytest.approx(
+                binomial(a, x, "ordinary"), rel=1e-13
             )
-            assert k_binomial_closed(a, 0, "exponential")(x) == pytest.approx(
-                binomial_gf_exponential(a, x), rel=1e-13
+            assert k_binomial(a, 0, "exponential")(x) == pytest.approx(
+                binomial(a, x, "exponential"), rel=1e-13
             )
 
     def test_ones_k1_exponential(self):
-        got = k_binomial_closed(ones(65), 1, "exponential")(0.4)
+        got = k_binomial(ones(65), 1, "exponential")(0.4)
         assert got == pytest.approx(-0.4, abs=1e-12)
 
     def test_ones_k2_ordinary_vs_series(self):
         a = ones(65)
         x = 0.25
-        got = k_binomial_closed(a, 2, "ordinary")(x)
+        got = k_binomial(a, 2, "ordinary")(x)
         direct = sequence_series_value(rising_k_binomial(a, 2), x, "ordinary")
         assert got == pytest.approx(direct, abs=1e-10)
 
     def test_negative_k_rejected(self):
         with pytest.raises(InvalidParameterError):
-            k_binomial_closed(ones(4), -1, "ordinary")(0.1)
+            k_binomial(ones(4), -1, "ordinary")(0.1)
 
 
 class TestHermiteClosedForms:
     def test_ones_give_hermite_generating_function(self):
-        a = ones(65)
+        closed = hermite_form(TransformParams(1, Fraction(1, 2)), "standard").bind(ones(65))
         alpha, beta = 1.0, 0.5
         for x in (0.3, -0.4):
-            got = hermite_gf(a, alpha, beta, x, "standard")
+            got = closed(x)
             assert got == pytest.approx(np.exp(alpha * x + beta * x * x), rel=1e-12)
             series = sum(
                 float(hermite2(n, Fraction(1), Fraction(1, 2))) * x ** n / scipy.special.factorial(n)
@@ -208,33 +221,59 @@ class TestHermiteClosedForms:
 
     def test_complementary_beta_zero_is_scaled_series(self):
         a = Sequence.of([Fraction(1, n + 1) for n in range(50)])
-        got = hermite_gf(a, 2.0, 0.0, 0.2, "complementary")
+        got = hermite_form(TransformParams(2, 0), "complementary").bind(a)(0.2)
         assert got == pytest.approx(sequence_series_value(a, 0.4, "exponential"), rel=1e-13)
 
     def test_x_zero(self):
-        assert hermite_gf(Sequence.of([9, 1]), 1, 1, 0.0, "standard") == pytest.approx(9.0)
+        assert hermite_form(UNIT, "standard").bind(Sequence.of([9, 1]))(0.0) == pytest.approx(9.0)
 
     def test_unknown_variant(self):
         with pytest.raises(InvalidParameterError):
-            hermite_gf(ones(4), 1, 1, 0.1, "inverse")
+            hermite_form(UNIT, "inverse")
 
 
 class TestLaguerreClosedForms:
     def test_exponential_ones_is_bessel_product(self):
-        a = ones(65)
+        closed = laguerre_form(UNIT, "exponential").bind(ones(65))
         for x in (0.0, 0.2, 0.5):
-            got = laguerre_gf(a, 1, 1, x, "exponential")
-            assert got == pytest.approx(np.exp(x) * scipy.special.j0(2 * np.sqrt(x)), abs=1e-12)
+            assert closed(x) == pytest.approx(np.exp(x) * scipy.special.j0(2 * np.sqrt(x)), abs=1e-12)
 
     def test_ordinary_ones_is_resolvent_exponential(self):
-        a = ones(65)
+        closed = laguerre_form(UNIT, "ordinary").bind(ones(65))
         for x in (0.1, 0.3, 0.5):
-            got = laguerre_gf(a, 1, 1, x, "ordinary")
-            assert got == pytest.approx(np.exp(-x / (1 - x)) / (1 - x), rel=1e-12)
+            assert closed(x) == pytest.approx(np.exp(-x / (1 - x)) / (1 - x), rel=1e-12)
 
     def test_x_zero(self):
-        assert laguerre_gf(Sequence.of([4, 1]), 1, 2, 0.0, "exponential") == pytest.approx(4.0)
+        assert laguerre_form(TransformParams(1, 2), "exponential").bind(Sequence.of([4, 1]))(0.0) == pytest.approx(4.0)
 
     def test_beta_radius(self):
         with pytest.raises(DivergenceError):
-            laguerre_gf(ones(10), 1, 2, 0.6, "ordinary")
+            laguerre_form(TransformParams(1, 2), "ordinary").bind(ones(10))(0.6)
+
+
+signed_params = st.fractions(Fraction(-4), Fraction(4), max_denominator=8).filter(bool)
+
+
+@given(st.lists(st.fractions(Fraction(-1), Fraction(1), max_denominator=1000), min_size=40, max_size=40),
+       signed_params, signed_params, st.integers(0, 3), st.complex_numbers(max_magnitude=0.02))
+@settings(max_examples=60, deadline=None)
+def test_forms_match_the_exact_transform_at_signed_parameters(terms, alpha, beta, k, x):
+    # each closed form against the direct series of the exact transform; small |x| keeps
+    # both truncations far below the gate for any sign of alpha and beta
+    a, p = Sequence.of(terms), TransformParams(alpha, beta)
+    cases = [
+        (modular_form(UNIT, "ordinary"), sq.binomial_transform(a)),
+        (modular_form(UNIT, "exponential"), sq.binomial_transform(a)),
+        (modular_form(p, "ordinary"), sq.modular_transform(a, p)),
+        (modular_form(p, "exponential"), sq.modular_transform(a, p)),
+        (k_binomial_form(k, "ordinary"), rising_k_binomial(a, k)),
+        (k_binomial_form(k, "exponential"), rising_k_binomial(a, k)),
+        (hermite_form(p, "standard"), sq.hermite_transform_seq(a, p)),
+        (hermite_form(p, "complementary"), sq.hermite_complementary_seq(a, p)),
+        (laguerre_form(p, "ordinary"), sq.laguerre_transform_seq(a, p)),
+        (laguerre_form(p, "exponential"), sq.laguerre_transform_seq(a, p)),
+    ]
+    for form, transformed in cases:
+        value = form.bind(a)(x)
+        direct = sequence_series_value(transformed, x, form.kind)
+        assert abs(value - direct) <= 1e-12 * max(1.0, abs(value)), (form.kind, value, direct)

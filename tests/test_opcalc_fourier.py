@@ -237,6 +237,12 @@ class TestIntegroDiff:
         expected = exp(-tau) * sum(c * x ** n for n, c in enumerate(self.f_ord))
         assert got.real == pytest.approx(expected, abs=1e-12)
 
+    def test_matrix_oracle_at_tau_zero_is_f(self):
+        # at m = 400 lambda^m overflows to inf; the decay at tau = 0 is still 1, not -0 * inf
+        f_ord = [float(c) for c in opcalc.c0_series(81)]
+        got = opcalc.integro_matrix_oracle(f_ord, 1.0, 400, 0.0, 0.5, 81)
+        assert got == pytest.approx(sum(c * 0.5 ** n for n, c in enumerate(f_ord)), abs=1e-14)
+
     def test_matches_matrix_oracle(self):
         got = opcalc.integro_diff_evolve(self.f, 1.0, 2, 0.25, 0.25)
         ref = opcalc.integro_matrix_oracle(self.f_ord, 1.0, 2, 0.25, 0.25)
