@@ -252,11 +252,20 @@ def expansion_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> Ex
                 f"family {fam.name!r} is inadmissible against this function"
             )
 
+    # every order runs the same Gauss-Hermite node sets: 1/A(ik) once per set
+    inverse: dict[bytes, np.ndarray] = {}
+
+    def inverse_on(k: np.ndarray) -> np.ndarray:
+        key = k.tobytes()
+        if key not in inverse:
+            inverse[key] = np.array([fam.inverse_at(1j * kk) for kk in k])
+        return inverse[key]
+
     coeffs, nodes = [], []
     for n in range(N + 1):
         res = gaussian_fourier_integral(
             sym.gauss_coeff,
-            lambda k, n=n: sym.envelope(k) * np.array([fam.inverse_at(1j * kk) for kk in np.atleast_1d(k)]) * k ** n,
+            lambda k, n=n: sym.envelope(k) * inverse_on(np.atleast_1d(k)) * k ** n,
         )
         coeffs.append(1j ** n / (_SQRT2PI * factorial(n)) * res.value)
         nodes.append(res.node_count)

@@ -333,7 +333,8 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
     ks = rule.nodes
     # the same polynomial in k, summed into ordinary coefficients and evaluated at the nodes
     poly = sum(np.convolve(a_j, b_j) for a_j, b_j in zip(a, b))
-    integrand = _e_tilde_grid(m, tau, ks) * np.exp(-beta * ks ** 2 / 2.0) * polyval_coeffs(poly, 1j * ks)
+    e_half = _e_tilde_grid(m, tau, ks[len(ks) // 2 :])  # the rule is symmetric and e~_m even in k
+    integrand = np.r_[e_half[::-1], e_half] * np.exp(-beta * ks ** 2 / 2.0) * polyval_coeffs(poly, 1j * ks)
     return complex(np.sum(rule.weights * integrand)) / _SQRT2PI
 
 

@@ -176,6 +176,61 @@ class TestExpansion:
         with pytest.raises(DivergenceError):
             appell.expansion_coefficients(exp_square, appell.GaussianFunction(Fraction(1)), 4)
 
+    @pytest.mark.parametrize("family", ["bernoulli", "identity", "hermite_type"])
+    def test_inverse_evaluated_once_per_node(self, monkeypatch, request, family):
+        # 25 orders share the 128- and 256-node sets; each order probes three points
+        fam = request.getfixturevalue(family)
+        calls = []
+        inverse_at = appell.AppellFamily.inverse_at
+
+        def counting(self, z):
+            calls.append(z)
+            return inverse_at(self, z)
+
+        monkeypatch.setattr(appell.AppellFamily, "inverse_at", counting)
+        res = appell.expansion_coefficients(fam, appell.GaussianFunction(Fraction(1, 8)), 24)
+        assert res.node_counts == (256,) * 25
+        assert len(calls) == 25 * 3 + 128 + 256
+
+    @pytest.mark.parametrize("family", ["bernoulli", "identity", "hermite_type"])
+    def test_coefficients_pinned(self, request, family):
+        # real parts recorded before 1/A(ik) was shared across orders: the route must
+        # stay bit for bit; the coefficients are real, so the imaginary parts are
+        # rounding noise, held to 1e-15 of the leading coefficient
+        fam = request.getfixturevalue(family)
+        res = appell.expansion_coefficients(fam, appell.GaussianFunction(Fraction(1, 8)), 24)
+        assert tuple(repr(c.real) for c in res.coefficients) == PINNED_REAL_PARTS[fam.name]
+        assert max(abs(c.imag) for c in res.coefficients) <= 1e-15 * abs(res.coefficients[0])
+
+
+PINNED_REAL_PARTS = {
+    "bernoulli": (
+        "0.9598504379197681", "-0.11750309741540454", "-0.11031211282307438",
+        "0.014088638460898053", "0.006319964797155303", "-0.000844322182141442",
+        "-0.00024058956898261657", "3.3721120979779205e-05", "6.843796430225793e-06",
+        "-1.0097160357647942e-06", "-1.5509848100441622e-07", "2.4178248027107522e-08",
+        "2.9154114257341766e-09", "-4.822847202035142e-10", "-4.6721739550639855e-11",
+        "8.242625852803143e-12", "6.511203262285785e-13", "-1.232144421063459e-13",
+        "-8.007818222897321e-15", "1.636539651915228e-15", "8.78804456691506e-17",
+        "-1.9554679940340678e-17", "-8.67753338489009e-19", "2.1232156728948243e-19",
+        "7.755265697117093e-21",
+    ),
+    "identity": (
+        "0.9999999999999996", "0.0", "-0.12499999999999994", "0.0", "0.007812499999999995", "0.0",
+        "-0.0003255208333333331", "0.0", "1.0172526041666656e-05", "-0.0",
+        "-2.5431315104166635e-07", "0.0", "5.298190646701381e-09", "0.0", "-9.461054726252462e-11",
+        "0.0", "1.4782898009769472e-12", "0.0", "-2.0531802791346482e-14", "0.0",
+        "2.56647534891831e-16", "0.0", "-2.9164492601344425e-18", "0.0", "3.0379679793067105e-20",
+    ),
+    "gauss-hermite-type": (
+        "0.8164965809277256", "0.0", "-0.06804138174397714", "0.0", "0.002835057572665714", "-0.0",
+        "-7.875159924071428e-05", "0.0", "1.6406583175148803e-06", "0.0", "-2.7344305291914673e-08",
+        "0.0", "3.797820179432592e-10", "-0.0", "-4.521214499324514e-12", "0.0",
+        "4.709598436796369e-14", "0.0", "-4.36073929332997e-16", "0.0", "3.6339494111083075e-18",
+        "0.0", "-2.752991978112354e-20", "0.0", "1.9117999848002454e-22",
+    ),
+}
+
 
 class TestReconstruct:
     def test_zero_coefficients_give_zero(self, bernoulli):

@@ -416,6 +416,28 @@ class TestIntegroDiff:
         f81 = PowerSeries(opcalc.c0_series(81), "ordinary")
         assert repr(opcalc.integro_diff_evolve(f81, 0.5, 4, 0.2, 0.25)) == "(0.5599811890758907+0j)"
 
+    def test_m4_symbol_taken_on_nonnegative_k(self, monkeypatch):
+        seen, e_tilde_grid = [], fourier._e_tilde_grid
+
+        def recording_grid(m, tau, ks):
+            seen.append(ks)
+            return e_tilde_grid(m, tau, ks)
+
+        monkeypatch.setattr(fourier, "_e_tilde_grid", recording_grid)
+        opcalc.integro_diff_evolve(PowerSeries(opcalc.c0_series(81), "ordinary"), 0.5, 4, 0.2, 0.25)
+        # three cutoff probes, then half of the 1536 nodes of [-16, 16]
+        assert [len(ks) for ks in seen] == [2, 2, 2, 768]
+        assert all(np.all(ks >= 0) for ks in seen)
+
+    @pytest.mark.parametrize("K", [4.0, 8.0, 16.0, 32.0])
+    def test_k_rule_is_symmetric(self, K):
+        # the route takes e~_m at the nonnegative half of the nodes and mirrors it
+        rule = quadrature.legendre_composite_rule(-K, K, max(64, int(8 * K)), 12)
+        half = len(rule.nodes) // 2
+        assert np.all(rule.nodes[half:] > 0)
+        assert np.array_equal(rule.nodes[:half], -rule.nodes[half:][::-1])
+        assert np.array_equal(rule.weights[:half], rule.weights[half:][::-1])
+
 
 rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40)
 
