@@ -28,7 +28,7 @@ from ..errors import (
 )
 from ..gftrans import PowerSeries
 from ..seqcore import Sequence
-from ..specfun import hermite2, polyval_coeffs, tricomi_c
+from ..specfun import FACTORIAL_DEGREE_MAX, hermite2, polyval_coeffs, tricomi_c
 from .quadrature import (
     FourierSymbol,
     gauss_weighted_integral,
@@ -202,6 +202,17 @@ def _evolution_tables(f_ord: list[complex], beta: float, x: float, work_order: i
     return a, b
 
 
+def _bracket_polynomial(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ordinary coefficients in ik of sum_{j,s,r} a[j, s] (ik)^s b[j, r] (ik)^r.
+
+    poly[n] is the n-th anti-diagonal sum of M = a^T b, the same as
+    sum_j np.convolve(a[j], b[j]) in one matrix product.
+    """
+    M = a.T @ b
+    degree = np.add.outer(np.arange(M.shape[0]), np.arange(M.shape[1])).ravel()
+    return np.bincount(degree, weights=M.real.ravel()) + 1j * np.bincount(degree, weights=M.imag.ravel())
+
+
 def _gaussian_moment_sum(a: np.ndarray, b: np.ndarray, beta: float, tau: float) -> complex:
     """The m = 2 integral of integro_diff_evolve as a finite sum of Gaussian moments.
 
@@ -251,17 +262,23 @@ def _moment_law_sum(f_ord: list[complex], a: np.ndarray, b: np.ndarray, m: int, 
 
 
 def _e_tilde_grid(m: int, tau: float, ks: np.ndarray) -> np.ndarray:
-    """Numerical transform pair of e^{-tau x^m} for even m >= 4, chunked over k."""
+    """Numerical transform pair of e^{-tau x^m} for even m >= 4, one phase per panel.
+
+    The composite rule on [0, X] has equal panels with centres c_p and the
+    same local offsets s_l, so cos(k (c_p + s_l)) = Re e^{i k c_p} e^{i k s_l}
+    and the transform is sum_p Re[e^{i k c_p} sum_l body_{p,l} e^{i k s_l}]:
+    panels + 16 complex exponentials per k instead of 16 cosines per panel.
+    """
     X = (40.0 / tau) ** (1.0 / m)
     kmax = float(np.max(np.abs(ks))) if len(ks) else 1.0
     panels = max(64, int(2 * X * max(kmax, 1.0) / pi) + 1)
     rule = legendre_composite_rule(0.0, X, panels, 16)
-    body = rule.weights * np.exp(-tau * rule.nodes ** m)
-    out = np.empty(len(ks))
-    for start in range(0, len(ks), 256):
-        block = ks[start : start + 256]
-        out[start : start + 256] = np.cos(np.outer(block, rule.nodes)) @ body
-    return (2.0 / _SQRT2PI) * out
+    body = (rule.weights * np.exp(-tau * rule.nodes ** m)).reshape(panels, 16)
+    edges = np.linspace(0.0, X, panels + 1)
+    centres = (edges[:-1] + edges[1:]) / 2
+    offsets = rule.nodes[:16] - centres[0]
+    local = np.exp(1j * np.outer(ks, offsets)) @ body.T
+    return (2.0 / _SQRT2PI) * np.sum((np.exp(1j * np.outer(ks, centres)) * local).real, axis=1)
 
 
 INTEGRO_REGION = 0.5
@@ -282,7 +299,8 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
     integral is summed in closed form from its moments.  For even m >= 4 at
     beta = 0 it is the finite sum over the moments of e~_m; at beta > 0 the
     polynomial is evaluated at Gauss-Legendre nodes against a grid transform
-    of e~_m.  Odd m has no transform pair on the line and is rejected.
+    of e~_m.  Odd m has no transform pair on the line and is rejected, and so
+    is a series past degree FACTORIAL_DEGREE_MAX (the tables scale by n!).
     """
     if m <= 0 or m % 2:
         raise UnsupportedSymbolError(f"m = {m}: m must be a positive even integer for e^(-tau x^m) to decay")
@@ -298,6 +316,11 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
         raise TruncationError(f"|x| = {abs(x):g} outside the truncation-controlled region {INTEGRO_REGION}")
     if f.kind != "ordinary":
         raise InvalidParameterError("integro_diff_evolve needs an ordinary-kind series")
+    if len(f.coeffs) - 1 > FACTORIAL_DEGREE_MAX:
+        raise TruncationError(
+            f"a degree-{len(f.coeffs) - 1} series: the route scales coefficient n by n!, "
+            f"which must fit a double (degree <= {FACTORIAL_DEGREE_MAX})"
+        )
     f_ord = [complex(c) for c in f.coeffs]
     if tau == 0:
         return polyval_coeffs(f_ord, x)
@@ -332,10 +355,15 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
     rule = legendre_composite_rule(-K, K, max(64, int(8 * K)), 12)
     ks = rule.nodes
     # the same polynomial in k, summed into ordinary coefficients and evaluated at the nodes
-    poly = sum(np.convolve(a_j, b_j) for a_j, b_j in zip(a, b))
-    e_half = _e_tilde_grid(m, tau, ks[len(ks) // 2 :])  # the rule is symmetric and e~_m even in k
-    integrand = np.r_[e_half[::-1], e_half] * np.exp(-beta * ks ** 2 / 2.0) * polyval_coeffs(poly, 1j * ks)
-    return complex(np.sum(rule.weights * integrand)) / _SQRT2PI
+    poly = _bracket_polynomial(a, b)
+    # the rule is symmetric and the damped symbol even in k: take it at the
+    # nonnegative nodes and add each node's mirror there, so that for a real
+    # series the odd, imaginary part of the integrand cancels exactly
+    half = len(ks) // 2
+    k = ks[half:]
+    damped = _e_tilde_grid(m, tau, k) * np.exp(-beta * k ** 2 / 2.0)
+    integrand = damped * polyval_coeffs(poly, 1j * k) + damped * polyval_coeffs(poly, 1j * -k)
+    return complex(np.sum(rule.weights[half:] * integrand)) / _SQRT2PI
 
 
 def umbral_operator_transform(

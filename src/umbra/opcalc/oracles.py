@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError, TruncationError
 from ..seqcore import Sequence, _egf_product
-from ..specfun import polyval_coeffs, tricomi_series
+from ..specfun import FACTORIAL_DEGREE_MAX, polyval_coeffs, tricomi_series
 from .operators import TruncatedOperator
 
 
@@ -128,10 +128,17 @@ def integro_matrix_oracle(
     Taylor sum of e^{-tau G^m} is taken instead (at beta = 0, G = LD is
     nilpotent and the sum finite).  The sum raises TruncationError when it
     does not converge within ORACLE_TAYLOR_ORDERS orders or, for beta > 0,
-    when its largest term exceeds the result 1e6-fold.
+    when its largest term exceeds the result 1e6-fold.  A degree cap past
+    FACTORIAL_DEGREE_MAX raises TruncationError before any work: the basis
+    scaling n! must fit a double.
     """
     if beta < 0:
         raise InvalidParameterError("oracle implemented for beta >= 0")
+    if degree_cap > FACTORIAL_DEGREE_MAX:
+        raise TruncationError(
+            f"degree cap {degree_cap}: the basis x^n/n! scales coefficient n by n!, "
+            f"which must fit a double (degree cap <= {FACTORIAL_DEGREE_MAX})"
+        )
     n_basis = degree_cap + 1
     coeffs = list(f_ord_coeffs)[:n_basis]
     e_coeffs = np.zeros(n_basis, dtype=complex)

@@ -74,6 +74,10 @@ def tricomi_series(n: int, order: int) -> tuple[Fraction, ...]:
     return tuple(Fraction((-1) ** r, factorial(r) * factorial(n + r)) for r in range(order + 1))
 
 
+#: largest n whose n! converts to a finite double (171! ~ 1.2e309 overflows)
+FACTORIAL_DEGREE_MAX = 170
+
+
 def polyval_coeffs(coeffs, x):
     """Evaluate an ascending coefficient vector at x (Horner).
 

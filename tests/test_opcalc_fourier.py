@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb, exp, factorial, pi, sqrt
 
 import convolution_oracle
+import fourier_oracle
 import numpy as np
 import pytest
 import scipy.linalg
@@ -371,11 +372,13 @@ class TestIntegroDiff:
         # first cutoff where the symbol is below 1e-15
         K = next(
             K for K in (4.0, 8.0, 16.0, 32.0)
-            if abs(fourier._e_tilde_grid(4, tau, np.array([K, 1.25 * K])).max()) < 1e-15
+            if abs(fourier_oracle.e_tilde_dense(4, tau, np.array([K, 1.25 * K])).max()) < 1e-15
         )
         rule = quadrature.legendre_composite_rule(-K, K, max(64, int(8 * K)), 12)
         f81 = [float(c) for c in opcalc.c0_series(81)]
-        integrand = fourier._e_tilde_grid(4, tau, rule.nodes) * _evolved_series_values(f81, 0.0, rule.nodes, x, 81 + 16)
+        integrand = fourier_oracle.e_tilde_dense(4, tau, rule.nodes) * _evolved_series_values(
+            f81, 0.0, rule.nodes, x, 81 + 16
+        )
         legendre = np.sum(rule.weights * integrand) / sqrt(2.0 * pi)
         got = opcalc.integro_diff_evolve(PowerSeries(opcalc.c0_series(81), "ordinary"), 0.0, 4, tau, x)
         assert abs(got - legendre) <= 1e-14
@@ -396,11 +399,55 @@ class TestIntegroDiff:
         (rule,) = [rule for a, rule in rules if a < 0]
         ks = rule.nodes
         integrand = (
-            fourier._e_tilde_grid(4, tau, ks)
+            fourier_oracle.e_tilde_dense(4, tau, ks)
             * np.exp(-beta * ks ** 2 / 2.0)
             * _evolved_series_values(f81, beta, ks, x, 81 + 16)
         )
         assert abs(got - np.sum(rule.weights * integrand) / sqrt(2.0 * pi)) <= 1e-15
+
+    @pytest.mark.parametrize("beta,x,tau", [(0.25, 0.0, 0.1), (0.25, 0.3, 0.2), (0.25, 0.5, 0.1), (0.5, 0.0, 0.3)])
+    def test_m4_real_series_gives_real_value(self, beta, x, tau):
+        # each node is summed with its mirror, so the odd, imaginary part of
+        # the integrand cancels exactly; the full-rule sum left up to 4.4e-17
+        got = opcalc.integro_diff_evolve(PowerSeries(opcalc.c0_series(81), "ordinary"), beta, 4, tau, x)
+        assert got.imag == 0.0
+
+    @pytest.mark.parametrize("m", [4, 6])
+    @pytest.mark.parametrize("tau", [0.05, 0.1, 0.25, 0.5])
+    def test_e_tilde_grid_matches_dense_reference(self, m, tau):
+        # k up to 40 gives the rule on [0, X] more than 64 panels (all but m = 6
+        # at tau >= 1/4); the route factors e^{ikx} per panel, the reference
+        # forms every cos(k x_i)
+        ks = np.linspace(0.0, 40.0, 241)
+        assert np.max(np.abs(fourier._e_tilde_grid(m, tau, ks) - fourier_oracle.e_tilde_dense(m, tau, ks))) <= 1e-15
+        # e~_m(0) = (2 / sqrt(2 pi)) integral_0^inf e^{-tau x^m} dx
+        closed = sqrt(2.0 / pi) * scipy.special.gamma(1.0 + 1.0 / m) * tau ** (-1.0 / m)
+        assert abs(fourier._e_tilde_grid(m, tau, np.array([0.0]))[0] / closed - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("beta,x", [(0.5, 0.25), (2.0, -0.5)])
+    def test_bracket_polynomial_matches_convolutions(self, beta, x):
+        f_ord = [complex(c) for c in opcalc.c0_series(81)]
+        a, b = fourier._evolution_tables(f_ord, beta, x, 81 + 16)
+        reference = sum(np.convolve(a_j, b_j) for a_j, b_j in zip(a, b))
+        got = fourier._bracket_polynomial(a, b)
+        assert got.shape == reference.shape
+        assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("m,beta", [(2, 0.0), (2, 0.5), (4, 0.0), (4, 0.5)])
+    def test_degree_past_factorial_range_rejected(self, m, beta):
+        # 171! does not fit a double; this used to be a bare OverflowError
+        f171 = opcalc.c0_series(171)
+        with pytest.raises(TruncationError, match="fit a double"):
+            opcalc.integro_diff_evolve(PowerSeries(f171, "ordinary"), beta, m, 0.2, 0.25)
+        with pytest.raises(TruncationError, match="fit a double"):
+            opcalc.integro_matrix_oracle([float(c) for c in f171], beta, m, 0.2, 0.25, 171)
+
+    @pytest.mark.parametrize("m,beta", [(2, 0.5), (4, 0.5)])
+    def test_degree_170_still_runs(self, m, beta):
+        f170 = opcalc.c0_series(170)
+        got = opcalc.integro_diff_evolve(PowerSeries(f170, "ordinary"), beta, m, 0.2, 0.25)
+        ref = opcalc.integro_matrix_oracle([float(c) for c in f170], beta, m, 0.2, 0.25, 170)
+        assert abs(got - ref) <= 1e-14
 
     @pytest.mark.parametrize("tau", [0.4])
     def test_m4_cutoff_search_exhausted(self, tau):
