@@ -277,9 +277,10 @@ def run_master_case(case: MasterCase, order: int = DEFAULT_ORDER, sequences=None
         direct_total = case.direct_total(ts, r)
         budget_direct = max(direct_total - _partial_weighted(maj_transformed, r, case.kind), 0.0)
         closed = case.form.bind(a)
+        direct = gf.sequence_series(transformed, case.kind)
         for x in sample_points(r):
             closed_value = closed(x)
-            direct_value = gf.sequence_series_value(transformed, x, case.kind)
+            direct_value = direct(x)
             diff = abs(closed_value - direct_value)
             budget = (
                 case.closed_tail(ts, abs(x), order)

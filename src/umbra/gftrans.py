@@ -271,9 +271,15 @@ def binomial_gf_involution_residual(a: Sequence, x: complex) -> float:
     return abs(twice - direct)
 
 
+def sequence_series(a: Sequence, kind: Kind) -> Callable[[complex], complex]:
+    """Direct truncated summation of the generating function of a, as a function
+    of x; the terms are converted to complex once, as `Form.bind` does."""
+    _check_kind(kind)
+    evaluate, coeffs = _EVALUATORS[kind], tuple(map(complex, a.terms))
+    return lambda x: evaluate(coeffs, x)
+
+
 def sequence_series_value(a: Sequence, x: complex, kind: Kind) -> complex:
     """Direct truncated summation of the generating function of a at x."""
     _check_kind(kind)
-    if kind == "ordinary":
-        return _eval_ordinary(a.terms, x)
-    return _eval_exponential(a.terms, x)
+    return _EVALUATORS[kind](a.terms, x)

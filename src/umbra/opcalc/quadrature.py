@@ -134,7 +134,13 @@ def _hermite_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return q_prev, q, log_scale
 
 
-@lru_cache(maxsize=None)
+#: composite rules kept: the m >= 4 evolution asks for one interval per distinct
+#: tau, so an unbounded cache would grow with the calls; a grid of evolve rows
+#: uses a handful of rules
+LEGENDRE_RULE_CACHE = 64
+
+
+@lru_cache(maxsize=LEGENDRE_RULE_CACHE)
 def legendre_composite_rule(a: float, b: float, panels: int, order: int) -> QuadratureRule:
     """Composite Gauss-Legendre rule over [a, b] split into equal panels."""
     if b <= a or panels < 1:

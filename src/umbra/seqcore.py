@@ -27,15 +27,36 @@ These are the paper's closed forms e^x g(-x), e^{alpha x} g(-beta x),
 e^{alpha x} g(beta x^2), e^{beta x^2} g(alpha x) and e^{beta x} q(-alpha x),
 with g(x) = sum a_j x^j / j! and q(x) = sum a_j x^j / (j!)^2.
 
-The kernel's other users: the catalog's k-binomial majorant and shifted-Gaussian
-table, the umbral double-sum oracle and the A * (1/A) check of Appell families.
+The kernel sees integers only.  The same sum is (s/c)^n sum_j C(n,j) (c^j L_j)
+(c^{n-j} R_{n-j}) for any integer c, and with c a common denominator of the
+parameters every weight below is an integer built from their numerators and
+denominators, alpha = a1/a2 and beta = b1/b2 in lowest terms.  With u = a1 b2,
+v = -b1 a2 and g = b1 a2^2 b2:
+
+    name                   c      c^j L_j                        c^j R_j                      s/c
+    binomial               1      1                              (-1)^j a_j                   1
+    modular                a2 b2  u^j                            v^j a_j                      1/(a2 b2)
+    modular-inverse        a2     a1^j                           (-a2)^j b_j                  b2/(b1 a2)
+    k-binomial             1      1                              (-1)^j j^k a_j               1
+    hermite                a2 b2  u^j                            g^r (2r)!/r! a_r at j = 2r   1/(a2 b2)
+    hermite-complementary  a2 b2  g^r (2r)!/r! at j = 2r         u^j a_j                      1/(a2 b2)
+    hermite-inverse        b2     (-b1 b2)^r (2r)!/r! at j = 2r  b2^j b_j                     a2/(a1 b2)
+    laguerre               a2 b2  (b1 a2)^j                      (-a1 b2)^j a_j / j!          1/(a2 b2)
+
+The side that carries the terms is cleared to integers over one common
+denominator (`_cleared`), and `_integer_product` takes the double sum on
+integers and reduces each b_n once.  `_egf_product` is the same kernel for
+factors given as lists of rationals.  Its users: the catalog's k-binomial
+majorant and shifted-Gaussian table, the umbral double-sum oracle and the
+A * (1/A) check of Appell families.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from itertools import repeat
+from math import comb, gcd, lcm
 from typing import Iterable
 
 from .errors import InvalidParameterError, SequenceFormatError
@@ -90,34 +111,36 @@ class TransformParams:
         return self.alpha.denominator * self.beta.denominator
 
 
-def _cleared(values: list[Fraction], c: int) -> tuple[int, list[int]]:
-    """(D, [v_j c^j D]) with D the least common denominator of the v_j c^j, each
-    reduced on integers: v_j is in lowest terms, so gcd(c^j, den v_j) is all that cancels."""
-    pairs, cj = [], 1
-    for v in values:
-        g = gcd(cj, v.denominator)
-        pairs.append((v.numerator * (cj // g), v.denominator // g))
-        cj *= c
+def _cleared(weights: list[int], terms: Iterable[Fraction | int] | None = None,
+             divisors: Iterable[int] | None = None) -> tuple[int, list[int]]:
+    """(D, [D w_j t_j / d_j]) with D the least common denominator of the w_j t_j / d_j.
+
+    The weights are integers, the terms (default 1) exact rationals and the
+    divisors (default 1) positive integers; each quotient is reduced on
+    integers before D is taken, so D is the same as for the reduced Fractions.
+    """
+    if terms is None and divisors is None:
+        return 1, weights
+    pairs = []
+    for w, t, d in zip(weights, terms or repeat(1), divisors or repeat(1)):
+        p, q = w * t.numerator, t.denominator * d
+        g = gcd(p, q)
+        pairs.append((p // g, q // g))
     den = lcm(*(q for _, q in pairs))
     return den, [p * (den // q) for p, q in pairs]
 
 
-def _egf_product(left: list[Fraction], right: list[Fraction], c: int = 1, s: Fraction | int = 1) -> Sequence:
-    """b_n = s^n sum_j C(n,j) L_j R_{n-j}, the coefficients of L(s x) R(s x).
+def _integer_product(left: tuple[int, list[int]], right: tuple[int, list[int]],
+                     ratio: Fraction | int = 1) -> Sequence:
+    """b_n = ratio^n sum_j C(n,j) l_j r_{n-j} / (D_L D_R) for the cleared sides (D_L, l), (D_R, r).
 
-    The sum is taken as (s/c)^n sum_j C(n,j) (c^j L_j) (c^{n-j} R_{n-j}),
-    the same number.  With c a common denominator of the parameters whose
-    powers L and R carry, c^j alpha^j and c^j beta^j are integers.  Each
-    factor is then scaled to integers over one common denominator, so the
-    double sum is integer arithmetic and each b_n is reduced once.
+    The double sum is integer arithmetic and each b_n is reduced once.
     """
-    dl, ls = _cleared(left, c)
-    dr, rs = _cleared(right, c)
-    ratio = Fraction(s, c)
-    active = []  # (j, cleared c^j R_j) for the nonzero R_j with j <= n
+    (dl, ls), (dr, rs) = left, right
+    active = []  # (j, r_j) for the nonzero r_j with j <= n
     num, den = 1, dl * dr
     out = []
-    for n in range(len(left)):
+    for n in range(len(ls)):
         if rs[n]:
             active.append((n, rs[n]))
         out.append(Fraction(sum(comb(n, j) * ls[n - j] * r for j, r in active) * num, den))
@@ -126,43 +149,92 @@ def _egf_product(left: list[Fraction], right: list[Fraction], c: int = 1, s: Fra
     return Sequence.of(out)
 
 
+def _powers(x: int, count: int) -> list[int]:
+    """x^j for j < count, with 0^0 = 1."""
+    out, xj = [], 1
+    for _ in range(count):
+        out.append(xj)
+        xj *= x
+    return out
+
+
+def _factorials(count: int) -> list[int]:
+    """j! for j < count."""
+    out, f = [], 1
+    for j in range(count):
+        if j:
+            f *= j
+        out.append(f)
+    return out
+
+
+def _gauss_ints(x: int, count: int) -> list[int]:
+    """x^r (2r)!/r! at index 2r, 0 at odd indices: the EGF of e^{x t^2} for integer x."""
+    out, w = [], 1
+    for j in range(count):
+        if j % 2:
+            out.append(0)
+        else:
+            if j:
+                w *= 2 * (j - 1) * x  # (2r)!/r! = 2 (2r - 1) (2r - 2)!/(r - 1)!
+            out.append(w)
+    return out
+
+
+def _egf_product(left: list[Fraction | int], right: list[Fraction | int], c: int = 1,
+                 s: Fraction | int = 1) -> Sequence:
+    """b_n = s^n sum_j C(n,j) L_j R_{n-j}, the coefficients of L(s x) R(s x).
+
+    The sum is taken as (s/c)^n sum_j C(n,j) (c^j L_j) (c^{n-j} R_{n-j}),
+    the same number; with c a common denominator of the parameters whose
+    powers L and R carry, each c^j L_j has a small denominator.
+    """
+    cj = _powers(c, len(left))
+    return _integer_product(_cleared(cj, left), _cleared(cj, right), Fraction(s, c))
+
+
 def _gauss_weights(beta: Fraction, count: int) -> list[Fraction]:
     """EGF coefficients of e^{beta x^2}: beta^r (2r)!/r! at index 2r, 0 at odd indices."""
-    return [Fraction(0) if j % 2 else beta ** (j // 2) * Fraction(factorial(j), factorial(j // 2))
-            for j in range(count)]
+    return [Fraction(w, beta.denominator ** (j // 2)) for j, w in enumerate(_gauss_ints(beta.numerator, count))]
 
 
 def binomial_transform(a: Sequence) -> Sequence:
     """b_n = sum_{s<=n} (-1)^s C(n,s) a_s.  Self-inverse."""
-    return _egf_product([Fraction(1)] * len(a), [(-1) ** s * a[s] for s in range(len(a))])
+    n = len(a)
+    return _integer_product(_cleared([1] * n), _cleared(_powers(-1, n), a.terms))
 
 
 def modular_transform(a: Sequence, p: TransformParams) -> Sequence:
     """b_n = sum_{s<=n} (-1)^s C(n,s) alpha^{n-s} beta^s a_s."""
-    return _egf_product([p.alpha ** j for j in range(len(a))],
-                        [(-p.beta) ** s * a[s] for s in range(len(a))], p.scale)
+    al, be, n = p.alpha, p.beta, len(a)
+    return _integer_product(_cleared(_powers(al.numerator * be.denominator, n)),
+                            _cleared(_powers(-be.numerator * al.denominator, n), a.terms), Fraction(1, p.scale))
 
 
 def modular_inverse(b: Sequence, p: TransformParams) -> Sequence:
     """a_n = beta^{-n} sum_{s<=n} (-1)^s C(n,s) alpha^{n-s} b_s."""
     if p.beta == 0:
         raise InvalidParameterError("modular inverse needs beta != 0")
-    return _egf_product([p.alpha ** j for j in range(len(b))],
-                        [(-1) ** s * b[s] for s in range(len(b))], p.alpha.denominator, 1 / p.beta)
+    al, be, n = p.alpha, p.beta, len(b)
+    return _integer_product(_cleared(_powers(al.numerator, n)), _cleared(_powers(-al.denominator, n), b.terms),
+                            Fraction(be.denominator, be.numerator * al.denominator))
 
 
 def rising_k_binomial(a: Sequence, k: int) -> Sequence:
     """b_n = sum_{s<=n} (-1)^s C(n,s) s^k a_s, with 0^0 = 1."""
     if k < 0:
         raise InvalidParameterError("k must be a nonnegative integer")
-    return _egf_product([Fraction(1)] * len(a), [(-1) ** s * s ** k * a[s] for s in range(len(a))])
+    n = len(a)
+    return _integer_product(_cleared([1] * n), _cleared([(-1) ** s * s ** k for s in range(n)], a.terms))
 
 
 def hermite_transform_seq(a: Sequence, p: TransformParams) -> Sequence:
     """b_n = sum_{r<=n/2} n!/((n-2r)! r!) alpha^{n-2r} beta^r a_r."""
-    weights = _gauss_weights(p.beta, len(a))
-    return _egf_product([p.alpha ** j for j in range(len(a))],
-                        [w * a[j // 2] for j, w in enumerate(weights)], p.scale)
+    al, be, n = p.alpha, p.beta, len(a)
+    spread = [a[j // 2] for j in range(n)]  # a_r at j = 2r; the odd j carry weight 0
+    return _integer_product(_cleared(_powers(al.numerator * be.denominator, n)),
+                            _cleared(_gauss_ints(be.numerator * al.denominator ** 2 * be.denominator, n), spread),
+                            Fraction(1, p.scale))
 
 
 def hermite_complementary_seq(a: Sequence, p: TransformParams) -> Sequence:
@@ -172,8 +244,9 @@ def hermite_complementary_seq(a: Sequence, p: TransformParams) -> Sequence:
     e^{beta x^2} g(alpha x); the umbral coefficient n!/((n-2r)! r!) is used
     instead and the generating-function tests enforce it.
     """
-    return _egf_product(_gauss_weights(p.beta, len(a)),
-                        [p.alpha ** s * a[s] for s in range(len(a))], p.scale)
+    al, be, n = p.alpha, p.beta, len(a)
+    return _integer_product(_cleared(_gauss_ints(be.numerator * al.denominator ** 2 * be.denominator, n)),
+                            _cleared(_powers(al.numerator * be.denominator, n), a.terms), Fraction(1, p.scale))
 
 
 def hermite_inverse_seq(b: Sequence, p: TransformParams) -> Sequence:
@@ -186,7 +259,10 @@ def hermite_inverse_seq(b: Sequence, p: TransformParams) -> Sequence:
     """
     if p.alpha == 0:
         raise InvalidParameterError("hermite inverse needs alpha != 0")
-    return _egf_product(_gauss_weights(-p.beta, len(b)), list(b.terms), p.beta.denominator, 1 / p.alpha)
+    al, be, n = p.alpha, p.beta, len(b)
+    return _integer_product(_cleared(_gauss_ints(-be.numerator * be.denominator, n)),
+                            _cleared(_powers(be.denominator, n), b.terms),
+                            Fraction(al.denominator, al.numerator * be.denominator))
 
 
 def laguerre_transform_seq(a: Sequence, p: TransformParams) -> Sequence:
@@ -196,8 +272,10 @@ def laguerre_transform_seq(a: Sequence, p: TransformParams) -> Sequence:
     transform of (1,1,...) at alpha = beta = 1 is the classical Laguerre value
     L_n(1); the generating function e^{yt} C_0(xt) forces this normalization.
     """
-    return _egf_product([p.beta ** j for j in range(len(a))],
-                        [(-p.alpha) ** r * a[r] / factorial(r) for r in range(len(a))], p.scale)
+    al, be, n = p.alpha, p.beta, len(a)
+    return _integer_product(_cleared(_powers(be.numerator * al.denominator, n)),
+                            _cleared(_powers(-al.numerator * be.denominator, n), a.terms, _factorials(n)),
+                            Fraction(1, p.scale))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbra import checks
+from umbra import gftrans as gf
+from umbra import seqcore as sq
 from umbra.cli import main
 from umbra.errors import InvalidParameterError
 from umbra.opcalc import ValidityWarning
@@ -35,6 +37,18 @@ def test_order_outside_the_verified_range_raises(order):
     for run in (checks.resolve_suites, checks.run_selected):
         with pytest.raises(InvalidParameterError, match="between 1 and"):
             run("gftrans", order=order)
+
+
+@pytest.mark.parametrize("transform", [sq.hermite_transform_seq, sq.laguerre_transform_seq])
+@pytest.mark.parametrize("kind", ["ordinary", "exponential"])
+def test_direct_side_converted_once_is_bit_identical(transform, kind):
+    # the master cases evaluate the transformed sequence's series from terms converted once
+    transformed = transform(checks.MASTER_SEQUENCES[4].build(64), sq.TransformParams(Fraction(3, 4), Fraction(-1, 2)))
+    direct = gf.sequence_series(transformed, kind)
+    points = checks.sample_points(0.45)
+    assert len(points) == 20
+    for x in points:
+        assert direct(x) == gf.sequence_series_value(transformed, x, kind)
 
 
 def test_every_check_appears_once_in_all():

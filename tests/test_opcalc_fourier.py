@@ -463,6 +463,14 @@ class TestIntegroDiff:
         f81 = PowerSeries(opcalc.c0_series(81), "ordinary")
         assert repr(opcalc.integro_diff_evolve(f81, 0.5, 4, 0.2, 0.25)) == "(0.5599811890758907+0j)"
 
+    def test_legendre_rule_cache_is_bounded(self):
+        # the m >= 4 route's symbol asks for the interval [0, (40/tau)^{1/m}], one per distinct tau
+        for tau in np.linspace(0.05, 0.3, 400):
+            fourier._e_tilde_grid(4, float(tau), np.array([16.0, 20.0]))
+        info = quadrature.legendre_composite_rule.cache_info()
+        assert info.maxsize == quadrature.LEGENDRE_RULE_CACHE
+        assert info.currsize <= quadrature.LEGENDRE_RULE_CACHE
+
     def test_m4_symbol_taken_on_nonnegative_k(self, monkeypatch):
         seen, e_tilde_grid = [], fourier._e_tilde_grid
 

@@ -213,6 +213,47 @@ class TestKernelOracle:
         assert list(got.terms) == expected(name, a.terms, alpha, beta, k)
 
 
+class TestCornerCases:
+    """Parameter and length corners of the cleared-integer sides, against the double sums."""
+
+    A = seq(3, "-1/2", "5/7", 0, "-11/13", 2, "1/997")
+
+    @staticmethod
+    def check(name, a, alpha=None, beta=None, k=None):
+        got = Stage(name, alpha=alpha, beta=beta, k=k).apply(a).terms
+        assert all(type(t) is Fraction for t in got)
+        assert list(got) == expected(name, a.terms, alpha, beta, k)
+
+    @pytest.mark.parametrize("name", TRANSFORM_NAMES)
+    @pytest.mark.parametrize("term", [Fraction(0), Fraction(-7, 3)])
+    def test_length_one(self, name, term):
+        self.check(name, seq(term), Fraction(-5, 4), Fraction(2, 9), 2)
+
+    @pytest.mark.parametrize("name", ["hermite", "hermite-complementary", "laguerre"])
+    def test_alpha_zero(self, name):
+        # the alpha-power side is 1, 0, 0, ...: 0^0 = 1 at j = 0
+        self.check(name, self.A, Fraction(0), Fraction(-3, 5))
+
+    @pytest.mark.parametrize("name", ["modular", "hermite", "laguerre"])
+    def test_beta_zero(self, name):
+        self.check(name, self.A, Fraction(7, 4), Fraction(0))
+
+    @pytest.mark.parametrize("name", TRANSFORM_NAMES)
+    @pytest.mark.parametrize("alpha,beta", [(Fraction(-997, 991), Fraction(-991, 997)),
+                                            (Fraction(-3), Fraction(-997, 991)),
+                                            (Fraction(-997, 991), Fraction(-2))])
+    def test_negative_parameters_with_large_coprime_denominators(self, name, alpha, beta):
+        self.check(name, self.A, alpha, beta, 3)
+
+    def test_modular_inverse_rejects_zero_beta(self):
+        with pytest.raises(InvalidParameterError):
+            Stage("modular-inverse", alpha=Fraction(-997, 991), beta=Fraction(0)).apply(self.A)
+
+    def test_hermite_inverse_rejects_zero_alpha(self):
+        with pytest.raises(InvalidParameterError):
+            Stage("hermite-inverse", alpha=Fraction(0), beta=Fraction(-997, 991)).apply(self.A)
+
+
 @st.composite
 def egf_factors(draw):
     """Two equal-length lists of ints and Fractions."""
