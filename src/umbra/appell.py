@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
 from .gftrans import hermite_form
-from .opcalc.quadrature import FourierSymbol, gaussian_fourier_integral, gaussian_symbol, gaussian_taylor
-from .seqcore import Sequence, TransformParams, _egf_product, hermite_complementary_seq
+from .opcalc.quadrature import FourierSymbol, gaussian_fourier_rows, gaussian_symbol, gaussian_taylor
+from .seqcore import Sequence, TransformParams, _cleared, _integer_product, hermite_complementary_seq
 from .specfun import polyval_coeffs
 
 _SQRT2PI = sqrt(2.0 * pi)
@@ -44,7 +44,10 @@ def series_reciprocal(coeffs: SequenceABC) -> tuple:
 
 @dataclass(frozen=True)
 class AppellFamily:
-    """Characteristic function A(t) as Taylor coefficients plus complex evaluators."""
+    """Characteristic function A(t) as Taylor coefficients plus complex evaluators.
+
+    The evaluators work elementwise, on a complex scalar or a numpy array.
+    """
 
     name: str
     a_taylor: tuple
@@ -59,11 +62,15 @@ class AppellFamily:
         if not self.a_inv_taylor:
             object.__setattr__(self, "a_inv_taylor", series_reciprocal(self.a_taylor))
         # convolution of A and 1/A must be the identity series; on rational
-        # data n! conv_n is the EGF product of (j! a_j) and (j! inv_j)
+        # data n! conv_n is the EGF product of (j! a_j) and (j! inv_j), taken on
+        # integers, and an exact identity needs no float test
         a, inv = self.a_taylor, tuple(self.a_inv_taylor[:len(self.a_taylor)])
         if all(isinstance(v, (int, Fraction)) for v in a + inv):
-            scaled = _egf_product(*([factorial(j) * v for j, v in enumerate(t)] for t in (a, inv)))
-            convs = [v / factorial(n) for n, v in enumerate(scaled.terms)]
+            weights = [factorial(j) for j in range(len(a))]
+            scaled = _integer_product(_cleared(weights, a), _cleared(weights, inv)).terms
+            if scaled[0] == 1 and not any(scaled[1:]):
+                return
+            convs = [v / w for v, w in zip(scaled, weights)]
         else:
             convs = [sum(a[j] * inv[n - j] for j in range(n + 1)) for n in range(len(a))]
         for n, conv in enumerate(convs):
@@ -95,9 +102,14 @@ class AppellFamily:
 DEFAULT_FAMILY_ORDER = 90
 
 
+def _unit(z):
+    """1 + 0j at every element of z."""
+    return np.ones_like(z, dtype=complex)[()]
+
+
 def identity_family(order: int = DEFAULT_FAMILY_ORDER) -> AppellFamily:
     one = (Fraction(1),) + (Fraction(0),) * order
-    return AppellFamily("identity", one, one, lambda z: 1.0 + 0j, lambda z: 1.0 + 0j)
+    return AppellFamily("identity", one, one, _unit, _unit)
 
 
 def bernoulli_numbers(order: int) -> tuple[Fraction, ...]:
@@ -115,7 +127,15 @@ def bernoulli_numbers(order: int) -> tuple[Fraction, ...]:
 _BERNOULLI_CROSSOVER = 0.25
 
 
-def _expm1_over(z: complex) -> complex:
+def _expm1_over(z):
+    """(e^z - 1)/z; an array is taken elementwise, each element as its scalar."""
+    if np.ndim(z):
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (np.exp(z) - 1.0) / z
+        small = np.abs(z) < _BERNOULLI_CROSSOVER
+        out[small] = [_expm1_over(complex(v)) for v in z[small]]
+        return out
     if abs(z) < _BERNOULLI_CROSSOVER:
         total, term = 1.0 + 0j, 1.0 + 0j
         for n in range(1, 24):
@@ -204,9 +224,13 @@ class GaussianFunction:
 
 @dataclass(frozen=True)
 class ExpansionResult:
+    """Coefficients with, per order, the quadrature's node count and whether it
+    converged before the node cap."""
+
     coefficients: tuple
     family_name: str
     node_counts: tuple[int, ...]
+    converged: tuple[bool, ...]
 
 
 #: integrand growth probes: 1/A(ik) may explode (e.g. A = e^{t^2} against a Gaussian)
@@ -218,58 +242,50 @@ def expansion_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> Ex
 
     The integrand is tail-sampled before quadrature: growth at large |k| means
     the family is inadmissible against this function and raises, naming the
-    offending order.
+    lowest offending order.  All orders share one doubling loop, so each node
+    set evaluates f~(k) [A(ik)]^{-1} once and raises it to every order still
+    doubling there.
     """
     if N > MAX_COEFFICIENTS:
         raise TruncationError(f"coefficient count capped at {MAX_COEFFICIENTS}: n! growth drowns doubles")
     sym = f.symbol()
-
-    def integrand_mag(k: float, n: int) -> float:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            value = abs(complex(sym.ft(k)) * fam.inverse_at(1j * k) * k ** n)
-        # overflow inside 1/A(ik) already is the answer: the integrand explodes
-        return float("inf") if not np.isfinite(value) else value
-
-    if fam.eval_inv is None:
+    probes = np.array(_GUARD_POINTS)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        inverse = fam.inverse_at(1j * probes)
         # Taylor-only families: a truncated polynomial cannot witness growth,
         # so instead demand that the 1/A evaluation has converged out at the
         # probe points before trusting it under the integral
-        for k in _GUARD_POINTS:
-            full = fam.inverse_at(1j * k)
-            dropped = polyval_coeffs(map(complex, fam.a_inv_taylor[:-2]), 1j * k)
-            if abs(full - dropped) > 1e-6 * max(abs(full), 1e-300):
+        if fam.eval_inv is None:
+            dropped = polyval_coeffs(map(complex, fam.a_inv_taylor[:-2]), 1j * probes)
+            unsettled = np.abs(inverse - dropped) > 1e-6 * np.maximum(np.abs(inverse), 1e-300)
+            if unsettled.any():
                 raise DivergenceError(
-                    f"1/A Taylor data has not converged at |k| = {k:g}: supply more "
+                    f"1/A Taylor data has not converged at |k| = {probes[unsettled][0]:g}: supply more "
                     "coefficients or an analytic evaluator"
                 )
-
-    for n in range(N + 1):
-        probes = [integrand_mag(k, n) for k in _GUARD_POINTS]
-        grows = probes[-1] > probes[0] or probes[-1] == float("inf")
-        if grows and probes[-1] > 1e-8:
-            raise DivergenceError(
-                f"integrand for coefficient n={n} grows at large |k|: "
-                f"family {fam.name!r} is inadmissible against this function"
-            )
-
-    # every order runs the same Gauss-Hermite node sets: 1/A(ik) once per set
-    inverse: dict[bytes, np.ndarray] = {}
-
-    def inverse_on(k: np.ndarray) -> np.ndarray:
-        key = k.tobytes()
-        if key not in inverse:
-            inverse[key] = np.array([fam.inverse_at(1j * kk) for kk in k])
-        return inverse[key]
-
-    coeffs, nodes = [], []
-    for n in range(N + 1):
-        res = gaussian_fourier_integral(
-            sym.gauss_coeff,
-            lambda k, n=n: sym.envelope(k) * inverse_on(np.atleast_1d(k)) * k ** n,
+        # |integrand| at the probes, one row per order; overflow inside 1/A(ik)
+        # already is the answer: the integrand explodes
+        powers = np.array([[k ** n for k in _GUARD_POINTS] for n in range(N + 1)])
+        mags = np.abs(sym.ft(probes) * inverse * powers)
+    mags[~np.isfinite(mags)] = np.inf
+    grows = (mags[:, -1] > mags[:, 0]) | (mags[:, -1] == np.inf)
+    inadmissible = np.flatnonzero(grows & (mags[:, -1] > 1e-8))
+    if len(inadmissible):
+        raise DivergenceError(
+            f"integrand for coefficient n={inadmissible[0]} grows at large |k|: "
+            f"family {fam.name!r} is inadmissible against this function"
         )
-        coeffs.append(1j ** n / (_SQRT2PI * factorial(n)) * res.value)
-        nodes.append(res.node_count)
-    return ExpansionResult(tuple(coeffs), fam.name, tuple(nodes))
+
+    def integrands(k: np.ndarray, orders: np.ndarray) -> np.ndarray:
+        shared = sym.envelope(k) * fam.inverse_at(1j * k)
+        # one power per order: k ** 2 is a square, an exponent array would be pow
+        return np.array([shared * k ** int(n) for n in orders])
+
+    results = gaussian_fourier_rows(sym.gauss_coeff, integrands, N + 1)
+    coeffs = [1j ** n / (_SQRT2PI * factorial(n)) * res.value for n, res in enumerate(results)]
+    return ExpansionResult(
+        tuple(coeffs), fam.name, tuple(res.node_count for res in results), tuple(res.converged for res in results)
+    )
 
 
 def operational_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> tuple:

@@ -44,6 +44,7 @@ from .quadrature import (
     gauss_hermite_rule,
     gauss_weighted_integral,
     gaussian_fourier_integral,
+    gaussian_fourier_rows,
     gaussian_symbol,
     gaussian_taylor,
     legendre_composite_rule,
@@ -91,6 +92,7 @@ __all__ = [
     "gauss_hermite_rule",
     "gauss_weighted_integral",
     "gaussian_fourier_integral",
+    "gaussian_fourier_rows",
     "gaussian_symbol",
     "gaussian_taylor",
     "legendre_composite_rule",

@@ -92,6 +92,9 @@ def tricomi_evolution_series(x: float, tau: float) -> float:
 ORACLE_TAYLOR_BETA = 0.04
 ORACLE_TAYLOR_ORDERS = 400
 
+#: n! rounded to the nearest double, n <= FACTORIAL_DEGREE_MAX: the oracle's basis scaling
+_FACTORIALS = np.array([float(factorial(n)) for n in range(FACTORIAL_DEGREE_MAX + 1)])
+
 
 @lru_cache(maxsize=None)
 def _unit_eigensystem(n_basis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,35 +143,34 @@ def integro_matrix_oracle(
             f"which must fit a double (degree cap <= {FACTORIAL_DEGREE_MAX})"
         )
     n_basis = degree_cap + 1
-    coeffs = list(f_ord_coeffs)[:n_basis]
+    coeffs = np.asarray(list(f_ord_coeffs)[:n_basis], dtype=complex)
+    factorials = _FACTORIALS[:n_basis]
     e_coeffs = np.zeros(n_basis, dtype=complex)
-    for n, c in enumerate(coeffs):
-        e_coeffs[n] = complex(c) * factorial(n)
+    e_coeffs[: len(coeffs)] = coeffs * factorials[: len(coeffs)]
 
     if beta < ORACLE_TAYLOR_BETA:
-        down = np.arange(1, n_basis)
-
-        def generator(v):
-            out = np.zeros_like(v)
-            out[:-1] = v[1:] * down
-            if beta:
-                out[1:] += beta * v[:-1]
-            return out
-
+        down = np.arange(1, n_basis, dtype=complex)
         total = e_coeffs.copy()
-        term = e_coeffs.copy()
+        term, spare = e_coeffs.copy(), np.empty_like(e_coeffs)
         peak = 0.0
         for k in range(1, ORACLE_TAYLOR_ORDERS + 1):
             for _ in range(m):
-                term = generator(term)
-            term = term * (-tau) / k
-            if not np.any(term):
+                # spare = G term: down with factor n, up with factor beta
+                np.multiply(term[1:], down, out=spare[:-1])
+                spare[-1] = 0
+                if beta:
+                    np.multiply(beta, term[:-1], out=term[:-1])
+                    spare[1:] += term[:-1]
+                term, spare = spare, term
+            np.multiply(term, -tau, out=term)
+            np.divide(term, k, out=term)
+            if not np.count_nonzero(term):
                 break  # beta = 0: LD^m is nilpotent
             total += term
             if beta:
-                size = np.max(np.abs(term))
+                size = np.abs(term).max()
                 peak = max(peak, size)
-                if size <= 1e-17 * np.max(np.abs(total)):
+                if size <= 1e-17 * np.abs(total).max():
                     break
         else:
             raise TruncationError(
@@ -193,8 +195,7 @@ def integro_matrix_oracle(
         d = eigvecs @ (decay * (eigvecs.T @ d))
         evolved_e = d * np.exp(log_s)
 
-    evolved = np.array([evolved_e[n] / factorial(n) for n in range(n_basis)])
-    return complex(polyval_coeffs(evolved, x))
+    return complex(polyval_coeffs(evolved_e / factorials, x))
 
 
 def c0_series(order: int):

@@ -4,7 +4,11 @@ Every operator-function evaluation in this package reduces to integrals of the
 form integral exp(-A k^2) G(k) dk with G smooth, which a Gauss-Hermite rule
 handles after the substitution k = u / sqrt(A).  Rules self-check their
 Gaussian moments at construction; evaluations double the node count until two
-successive results agree, warning at the 1024-node cap.
+successive results agree, warning at the 1024-node cap.  One doubling loop
+serves a single integrand (`adaptive_hermite`) and a stack of integrands that
+share the Gaussian factor (`gaussian_fourier_rows`): each row converges, counts
+its nodes and warns on its own, and only the rows still doubling are evaluated
+at the next rule.
 """
 from __future__ import annotations
 
@@ -162,33 +166,67 @@ class QuadratureResult:
     converged: bool
 
 
-def adaptive_hermite(g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
-    """Sum w_i g(u_i) over Gauss-Hermite rules, doubling nodes until stable."""
-    previous = None
+def _doubling(g: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int) -> list[QuadratureResult]:
+    """The doubling loop for a stack of integrands: g(u, active) gives the rows
+    `active` at the nodes u.  A row stops once two successive sums agree, or at
+    the cap with one warning; only the rows still doubling are evaluated."""
+    results: list = [None] * rows
+    active, previous = np.arange(rows), None
     n = DEFAULT_START_NODES
-    while True:
+    while len(active):
         rule = gauss_hermite_rule(n)
-        value = complex(np.sum(rule.weights * np.asarray(g(rule.nodes), dtype=complex)))
-        if previous is not None and abs(value - previous) < CONVERGENCE_TOL * max(1.0, abs(value)):
-            return QuadratureResult(value, n, True)
-        if n >= NODE_CAP:
+        sums = (rule.weights * np.asarray(g(rule.nodes, active), dtype=complex)).sum(axis=-1)
+        values = [complex(v) for v in sums]
+        keep = []
+        for i, (row, value) in enumerate(zip(active, values)):
+            if previous is not None and abs(value - previous[i]) < CONVERGENCE_TOL * max(1.0, abs(value)):
+                results[row] = QuadratureResult(value, n, True)
+            elif n >= NODE_CAP:
+                results[row] = QuadratureResult(value, n, False)
+            else:
+                keep.append(i)
+        active, previous = active[keep], [values[i] for i in keep]
+        n *= 2
+    for res in results:
+        if not res.converged:
             warnings.warn(
                 f"quadrature did not converge below {CONVERGENCE_TOL:g} at {NODE_CAP} nodes",
                 QuadratureConvergenceWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-            return QuadratureResult(value, n, False)
-        previous = value
-        n *= 2
+    return results
+
+
+def adaptive_hermite(g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
+    """Sum w_i g(u_i) over Gauss-Hermite rules, doubling nodes until stable."""
+    return _doubling(lambda u, _: np.reshape(np.asarray(g(u), dtype=complex), (1, -1)), 1)[0]
+
+
+def _hermite_scale(gauss_coeff: float) -> float:
+    if gauss_coeff <= 0:
+        raise InvalidParameterError("gaussian fourier integral needs a positive gaussian coefficient")
+    return 1.0 / sqrt(gauss_coeff)
 
 
 def gaussian_fourier_integral(gauss_coeff: float, g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
     """integral exp(-gauss_coeff k^2) g(k) dk via substitution k = u / sqrt(gauss_coeff)."""
-    if gauss_coeff <= 0:
-        raise InvalidParameterError("gaussian fourier integral needs a positive gaussian coefficient")
-    s = 1.0 / sqrt(gauss_coeff)
+    s = _hermite_scale(gauss_coeff)
     res = adaptive_hermite(lambda u: g(u * s))
     return QuadratureResult(res.value * s, res.node_count, res.converged)
+
+
+def gaussian_fourier_rows(
+    gauss_coeff: float, g: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int
+) -> tuple[QuadratureResult, ...]:
+    """gaussian_fourier_integral for `rows` integrands at once: g(k, active) gives
+    the rows `active` at the nodes k.  Each row doubles, converges, counts its
+    nodes and warns exactly as its own gaussian_fourier_integral call would, and
+    whatever g shares between rows is computed once per node set."""
+    s = _hermite_scale(gauss_coeff)
+    return tuple(
+        QuadratureResult(res.value * s, res.node_count, res.converged)
+        for res in _doubling(lambda u, active: g(u * s, active), rows)
+    )
 
 
 def gauss_weighted_integral(h: Callable[[np.ndarray], np.ndarray], y: float) -> QuadratureResult:

@@ -49,18 +49,26 @@ def tricomi_c(n: int, x):
     C_0(x) = J_0(2 sqrt(x)) for x >= 0.  Entire of order 1/2: the series is
     summed until the term magnitude drops below 1e-18 of the running sum,
     with a minimum of n + 10 terms.  Accepts complex scalars or numpy arrays.
+    max|sum| never exceeds B = sum_r max|term_r| (nor, after rounding, 2B), so
+    the sum's magnitude is taken only once the test against 2B passes.
     """
     import numpy as np
 
     z = np.asarray(x, dtype=complex)
+    neg_z = -z
     term = np.full(z.shape, 1.0 / factorial(n), dtype=complex)
-    total = term.copy()
+    total, mags = term.copy(), np.empty(z.shape)
+    bound = 1.0 / factorial(n)
     r = 0
     while True:
-        term = term * (-z) / ((r + 1) * (n + r + 1))
+        np.multiply(term, neg_z, out=term)
+        np.divide(term, (r + 1) * (n + r + 1), out=term)
         total += term
         r += 1
-        if r >= n + 10 and np.max(np.abs(term)) < _TRICOMI_RELATIVE_CUTOFF * max(np.max(np.abs(total)), 1e-300):
+        size = float(np.abs(term, out=mags).max())
+        bound += size
+        if (r >= n + 10 and size < _TRICOMI_RELATIVE_CUTOFF * max(2 * bound, 1e-300)
+                and size < _TRICOMI_RELATIVE_CUTOFF * max(np.abs(total).max(), 1e-300)):
             break
         if r > 1000:  # unreachable for finite inputs; guards NaN propagation
             raise InternalConsistencyError("tricomi series failed to converge")

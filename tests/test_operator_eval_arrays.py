@@ -1,0 +1,165 @@
+"""The whole-array operator evaluations against their element-by-element forms
+in `operator_eval_oracle`: values (signed zeros included), node counts,
+convergence flags, warning counts and errors must be identical."""
+import warnings
+from fractions import Fraction
+from math import factorial
+
+import numpy as np
+import operator_eval_oracle as ref
+import pytest
+
+from umbra import appell, opcalc, specfun
+from umbra.errors import DivergenceError, InternalConsistencyError, TruncationError
+from umbra.opcalc.quadrature import QuadratureConvergenceWarning
+
+
+def _user_taylor():
+    # A = 1 / (1 + t^2/2): the reciprocal data is the polynomial 1 + t^2/2
+    return appell.family_from_taylor(
+        [Fraction((-1) ** (j // 2), 2 ** (j // 2)) if j % 2 == 0 else Fraction(0) for j in range(31)]
+    )
+
+
+FAMILIES = {
+    "bernoulli": appell.bernoulli_family,
+    "identity": appell.identity_family,
+    "gauss-hermite-type": appell.gauss_hermite_family,
+    "user-taylor": _user_taylor,
+}
+
+
+@pytest.fixture(scope="module")
+def families():
+    return {name: build() for name, build in FAMILIES.items()}
+
+
+def _run(call):
+    """(outcome, number of quadrature warnings); the outcome is the repr of the
+    result or of the error, so signed zeros and messages count."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = repr(call())
+        except (DivergenceError, TruncationError, InternalConsistencyError) as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+    return outcome, sum(issubclass(w.category, QuadratureConvergenceWarning) for w in caught)
+
+
+def _expansion(fam, f, count):
+    res = appell.expansion_coefficients(fam, f, count)
+    return res.coefficients, res.node_counts, res.converged
+
+
+@pytest.mark.parametrize("count", [1, 10, 24])
+@pytest.mark.parametrize("scale", [Fraction(1, 16), Fraction(1, 8), Fraction(1), Fraction(8)])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_expansion_matches_per_order_integrals(families, family, scale, count):
+    fam, f = families[family], appell.GaussianFunction(scale)
+    assert _run(lambda: _expansion(fam, f, count)) == _run(lambda: ref.expansion_coefficients(fam, f, count))
+
+
+def _error_families():
+    exp_square = tuple(Fraction(1, factorial(j // 2)) if j % 2 == 0 else Fraction(0) for j in range(25))
+    return [
+        # 1/A(ik) = e^{k^2} outgrows every Gaussian: the probes reject order 0
+        appell.AppellFamily("exp-square", exp_square, eval_inv=lambda z: np.exp(-z * z)),
+        # 1/A = 1/(1 - t^2) has no converged Taylor data at |k| = 10
+        appell.family_from_taylor([Fraction(1), Fraction(0), Fraction(-1)]),
+        # 1/A(ik) = e^{3k/2}: against the widest Gaussian the probes reject order 2
+        appell.AppellFamily("tilted", (Fraction(1),), eval_inv=lambda z: np.exp(-1.5j * z)),
+    ]
+
+
+@pytest.mark.parametrize("fam", _error_families(), ids=lambda fam: fam.name)
+@pytest.mark.parametrize("scale", [Fraction(1, 8), Fraction(8)])
+def test_expansion_errors_match(fam, scale):
+    f = appell.GaussianFunction(scale)
+    assert _run(lambda: _expansion(fam, f, 24)) == _run(lambda: ref.expansion_coefficients(fam, f, 24))
+
+
+def test_coefficient_cap_error_matches(families):
+    f = appell.GaussianFunction(Fraction(1))
+    got = _run(lambda: _expansion(families["bernoulli"], f, 25))
+    assert got == _run(lambda: ref.expansion_coefficients(families["bernoulli"], f, 25))
+    assert got[0].startswith("TruncationError")
+
+
+def test_expansion_reports_unconverged_orders(families):
+    # the widest Gaussian leaves gauss-hermite-type's even orders from 6 on unconfirmed at the cap
+    for family, unconverged in (("gauss-hermite-type", list(range(6, 25, 2))), ("identity", [9, 19, 23])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = appell.expansion_coefficients(families[family], appell.GaussianFunction(8), 24)
+        assert [n for n, ok in enumerate(res.converged) if not ok] == unconverged
+        assert all(res.node_counts[n] == 1024 for n in unconverged)
+        assert len(caught) == len(unconverged)
+
+
+@pytest.mark.parametrize("integrand", [
+    lambda u: np.exp(-(u ** 2)),
+    lambda u: np.cos(3 * u) + 1j * u ** 3,
+    lambda u: 2.5,
+    lambda u: np.exp(-((u * 3000.0) ** 2) % 7.0),  # never converges
+], ids=["gaussian", "complex", "constant", "spike"])
+def test_adaptive_hermite_matches_its_own_loop(integrand):
+    assert _run(lambda: opcalc.adaptive_hermite(integrand)) == _run(lambda: ref.adaptive_hermite(integrand))
+
+
+def test_rows_warn_once_per_unconverged_row():
+    spike = lambda u: np.exp(-((u * 3000.0) ** 2) % 7.0)  # noqa: E731
+    rows = lambda k, active: np.array([spike(k) if r % 2 else np.exp(-k * k) for r in active])  # noqa: E731
+    got = _run(lambda: opcalc.gaussian_fourier_rows(2.0, rows, 5))
+    single = _run(lambda: tuple(opcalc.gaussian_fourier_integral(2.0, spike if r % 2 else lambda k: np.exp(-k * k))
+                                for r in range(5)))
+    assert got == single
+    assert got[1] == 2
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.02, 0.5, 2.0])
+@pytest.mark.parametrize("m, degree", [(2, 40), (4, 81)])
+def test_integro_oracle_matches_per_element_scaling(m, degree, beta):
+    f_ord = [float(c) for c in opcalc.c0_series(degree)]
+    for x in (0.0, 0.2, 0.5):
+        for tau in (0.0, 0.1, 0.5):
+            got = _run(lambda: opcalc.integro_matrix_oracle(f_ord, beta, m, tau, x, degree))
+            assert got == _run(lambda: ref.integro_matrix_oracle(f_ord, beta, m, tau, x, degree))
+
+
+@pytest.mark.parametrize("degree, reason", [(121, "cancels"), (161, "not converged")])
+def test_integro_oracle_errors_match(degree, reason):
+    # m = 4 just below the switch to the eigensystem: the Taylor sum gives up
+    f_ord = [float(c) for c in opcalc.c0_series(degree)]
+    got = _run(lambda: opcalc.integro_matrix_oracle(f_ord, 0.039, 4, 0.5, 0.5, degree))
+    assert got == _run(lambda: ref.integro_matrix_oracle(f_ord, 0.039, 4, 0.5, 0.5, degree))
+    assert got[0].startswith("TruncationError") and reason in got[0]
+
+
+def test_integro_oracle_short_and_rational_input():
+    # fewer coefficients than the basis, and exact input converted as complex() does
+    f = [Fraction(1), Fraction(-1, 3), Fraction(2, 7)]
+    for beta in (0.0, 0.02, 1.0):
+        got = opcalc.integro_matrix_oracle(f, beta, 2, 0.3, 0.4, 12)
+        assert repr(got) == repr(ref.integro_matrix_oracle(f, beta, 2, 0.3, 0.4, 12))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("x", [
+    np.array([0.0]),
+    np.array([0.0, 2.5, -30.0, 400.0, 1e3j, 2 + 3j, -900.0]),
+    np.linspace(-50.0, 50.0, 41),
+    np.array([[0.5, -7.5j], [12.0, 0.0]]),
+    0.0, 0.3, 1e-9, -7.5j, 400.0,
+], ids=["zero", "mixed", "real-line", "2d", "scalar-zero", "scalar", "scalar-tiny", "scalar-imaginary",
+        "scalar-large"])
+def test_tricomi_matches_per_step_reductions(n, x):
+    got, want = specfun.tricomi_c(n, x), ref.tricomi_c(n, x)
+    assert type(got) is type(want)
+    assert repr(np.asarray(got).tolist()) == repr(np.asarray(want).tolist())
+
+
+@pytest.mark.parametrize("x", [np.array([0.0, np.nan, 400.0]), float("nan"), complex(1.0, float("nan"))])
+def test_tricomi_nan_still_raises(x):
+    for fn in (specfun.tricomi_c, ref.tricomi_c):
+        with pytest.raises(InternalConsistencyError):
+            fn(0, x)
