@@ -9,6 +9,7 @@ operational series oracle, and the two routes must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from math import comb, factorial, lcm, pi, sqrt
 from typing import Callable, Sequence as SequenceABC
@@ -97,9 +98,10 @@ class AppellFamily:
         return polyval_coeffs(map(complex, self.a_taylor), z)
 
 
-#: default Taylor depth for the built-in families: deep enough that the
-#: operational oracle's m-sum dies well below every tolerance in use
-DEFAULT_FAMILY_ORDER = 90
+#: Taylor depth of the built-in families: deep enough that the operational
+#: oracle's m-sum dies well below every tolerance in use.  A built-in family is
+#: immutable and takes no argument, so each is built once per process.
+FAMILY_ORDER = 90
 
 
 def _unit(z):
@@ -107,8 +109,9 @@ def _unit(z):
     return np.ones_like(z, dtype=complex)[()]
 
 
-def identity_family(order: int = DEFAULT_FAMILY_ORDER) -> AppellFamily:
-    one = (Fraction(1),) + (Fraction(0),) * order
+@cache
+def identity_family() -> AppellFamily:
+    one = (Fraction(1),) + (Fraction(0),) * FAMILY_ORDER
     return AppellFamily("identity", one, one, _unit, _unit)
 
 
@@ -145,11 +148,12 @@ def _expm1_over(z):
     return (np.exp(z) - 1.0) / z
 
 
-def bernoulli_family(order: int = DEFAULT_FAMILY_ORDER) -> AppellFamily:
+@cache
+def bernoulli_family() -> AppellFamily:
     """A(t) = t / (e^t - 1): the Bernoulli-polynomial family."""
-    numbers = bernoulli_numbers(order)
+    numbers = bernoulli_numbers(FAMILY_ORDER)
     a = tuple(bn / Fraction(factorial(n)) for n, bn in enumerate(numbers))
-    inv = tuple(Fraction(1, factorial(n + 1)) for n in range(order + 1))
+    inv = tuple(Fraction(1, factorial(n + 1)) for n in range(FAMILY_ORDER + 1))
     return AppellFamily(
         "bernoulli", a, inv,
         eval_a=lambda z: 1.0 / _expm1_over(z),
@@ -157,10 +161,11 @@ def bernoulli_family(order: int = DEFAULT_FAMILY_ORDER) -> AppellFamily:
     )
 
 
-def gauss_hermite_family(order: int = DEFAULT_FAMILY_ORDER) -> AppellFamily:
+@cache
+def gauss_hermite_family() -> AppellFamily:
     """A(t) = e^{-t^2}: a Hermite-type family with [A(ik)]^{-1} = e^{-k^2}."""
     return AppellFamily(
-        "gauss-hermite-type", gaussian_taylor(1, order), gaussian_taylor(-1, order),
+        "gauss-hermite-type", gaussian_taylor(1, FAMILY_ORDER), gaussian_taylor(-1, FAMILY_ORDER),
         eval_a=lambda z: np.exp(-z * z),
         eval_inv=lambda z: np.exp(z * z),
     )

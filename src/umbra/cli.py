@@ -41,7 +41,7 @@ class RunReport:
 
     @property
     def failed(self) -> bool:
-        return any(r.status in ("fail", "error") for _, r in self.results)
+        return any(r.status in ("fail", "error", "stale-errata") for _, r in self.results)
 
     def to_json(self, include_runtime: bool) -> str:
         rows = []

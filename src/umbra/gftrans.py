@@ -277,9 +277,3 @@ def sequence_series(a: Sequence, kind: Kind) -> Callable[[complex], complex]:
     _check_kind(kind)
     evaluate, coeffs = _EVALUATORS[kind], tuple(map(complex, a.terms))
     return lambda x: evaluate(coeffs, x)
-
-
-def sequence_series_value(a: Sequence, x: complex, kind: Kind) -> complex:
-    """Direct truncated summation of the generating function of a at x."""
-    _check_kind(kind)
-    return _EVALUATORS[kind](a.terms, x)

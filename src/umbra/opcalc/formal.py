@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from ..errors import InvalidParameterError
 
@@ -80,8 +79,8 @@ def exp_apply(terms: list[OperatorTerm], state: Expansion, cap: int) -> Expansio
     return total
 
 
-def _residual(lhs: list[list[OperatorTerm]], rhs: list[list[OperatorTerm]],
-              order: int, max_degree: int) -> Fraction:
+def product_residual(lhs: list[list[OperatorTerm]], rhs: list[list[OperatorTerm]],
+                     order: int, max_degree: int) -> Fraction:
     """Largest |coefficient| of lhs - rhs on x^n, n <= max_degree; a side lists its e^{sum} factors."""
     worst = Fraction(0)
     for degree in range(max_degree + 1):
@@ -97,15 +96,6 @@ def _residual(lhs: list[list[OperatorTerm]], rhs: list[list[OperatorTerm]],
     return worst
 
 
-def _exact_sqrt(q: Fraction) -> Fraction:
-    if q < 0:
-        raise InvalidParameterError("needs a nonnegative perfect square")
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        raise InvalidParameterError(f"{q} is not the square of a rational")
-    return Fraction(rn, rd)
-
-
 def weyl_check(a, b, order: int = 8) -> Fraction:
     """Residual of e^{A+B} = e^A e^B e^{-[A,B]/2} for A = eps a d/dx, B = eps b x.
 
@@ -119,32 +109,23 @@ def weyl_check(a, b, order: int = 8) -> Fraction:
     A = OperatorTerm(1, a, "d")
     B = OperatorTerm(1, b, "x")
     comm_half = OperatorTerm(2, -a * b / 2, "1")
-    return _residual([[A, B]], [[A], [B], [comm_half]], order, WEYL_MAX_DEGREE)
+    return product_residual([[A, B]], [[A], [B], [comm_half]], order, WEYL_MAX_DEGREE)
 
 
-def cubic_disentangle_check(alpha, beta, order: int = 8, printed_m: bool = False) -> Fraction:
+def cubic_disentangle_check(alpha, beta, order: int = 8) -> Fraction:
     """Residual of the cubic disentanglement e^{A+B} = e^{m^2/12 - (m/2) A^{1/2} + A} e^B
     with A = eps alpha d^2, B = eps beta x, [A, B] = m A^{1/2}, on monomials up
     to CUBIC_MAX_DEGREE.
 
     The commutator forces m = 2 eps^{3/2} sqrt(alpha) beta, under which the
     exponent is rational: m^2/12 = eps^3 alpha beta^2 / 3 and (m/2) A^{1/2}
-    = eps^2 alpha beta d.  With printed_m=True the printed alpha^2 factor is
-    substituted instead (alpha must then be a rational square), which makes the
-    residual nonzero for alpha != 1: that run is errata evidence.
+    = eps^2 alpha beta d.
     """
     if order > 10:
         raise InvalidParameterError("cubic check is exact but cubic in order; keep order <= 10")
     alpha, beta = Fraction(alpha), Fraction(beta)
     A = OperatorTerm(1, alpha, "d2")
     B = OperatorTerm(1, beta, "x")
-    if printed_m:
-        # m = 2 eps^{3/2} alpha^2 beta: m^2/12 = eps^3 alpha^4 beta^2/3,
-        # (m/2) A^{1/2} = eps^2 alpha^{5/2} beta d
-        alpha_52 = alpha ** 2 * _exact_sqrt(alpha)
-        scalar = OperatorTerm(3, alpha ** 4 * beta ** 2 / 3, "1")
-        drift = OperatorTerm(2, -alpha_52 * beta, "d")
-    else:
-        scalar = OperatorTerm(3, alpha * beta ** 2 / 3, "1")
-        drift = OperatorTerm(2, -alpha * beta, "d")
-    return _residual([[A, B]], [[scalar, drift, A], [B]], order, CUBIC_MAX_DEGREE)
+    scalar = OperatorTerm(3, alpha * beta ** 2 / 3, "1")
+    drift = OperatorTerm(2, -alpha * beta, "d")
+    return product_residual([[A, B]], [[scalar, drift, A], [B]], order, CUBIC_MAX_DEGREE)

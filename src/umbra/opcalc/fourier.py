@@ -111,32 +111,21 @@ def gaussian_shift_transform(coeffs, y) -> tuple:
     )
 
 
-def big_o_on_monomial(
-    symbol: FourierSymbol,
-    alpha: float,
-    beta: float,
-    n: int,
-    x: complex,
-    printed_constants: bool = False,
-) -> complex:
+def big_o_on_monomial(symbol: FourierSymbol, alpha: float, beta: float, n: int, x: complex) -> complex:
     """f(alpha d^2/dx^2 + beta x) x^n via the ordered exponential:
 
     (1/sqrt(2 pi)) integral f~(k) e^{-i (k^3/3) alpha beta^2} e^{i k beta x}
                             H_n(x - k^2 alpha beta, i k alpha) dk.
 
-    The phase 1/3 and unit shift come from the verified disentanglement;
-    printed_constants=True substitutes the printed 10/3 and doubled shift,
-    which the oracle rejects (errata evidence).
+    The phase 1/3 and unit shift come from the verified disentanglement.
     """
-    phase = 10.0 / 3.0 if printed_constants else 1.0 / 3.0
-    shift = 2.0 if printed_constants else 1.0
 
     def g(k):
         return (
             symbol.envelope(k)
-            * np.exp(-1j * phase * k ** 3 * alpha * beta ** 2)
+            * np.exp(-1j * (1.0 / 3.0) * k ** 3 * alpha * beta ** 2)
             * np.exp(1j * k * beta * x)
-            * hermite2(n, x - shift * k * k * alpha * beta, 1j * k * alpha)
+            * hermite2(n, x - k * k * alpha * beta, 1j * k * alpha)
         )
 
     res = gaussian_fourier_integral(symbol.gauss_coeff, g)

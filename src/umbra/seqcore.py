@@ -60,7 +60,6 @@ from math import comb, gcd, lcm
 from typing import Iterable
 
 from .errors import InvalidParameterError, SequenceFormatError
-from .specfun import hermite2_coeffs
 
 Rational = Fraction | int | str
 
@@ -325,41 +324,6 @@ def compose_transforms(pipeline: Iterable[Stage], a: Sequence) -> Sequence:
     for stage in pipeline:
         out = stage.apply(out)
     return out
-
-
-def composed_hermite_modular_closed_form(a: Sequence, alpha, beta, gamma, delta) -> Sequence:
-    """Umbral reading of the printed closed composite: b_n = H_n(alpha - beta*gamma*a^, beta^2*delta).
-
-    Literal transcription of the published composite identity.  It does NOT
-    reproduce the sequential pipeline (see the soft check below); it is kept
-    to measure and report the discrepancy, never to silently fix it.
-    """
-    alpha, beta, gamma, delta = map(_frac, (alpha, beta, gamma, delta))
-    out = []
-    for n in range(len(a)):
-        # H_n(u, beta^2 delta) = sum_m h_m u^m, with u^m = (alpha - beta*gamma*a^)^m . 1
-        # expanded binomially
-        h = hermite2_coeffs(n, beta ** 2 * delta)
-        out.append(sum(
-            h[m] * sum(comb(m, s) * alpha ** (m - s) * (-beta * gamma) ** s * a[s] for s in range(m + 1))
-            for m in range(n % 2, n + 1, 2)
-        ))
-    return Sequence.of(out)
-
-
-def hermite_after_modular_gap(a: Sequence, alpha, beta, gamma, delta) -> tuple[Fraction, ...]:
-    """Residual of the printed composite formula against the sequential pipeline H(gamma,delta) o B(alpha,beta).
-
-    Reported as a soft property: generically nonzero, flagged in the identity
-    suite as errata evidence.
-    """
-    sequential = compose_transforms(
-        [Stage("modular", alpha=_frac(alpha), beta=_frac(beta)),
-         Stage("hermite", alpha=_frac(gamma), beta=_frac(delta))],
-        a,
-    )
-    closed = composed_hermite_modular_closed_form(a, alpha, beta, gamma, delta)
-    return tuple(s - c for s, c in zip(sequential.terms, closed.terms))
 
 
 def modular_after_hermite_gap(a: Sequence, alpha, beta, gamma, delta) -> tuple[Fraction, ...]:

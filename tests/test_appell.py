@@ -29,6 +29,11 @@ def hermite_type():
 
 
 class TestFamilies:
+    @pytest.mark.parametrize("build", [appell.bernoulli_family, appell.identity_family, appell.gauss_hermite_family])
+    def test_builtin_family_is_built_once(self, build):
+        assert build() is build()
+        assert build().reciprocal() is not build().reciprocal()
+
     def test_bernoulli_numbers(self):
         assert appell.bernoulli_numbers(4) == (1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30))
 

@@ -42,13 +42,14 @@ def test_order_outside_the_verified_range_raises(order):
 @pytest.mark.parametrize("transform", [sq.hermite_transform_seq, sq.laguerre_transform_seq])
 @pytest.mark.parametrize("kind", ["ordinary", "exponential"])
 def test_direct_side_converted_once_is_bit_identical(transform, kind):
-    # the master cases evaluate the transformed sequence's series from terms converted once
+    # the master cases evaluate the transformed sequence's series from terms converted once;
+    # the evaluators convert each exact term on every call
     transformed = transform(checks.MASTER_SEQUENCES[4].build(64), sq.TransformParams(Fraction(3, 4), Fraction(-1, 2)))
     direct = gf.sequence_series(transformed, kind)
     points = checks.sample_points(0.45)
     assert len(points) == 20
     for x in points:
-        assert direct(x) == gf.sequence_series_value(transformed, x, kind)
+        assert direct(x) == gf._EVALUATORS[kind](transformed.terms, x)
 
 
 def test_every_check_appears_once_in_all():
@@ -95,6 +96,46 @@ def test_errata_rows_never_fail_suite():
     results = checks.run_selected("hermite")
     assert all(r.status in ("pass", "flagged-errata") for _, r in results)
     assert any(r.status == "flagged-errata" for _, r in results)
+
+
+def _errata_rows() -> dict:
+    return {check.equation: check for _, check in checks.resolve_suites("all") if check.errata}
+
+
+@pytest.mark.parametrize("equation,residual", [
+    ("Eq. 32", 254.0),
+    ("Eq. 72", 2042880.0),
+    ("Eq. 75", 0.07390544488553108),
+    ("footnote 6", 1.0),
+])
+def test_printed_variant_residuals(equation, residual):
+    # each errata row builds the printed variant itself and measures its discrepancy, bit for bit
+    assert _errata_rows()[equation].run().residual == residual
+
+
+def test_every_errata_row_is_above_the_floor():
+    rows = _errata_rows()
+    assert len(rows) == 10
+    assert all(row.run().residual >= checks.ERRATA_FLOOR for row in rows.values())
+
+
+def test_errata_row_with_derived_constants_is_stale(monkeypatch, capsys):
+    # with the derived phase 1/3 and unit shift the Eq. 75 row agrees with the Taylor
+    # oracle to rounding: it no longer documents a misprint, and that fails the run
+    monkeypatch.setattr(checks, "_EQ75_PRINTED_PHASE", 1.0 / 3.0)
+    monkeypatch.setattr(checks, "_EQ75_PRINTED_SHIFT", 1.0)
+    result = checks.run_check(_errata_rows()["Eq. 75"])
+    assert result.status == "stale-errata"
+    assert result.residual < 1e-15
+    assert main(["check", "--suite", "disentangle"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert [c["status"] for c in doc["checks"]] == ["pass", "pass", "flagged-errata", "stale-errata"]
+
+
+def test_errata_row_with_nan_residual_is_stale():
+    row = checks.Check("nan discrepancy", "Eq. 0", 0.0, lambda: checks.Outcome(float("nan")), errata=True)
+    assert checks.run_check(row).status == "stale-errata"
 
 
 def test_tolerance_override_applies_to_inexact_checks():

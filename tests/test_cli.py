@@ -110,6 +110,16 @@ class TestLayering:
     def test_float_stack_not_loaded(self, script, tmp_path):
         assert _loaded_modules(script, tmp_path, ("numpy", "scipy")) == "[]"
 
+    @pytest.mark.parametrize("script,extra", [
+        ("import umbra.seqcore", []),
+        ("from umbra.cli import main\n"
+         "assert main(['transform', sys.argv[1], '--name', 'laguerre', '--alpha', '1/2', '--beta', '3']) == 0",
+         ["umbra.cli"]),
+    ], ids=["import", "transform"])
+    def test_exact_layer_loads_only_itself(self, script, extra, tmp_path):
+        want = sorted(["umbra", "umbra.errors", "umbra.seqcore", *extra])
+        assert _loaded_modules(script, tmp_path, ("umbra",)) == str(want)
+
     @pytest.mark.parametrize("script", [
         "import umbra.checks, umbra.opcalc",
         "from umbra.cli import main\nassert main(['check', '--suite', 'all']) == 0",

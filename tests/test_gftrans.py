@@ -18,7 +18,7 @@ from umbra.gftrans import (
     laguerre_form,
     modular_form,
     ordinary_tail,
-    sequence_series_value,
+    sequence_series,
 )
 from umbra.seqcore import Sequence, TransformParams, rising_k_binomial
 from umbra.specfun import hermite2
@@ -41,21 +41,21 @@ def k_binomial(a, k, kind):
 
 class TestSeriesEval:
     def test_geometric_value_and_tail(self):
-        value = sequence_series_value(ones(21), 0.5, "ordinary")
+        value = sequence_series(ones(21), "ordinary")(0.5)
         tail = ordinary_tail(1.0, 1.0, 0.5, 21)
         assert value == pytest.approx(2 - 2.0 ** -20, rel=1e-15)
         assert tail == pytest.approx(2.0 ** -20, rel=1e-12)
         assert abs(2.0 - value) <= tail * (1 + 1e-12)
 
     def test_exponential_reaches_e(self):
-        value = sequence_series_value(ones(31), 1.0, "exponential")
+        value = sequence_series(ones(31), "exponential")(1.0)
         tail = exponential_tail(1.0, 1.0, 1.0, 31)
         # the tail bound covers truncation only; allow summation rounding on top
         assert abs(value - np.e) <= tail + 1e-15
         assert tail < 1e-25
 
     def test_zero_growth_means_zero_tail(self):
-        assert sequence_series_value(Sequence.of([3]), 0.25, "ordinary") == 3.0
+        assert sequence_series(Sequence.of([3]), "ordinary")(0.25) == 3.0
         assert ordinary_tail(0.0, 1.0, 0.25, 1) == 0.0
         assert exponential_tail(0.0, 1.0, 0.25, 1) == 0.0
 
@@ -69,11 +69,11 @@ class TestSeriesEval:
 
     @pytest.mark.parametrize("evaluate", [
         lambda kind: PowerSeries((1.0,), kind),
-        lambda kind: sequence_series_value(ones(3), 0.1, kind),
+        lambda kind: sequence_series(ones(3), kind)(0.1),
         lambda kind: modular_form(UNIT, kind),
         lambda kind: laguerre_form(UNIT, kind),
         lambda kind: k_binomial_form(1, kind),
-    ], ids=["PowerSeries", "sequence_series_value", "modular_gf", "laguerre_gf", "k_binomial_closed"])
+    ], ids=["PowerSeries", "sequence_series", "modular_gf", "laguerre_gf", "k_binomial_closed"])
     @pytest.mark.parametrize("kind", ["laurent", "ordinry", "ordinery"])
     def test_misspelt_kind_rejected(self, evaluate, kind):
         with pytest.raises(InvalidParameterError, match=f"unknown series kind '{kind}'"):
@@ -160,10 +160,10 @@ class TestModularClosedForms:
         a = Sequence.of([Fraction(1, n + 2) for n in range(40)])
         for x in (0.25, -0.3):
             u = -x / (1 - x)
-            assert binomial(a, x, "ordinary") == pytest.approx(sequence_series_value(a, u, "ordinary") / (1 - x),
+            assert binomial(a, x, "ordinary") == pytest.approx(sequence_series(a, "ordinary")(u) / (1 - x),
                                                                rel=1e-14)
             assert binomial(a, x, "exponential") == pytest.approx(
-                np.exp(x) * sequence_series_value(a, -x, "exponential"), rel=1e-14
+                np.exp(x) * sequence_series(a, "exponential")(-x), rel=1e-14
             )
 
     def test_exponential_ones(self):
@@ -198,7 +198,7 @@ class TestKBinomialClosedForms:
         a = ones(65)
         x = 0.25
         got = k_binomial(a, 2, "ordinary")(x)
-        direct = sequence_series_value(rising_k_binomial(a, 2), x, "ordinary")
+        direct = sequence_series(rising_k_binomial(a, 2), "ordinary")(x)
         assert got == pytest.approx(direct, abs=1e-10)
 
     def test_negative_k_rejected(self):
@@ -222,7 +222,7 @@ class TestHermiteClosedForms:
     def test_complementary_beta_zero_is_scaled_series(self):
         a = Sequence.of([Fraction(1, n + 1) for n in range(50)])
         got = hermite_form(TransformParams(2, 0), "complementary").bind(a)(0.2)
-        assert got == pytest.approx(sequence_series_value(a, 0.4, "exponential"), rel=1e-13)
+        assert got == pytest.approx(sequence_series(a, "exponential")(0.4), rel=1e-13)
 
     def test_x_zero(self):
         assert hermite_form(UNIT, "standard").bind(Sequence.of([9, 1]))(0.0) == pytest.approx(9.0)
@@ -275,5 +275,5 @@ def test_forms_match_the_exact_transform_at_signed_parameters(terms, alpha, beta
     ]
     for form, transformed in cases:
         value = form.bind(a)(x)
-        direct = sequence_series_value(transformed, x, form.kind)
+        direct = sequence_series(transformed, form.kind)(x)
         assert abs(value - direct) <= 1e-12 * max(1.0, abs(value)), (form.kind, value, direct)

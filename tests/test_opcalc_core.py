@@ -119,18 +119,13 @@ class TestCubicDisentangle:
     def test_nontrivial_exact(self):
         assert opcalc.cubic_disentangle_check(Fraction(3, 4), 2, order=8) == 0
 
-    def test_printed_constant_fails(self):
-        # the printed alpha^2 factor in the commutator constant breaks the identity
-        residual = opcalc.cubic_disentangle_check(4, 1, order=6, printed_m=True)
-        assert residual == 2042880
-
     def test_printed_constant_matches_at_alpha_one(self):
-        # alpha = 1 hides the misprint: both constants coincide there
-        assert opcalc.cubic_disentangle_check(1, 1, order=6, printed_m=True) == 0
-
-    def test_printed_needs_square_alpha(self):
-        with pytest.raises(InvalidParameterError):
-            opcalc.cubic_disentangle_check(2, 1, printed_m=True)
+        # alpha = 1 hides the Eq. 72 misprint: the printed alpha^4/3 and alpha^{5/2}
+        # terms are the derived alpha/3 and alpha there
+        A, B = formal.OperatorTerm(1, Fraction(1), "d2"), formal.OperatorTerm(1, Fraction(1), "x")
+        scalar = formal.OperatorTerm(3, Fraction(1, 3), "1")
+        drift = formal.OperatorTerm(2, Fraction(-1), "d")
+        assert formal.product_residual([[A, B]], [[scalar, drift, A], [B]], 6, formal.CUBIC_MAX_DEGREE) == 0
 
 
 class TestExpApply:

@@ -111,14 +111,6 @@ class TestBigO:
         ref = opcalc.apply_entire_function(_gaussian_taylor_float(), op, [0.0] * n + [1.0], x)
         assert got == pytest.approx(ref, abs=1e-7)
 
-    def test_printed_constants_disagree_with_oracle(self):
-        sym = opcalc.gaussian_symbol(1.0)
-        alpha, beta, n, x = 0.25, 0.25, 1, 0.5
-        op = opcalc.second_derivative_plus_x_op(alpha, beta, 220)
-        ref = opcalc.apply_entire_function(_gaussian_taylor_float(), op, [0.0, 1.0], x)
-        bad = opcalc.big_o_on_monomial(sym, alpha, beta, n, x, printed_constants=True)
-        assert abs(bad - ref) > 1e-3
-
 
 class TestPauli:
     def test_omega_zero_gives_f0_identity(self):

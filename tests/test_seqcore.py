@@ -16,7 +16,6 @@ from umbra.seqcore import (
     _egf_product,
     binomial_transform,
     compose_transforms,
-    hermite_after_modular_gap,
     hermite_complementary_seq,
     hermite_inverse_seq,
     hermite_transform_seq,
@@ -305,12 +304,6 @@ class TestCompose:
     def test_stage_missing_param_rejected(self):
         with pytest.raises(InvalidParameterError):
             compose_transforms([Stage("modular", alpha=Fraction(1))], seq(1, 2))
-
-    def test_printed_composite_formula_disagrees(self):
-        # soft property: the literal composite formula does not match the
-        # sequential pipeline; the gap is reported, not corrected
-        gap = hermite_after_modular_gap(seq(1, 1, 1, 1), 1, 2, 3, 1)
-        assert any(g != 0 for g in gap)
 
     @given(sequences, rationals, rationals, rationals, rationals)
     @settings(max_examples=30)
