@@ -550,13 +550,12 @@ def _chk_exp_laguerre() -> Outcome:
 
 def _chk_integro_diff() -> Outcome:
     f = gf.PowerSeries(oc.c0_series(40), "ordinary")
-    f_ord = [float(c) for c in oc.c0_series(40)]
     worst = 0.0
     for beta in (0.0, 0.5, 1.0):
         for x in np.linspace(0.0, 0.5, 5):
             for tau in np.linspace(0.0, 0.5, 5):
                 got = oc.integro_diff_evolve(f, beta, 2, float(tau), float(x))
-                want = oc.integro_matrix_oracle(f_ord, beta, 2, float(tau), float(x))
+                want = oc.integro_matrix_oracle(f.complex_coeffs, beta, 2, float(tau), float(x))
                 worst = max(worst, abs(got - want))
     return Outcome(worst, "m=2, beta in {0, 1/2, 1}, grid on [0,0.5]^2 vs matrix exponential")
 

@@ -219,10 +219,12 @@ def _evolve_heat(args) -> list[str]:
     from . import opcalc as oc
 
     scale = float(_parse_float_sized(args.scale, "--scale"))
-    grid = oc.GridFunction.sample(lambda t: np.exp(-scale * t * t), args.extent, args.points)
-    evolved = oc.heat_evolve_ft(grid, args.alpha)
     # exact Gaussian widening: variance 1/(2 s) -> 1/(2 s) + 2 alpha
     denom = 1.0 + 4.0 * args.alpha * scale
+    if not math.isfinite(denom):
+        raise InvalidParameterError(f"--scale {scale:g} at --alpha {args.alpha:g}: the widened variance overflows")
+    grid = oc.GridFunction.sample(lambda t: np.exp(-scale * t * t), args.extent, args.points)
+    evolved = oc.heat_evolve_ft(grid, args.alpha)
     amp = 1.0 / np.sqrt(denom)
     reference = amp * np.exp(-scale * grid.xs() ** 2 / denom)
     lines = [f"# heat evolution: alpha={args.alpha:g} scale={scale:g} extent={args.extent:g} points={args.points}"]
@@ -256,7 +258,6 @@ def _evolve_integro(args) -> list[str]:
     # m >= 4 integrates out to |k| ~ 32, which needs an initial series of degree 81
     order = 40 if args.m == 2 else 81
     f = gf.PowerSeries(oc.c0_series(order), "ordinary")
-    f_ord = [float(c) for c in oc.c0_series(order)]
     lines = [
         f"# integro-differential evolution: m={args.m} beta={args.beta:g} "
         f"initial=C0 truncation={order} oracle=matrix-exponential(D={order})"
@@ -265,7 +266,7 @@ def _evolve_integro(args) -> list[str]:
     for x in np.linspace(0.0, 0.5, args.x_count):
         for tau in np.linspace(0.0, 0.5, args.tau_count):
             value = oc.integro_diff_evolve(f, args.beta, args.m, float(tau), float(x))
-            oracle = oc.integro_matrix_oracle(f_ord, args.beta, args.m, float(tau), float(x), order)
+            oracle = oc.integro_matrix_oracle(f.complex_coeffs, args.beta, args.m, float(tau), float(x), order)
             lines.append(f"{x:.6f},{tau:.6f},{value.real:.12e},{abs(value - oracle):.3e}")
     return lines
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 from cmath import exp as cexp
 from dataclasses import dataclass
+from functools import cached_property
 from math import exp, factorial, inf, lgamma, log
 from typing import Callable, Literal
 
@@ -45,6 +46,13 @@ class PowerSeries:
         if len(self.coeffs) < 1:
             raise InvalidParameterError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    @cached_property
+    def complex_coeffs(self) -> tuple:
+        """The coefficients as Python complex numbers, converted on first access
+        and kept with the series (a tuple, so read-only; not a field, so equality
+        and hash ignore it).  A grid of evaluations should reuse one series."""
+        return tuple(map(complex, self.coeffs))
 
 
 def ordinary_tail(M: float, rho: float, xabs: float, first_omitted: int) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, exp, factorial, inf, lgamma, log, pi, sqrt
+from math import comb, exp, factorial, inf, isfinite, lgamma, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -53,6 +53,8 @@ class GridFunction:
             raise InvalidParameterError("grid size must be a power of two")
         if self.extent <= 0:
             raise InvalidParameterError("grid extent must be positive")
+        if not isfinite(2.0 * self.extent / n):
+            raise InvalidParameterError(f"grid extent {self.extent:g} overflows the grid spacing")
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
 
     @property
@@ -77,7 +79,8 @@ def heat_evolve_ft(f: GridFunction, alpha: float) -> GridFunction:
         raise InvalidParameterError("heat evolution needs alpha >= 0")
     # the FFT grid is periodic: a kernel e^{-x^2/(4 alpha)} that is still above
     # the decay level at distance `extent` wraps round into the other side
-    if alpha > 0 and exp(-f.extent ** 2 / (4.0 * alpha)) > BOUNDARY_DECAY:
+    # (a product, not **: extent^2 past the float range is inf, a kernel decayed to 0)
+    if alpha > 0 and exp(-f.extent * f.extent / (4.0 * alpha)) > BOUNDARY_DECAY:
         raise DomainTooSmallError(
             f"heat kernel for alpha = {alpha:g} reaches the grid edge at {f.extent:g}; enlarge the grid extent"
         )
@@ -171,23 +174,38 @@ def _binomial_table(size: int) -> np.ndarray:
     return table
 
 
-def _evolution_tables(f_ord: list[complex], beta: float, x: float, work_order: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _hankel_index(rows: int, cols: int) -> np.ndarray:
+    """j + s for j < rows, s < cols: the gather index of a Hankel table (read-only, shared)."""
+    index = np.add.outer(np.arange(rows), np.arange(cols))
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=None)
+def _factorials(size: int) -> np.ndarray:
+    """n! rounded to the nearest double, n < size (read-only, shared)."""
+    table = np.array([float(factorial(n)) for n in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _evolution_tables(f_ord: tuple, beta: float, x: float, work_order: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient tables of [e^{i beta k D^{-1}} e^{i k LD} f](x) as a polynomial in k.
 
     The polynomial is sum_{j,s,r} a[j, s] (ik)^s b[j, r] (ik)^r, with
     a[j, s] = C(j+s, j) (j+s)! f_{j+s} from e^{ik LD} f = f_B(D^{-1} + ik) . 1
     (Borel route) and b[j, r] = x^{j+r}/(j+r)! beta^r/r! from e^{i beta k D^{-1}},
-    cut at degree work_order in x.
+    cut at degree work_order in x.  f_ord holds the complex coefficients.
     """
     tf = len(f_ord) - 1
-    deg = np.arange(tf + 1)[:, None]
-    r = np.arange(work_order + 1)
+    steps = np.arange(1.0, work_order + 1.0)
     borel = np.zeros(2 * tf + 1, dtype=complex)
-    borel[: tf + 1] = [factorial(n) * c for n, c in enumerate(f_ord)]
-    a = _binomial_table(tf + 1) * borel[deg + deg.T]
+    borel[: tf + 1] = _factorials(tf + 1) * np.asarray(f_ord)
+    a = _binomial_table(tf + 1) * borel[_hankel_index(tf + 1, tf + 1)]
     xpow = np.zeros(tf + work_order + 1)  # x^q / q!, zero past work_order
-    xpow[: work_order + 1] = np.cumprod(np.r_[1.0, x / r[1:]])
-    b = xpow[deg + r] * np.cumprod(np.r_[1.0, beta / r[1:]])
+    xpow[: work_order + 1] = np.cumprod(np.concatenate(((1.0,), x / steps)))
+    b = xpow[_hankel_index(tf + 1, work_order + 1)] * np.cumprod(np.concatenate(((1.0,), beta / steps)))
     return a, b
 
 
@@ -202,6 +220,16 @@ def _bracket_polynomial(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bincount(degree, weights=M.real.ravel()) + 1j * np.bincount(degree, weights=M.imag.ravel())
 
 
+@lru_cache(maxsize=None)
+def _moment_orders(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-orders p + 1/2 and signs i^{2p} = (-1)^p of the even moments k^{2p}, 2p < degree (read-only, shared)."""
+    half = np.arange(0, degree, 2) / 2.0 + 0.5
+    signs = np.where(np.arange(len(half)) % 2, -1.0, 1.0)
+    for table in (half, signs):
+        table.flags.writeable = False
+    return half, signs
+
+
 def _gaussian_moment_sum(a: np.ndarray, b: np.ndarray, beta: float, tau: float) -> complex:
     """The m = 2 integral of integro_diff_evolve as a finite sum of Gaussian moments.
 
@@ -212,19 +240,20 @@ def _gaussian_moment_sum(a: np.ndarray, b: np.ndarray, beta: float, tau: float) 
     the (s+r)-th moment.
     """
     degree = a.shape[1] + b.shape[1] - 1
+    half, signs = _moment_orders(degree)
     # i^{2p} Gamma(p + 1/2) / A^{p + 1/2} / sqrt(4 pi tau), in log space: A^{p+1/2}
     # and Gamma(p + 1/2) overflow separately long before their ratio does
-    half = np.arange(0, degree, 2) / 2.0 + 0.5
     log_moments = (
         log_gamma_half(len(half)) - half * log(1.0 / (4.0 * tau) + beta / 2.0) - 0.5 * log(4.0 * pi * tau)
     )
-    moments = np.zeros(degree)
-    moments[::2] = np.where(np.arange(len(half)) % 2, -1.0, 1.0) * np.exp(log_moments)
-    hankel = moments[np.arange(a.shape[1])[:, None] + np.arange(b.shape[1])]
+    # complex like a, so that a @ hankel multiplies without casting
+    moments = np.zeros(degree, dtype=complex)
+    moments[::2] = signs * np.exp(log_moments)
+    hankel = moments[_hankel_index(a.shape[1], b.shape[1])]
     return complex(np.sum((a @ hankel) * b))
 
 
-def _moment_law_sum(f_ord: list[complex], a: np.ndarray, b: np.ndarray, m: int, tau: float) -> complex:
+def _moment_law_sum(f_ord: tuple, a: np.ndarray, b: np.ndarray, m: int, tau: float) -> complex:
     """The beta = 0 integral of integro_diff_evolve for even m >= 4, from the moments of e~_m.
 
     (1/sqrt(2 pi)) integral e~_m(k, tau) (ik)^n dk = n! [u^n] e^{-tau u^m}, and at
@@ -310,7 +339,7 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
             f"a degree-{len(f.coeffs) - 1} series: the route scales coefficient n by n!, "
             f"which must fit a double (degree <= {FACTORIAL_DEGREE_MAX})"
         )
-    f_ord = [complex(c) for c in f.coeffs]
+    f_ord = f.complex_coeffs
     if tau == 0:
         return polyval_coeffs(f_ord, x)
     a, b = _evolution_tables(f_ord, beta, x, max(len(f_ord) - 1, 48) + 16)
@@ -351,7 +380,9 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
     half = len(ks) // 2
     k = ks[half:]
     damped = _e_tilde_grid(m, tau, k) * np.exp(-beta * k ** 2 / 2.0)
-    integrand = damped * polyval_coeffs(poly, 1j * k) + damped * polyval_coeffs(poly, 1j * -k)
+    # one Horner pass over the stacked nodes ik and -ik
+    bracket = polyval_coeffs(poly, np.concatenate((1j * k, 1j * -k)))
+    integrand = damped * bracket[: len(k)] + damped * bracket[len(k):]
     return complex(np.sum(rule.weights[half:] * integrand)) / _SQRT2PI
 
 

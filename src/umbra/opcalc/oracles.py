@@ -195,7 +195,8 @@ def integro_matrix_oracle(
         d = eigvecs @ (decay * (eigvecs.T @ d))
         evolved_e = d * np.exp(log_s)
 
-    return complex(polyval_coeffs(evolved_e / factorials, x))
+    # Horner on Python scalars: numpy scalar arithmetic is several times slower
+    return complex(polyval_coeffs((evolved_e / factorials).tolist(), x))
 
 
 def c0_series(order: int):

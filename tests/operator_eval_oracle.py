@@ -6,18 +6,22 @@ references for them:
   node by node, and the growth probes one (order, point) pair at a time;
 - `integro_matrix_oracle`: the n! and 1/n! scalings one coefficient at a time
   and a Taylor generator that allocates a fresh vector per application;
-- `tricomi_c`: both magnitude reductions at every step past the minimum.
+- `tricomi_c`: both magnitude reductions at every step past the minimum;
+- `integro_diff_evolve`: the series converted to complex on every call, the
+  index tables built afresh, a real moment vector cast inside the product,
+  and the bracket polynomial evaluated at ik and -ik in two Horner passes.
 
 Each performs the same floating-point operations as the library, in the same
 order, so the two must agree bit for bit.
 """
 import warnings
-from math import factorial, sqrt
+from math import comb, factorial, log, pi, sqrt
 
 import numpy as np
 
 from umbra.appell import _GUARD_POINTS, _SQRT2PI, MAX_COEFFICIENTS
 from umbra.errors import DivergenceError, InternalConsistencyError, TruncationError
+from umbra.opcalc.fourier import _bracket_polynomial, _e_tilde_grid, _moment_law_sum
 from umbra.opcalc.oracles import ORACLE_TAYLOR_BETA, ORACLE_TAYLOR_ORDERS, _unit_eigensystem
 from umbra.opcalc.quadrature import (
     CONVERGENCE_TOL,
@@ -26,6 +30,8 @@ from umbra.opcalc.quadrature import (
     QuadratureConvergenceWarning,
     QuadratureResult,
     gauss_hermite_rule,
+    legendre_composite_rule,
+    log_gamma_half,
 )
 from umbra.specfun import polyval_coeffs
 
@@ -167,3 +173,51 @@ def tricomi_c(n, x):
     if np.ndim(x) == 0:
         return complex(total)
     return total
+
+
+def integro_diff_evolve(coeffs, beta, m, tau, x):
+    """The route of opcalc.integro_diff_evolve past its argument guards."""
+    f_ord = [complex(c) for c in coeffs]
+    if tau == 0:
+        return polyval_coeffs(f_ord, x)
+    tf = len(f_ord) - 1
+    work_order = max(tf, 48) + 16
+    deg = np.arange(tf + 1)[:, None]
+    r = np.arange(work_order + 1)
+    borel = np.zeros(2 * tf + 1, dtype=complex)
+    borel[: tf + 1] = [factorial(n) * c for n, c in enumerate(f_ord)]
+    binomial = np.array([[comb(j + s, j) if j + s <= tf else 0 for s in range(tf + 1)] for j in range(tf + 1)],
+                        dtype=float)
+    a = binomial * borel[deg + deg.T]
+    xpow = np.zeros(tf + work_order + 1)
+    xpow[: work_order + 1] = np.cumprod(np.r_[1.0, x / r[1:]])
+    b = xpow[deg + r] * np.cumprod(np.r_[1.0, beta / r[1:]])
+
+    if m == 2:
+        degree = a.shape[1] + b.shape[1] - 1
+        half = np.arange(0, degree, 2) / 2.0 + 0.5
+        log_moments = (
+            log_gamma_half(len(half)) - half * log(1.0 / (4.0 * tau) + beta / 2.0) - 0.5 * log(4.0 * pi * tau)
+        )
+        moments = np.zeros(degree)
+        moments[::2] = np.where(np.arange(len(half)) % 2, -1.0, 1.0) * np.exp(log_moments)
+        hankel = moments[np.arange(a.shape[1])[:, None] + np.arange(b.shape[1])]
+        return complex(np.sum((a @ hankel) * b))
+    if beta == 0:
+        return _moment_law_sum(f_ord, a, b, m, tau)
+
+    for K in (4.0, 8.0, 16.0, 32.0):
+        tail = abs(_e_tilde_grid(m, tau, np.array([K, 1.25 * K])).max()) * np.exp(-beta * K * K / 2.0)
+        if tail < 1e-15:
+            break
+    else:
+        raise TruncationError("cutoff search exhausted")
+    if tf < int(2.5 * K + 1):
+        raise TruncationError("series too short for the cutoff")
+    rule = legendre_composite_rule(-K, K, max(64, int(8 * K)), 12)
+    poly = _bracket_polynomial(a, b)
+    half = len(rule.nodes) // 2
+    k = rule.nodes[half:]
+    damped = _e_tilde_grid(m, tau, k) * np.exp(-beta * k ** 2 / 2.0)
+    integrand = damped * polyval_coeffs(poly, 1j * k) + damped * polyval_coeffs(poly, 1j * -k)
+    return complex(np.sum(rule.weights[half:] * integrand)) / _SQRT2PI

@@ -1,4 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,10 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from transform_oracle import expected
 
 import umbra
-from umbra.checks import MAX_ORDER
+from umbra.checks import MAX_ORDER, suite_names
 from umbra.cli import main
 from umbra.seqcore import TRANSFORM_NAMES
 
@@ -309,8 +314,90 @@ def test_bad_numeric_flag_exits_3(argv, capsys):
     assert "nan" not in out.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    # extent^2 overflowed in the kernel-reach test, and 2 extent / points is inf
+    ["evolve", "--equation", "heat", "--extent", "1e308"],
+    # 1 + 4 alpha scale is inf: the reference printed nan in every residual
+    ["evolve", "--equation", "heat", "--scale", "1e308"],
+], ids=" ".join)
+def test_overflowing_heat_grid_exits_3(argv, capsys):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "overflows" in err
+    assert out == ""
+
+
+def test_heat_extent_past_the_kernel_square_runs(capsys):
+    # extent^2 is past the float range but the spacing is finite: the kernel has decayed
+    assert main(["evolve", "--equation", "heat", "--extent", "1e300", "--alpha", "1e-300"]) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
 def test_exact_transform_parameters_take_any_size(tmp_path, capsys):
     src = write(tmp_path, "a.json", '{"terms": ["1", "2"]}')
     assert main(["transform", src, "--name", "modular", "--alpha", "1e400", "--beta", "1"]) == 0
     want = expected("modular", ["1", "2"], Fraction(10 ** 400), Fraction(1), None)
     assert json.loads(capsys.readouterr().out)["terms"] == [str(w) for w in want]
+
+
+# values that have broken numeric parsing, factorial ranges and grid sizes before
+FUZZ_VALUES = ("nan", "inf", "-inf", "1e308", "171", "257", "", "0", "-1", "1/2")
+
+
+def _flags(required: dict, optional: dict):
+    """Argument vectors: every required flag and any subset of the optional ones."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda flags: [part for flag, value in flags.items() for part in (flag, value)]
+    )
+
+
+def _values(*typical):
+    return st.sampled_from(FUZZ_VALUES + typical)
+
+
+# `check --suite all` takes seconds and every suite runs alone anyway; grid
+# counts stay at most 3 and --points at most 1024 so that no example is slow
+FUZZ_ARGV = st.one_of(
+    _flags(
+        {"--suite": st.sampled_from((*suite_names(), "", "bogus"))},
+        {"--order": _values("1", "2", "16"), "--tolerance": _values("1e-12", "0.5"),
+         "--seed": _values("7"), "--format": st.sampled_from(("json", "csv"))},
+    ).map(lambda argv: ["check", *argv]),
+    _flags(
+        {"--family": st.sampled_from(("bernoulli", "identity", "gauss-hermite-type")),
+         "--count": _values("1", "3", "24")},
+        {"--scale": _values("1/8", "1", "8")},
+    ).map(lambda argv: ["expand", *argv]),
+    _flags(
+        {"--equation": st.sampled_from(("heat", "tricomi", "integro-diff")),
+         "--x-count": st.sampled_from(("1", "2", "3", "0", "-1", "nan", "")),
+         "--tau-count": st.sampled_from(("1", "2", "3", "0", "-1", "nan", ""))},
+        {"--alpha": _values("0.5", "8"), "--beta": _values("0.5", "1", "2.5"), "--m": _values("2", "4", "400"),
+         "--extent": _values("16", "2"), "--points": _values("64", "1024"), "--scale": _values("1/2", "4")},
+    ).map(lambda argv: ["evolve", *argv]),
+)
+
+
+def _nan_columns(command: str, out: str) -> list:
+    """Value and residual fields of an exit-0 output that print nan.  A check
+    row's tolerance may print inf (the Eq. 61 row judges monotonicity, not its
+    residual), so only the residual is read there."""
+    if command == "check":
+        rows = json.loads(out)["checks"] if out.startswith("{") else list(csv.DictReader(io.StringIO(out)))
+        return [row for row in rows if "nan" in row["residual"].lower()]
+    return [line for line in out.splitlines() if not line.startswith("#") and "nan" in line.lower()]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=FUZZ_ARGV)
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in range(5), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not _nan_columns(argv[0], out.getvalue()), argv

@@ -1,4 +1,5 @@
 """Truncated-series evaluation and the closed-form transform identities."""
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,30 @@ class TestSeriesEval:
     def test_bad_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
             PowerSeries((1.0,), "laurent")
+
+    def test_complex_view_converted_once(self):
+        f = PowerSeries((Fraction(1, 3), -2, Fraction(5, 7)), "ordinary")
+        view = f.complex_coeffs
+        assert view == (complex(Fraction(1, 3)), -2 + 0j, complex(Fraction(5, 7)))
+        assert all(type(c) is complex for c in view)
+        assert f.complex_coeffs is view
+
+    def test_complex_view_is_read_only(self):
+        f = PowerSeries((Fraction(1, 3), -2), "ordinary")
+        view = f.complex_coeffs
+        with pytest.raises(TypeError):
+            view[0] = 0j
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.complex_coeffs = (0j, 0j)
+        assert f.complex_coeffs is view and view == (complex(Fraction(1, 3)), -2 + 0j)
+
+    def test_complex_view_leaves_equality_and_hash(self):
+        f, g = PowerSeries((Fraction(1, 3), -2), "ordinary"), PowerSeries((Fraction(1, 3), -2), "ordinary")
+        before = hash(f)
+        f.complex_coeffs
+        assert f == g and hash(f) == before == hash(g)
+        assert f != PowerSeries((Fraction(1, 3), -3), "ordinary")
+        assert {f: 1}[g] == 1
 
     @pytest.mark.parametrize("evaluate", [
         lambda kind: PowerSeries((1.0,), kind),

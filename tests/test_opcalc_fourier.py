@@ -455,6 +455,46 @@ class TestIntegroDiff:
         f81 = PowerSeries(opcalc.c0_series(81), "ordinary")
         assert repr(opcalc.integro_diff_evolve(f81, 0.5, 4, 0.2, 0.25)) == "(0.5599811890758907+0j)"
 
+    @pytest.mark.parametrize("beta,value", [
+        (0.0, "(0.6264908781691333+0j)"),
+        (0.5, "(0.6189985263518432+0j)"),
+        (1.0, "(0.6044628155410277+0j)"),
+    ])
+    def test_m2_value_pinned(self, beta, value):
+        # recorded before the route took the series' complex view and its
+        # shape-only tables from caches: the m = 2 route must stay bit for bit
+        assert repr(opcalc.integro_diff_evolve(self.f, beta, 2, 0.2, 0.25)) == value
+
+    def test_series_converted_once_per_object(self):
+        conversions = []
+
+        class Counted(Fraction):
+            def __complex__(self):
+                conversions.append(self)
+                return complex(float(self))
+
+        f = PowerSeries(tuple(Counted(c) for c in opcalc.c0_series(40)), "ordinary")
+        for beta, tau, x in [(0.5, 0.0, 0.25), (0.5, 0.2, 0.25), (0.0, 0.4, 0.5), (1.0, 0.1, 0.0)]:
+            got = opcalc.integro_diff_evolve(f, beta, 2, tau, x)
+            assert got == opcalc.integro_diff_evolve(self.f, beta, 2, tau, x)
+        assert len(conversions) == 41
+
+    @pytest.mark.parametrize("m,degree", [(2, 40), (4, 81)])
+    def test_alternating_series_keep_their_own_values(self, m, degree):
+        # two series with different coefficients, taken in turn on one grid,
+        # give exactly what freshly built series give: no view leaks across
+        first = opcalc.c0_series(degree)
+        second = tuple(c * Fraction(3, 2) if n < 5 else c for n, c in enumerate(first))
+        f, g = PowerSeries(first, "ordinary"), PowerSeries(second, "ordinary")
+        for beta in (0.0, 0.5):
+            for x in (0.0, 0.5):
+                for tau in (0.0, 0.1, 0.3):
+                    for series, coeffs in ((f, first), (g, second)):
+                        fresh = PowerSeries(coeffs, "ordinary")
+                        assert opcalc.integro_diff_evolve(series, beta, m, tau, x) == \
+                            opcalc.integro_diff_evolve(fresh, beta, m, tau, x)
+        assert f.complex_coeffs != g.complex_coeffs
+
     def test_legendre_rule_cache_is_bounded(self):
         # the m >= 4 route's symbol asks for the interval [0, (40/tau)^{1/m}], one per distinct tau
         for tau in np.linspace(0.05, 0.3, 400):

@@ -1,6 +1,7 @@
 """The whole-array operator evaluations against their element-by-element forms
 in `operator_eval_oracle`: values (signed zeros included), node counts,
-convergence flags, warning counts and errors must be identical."""
+convergence flags, warning counts and errors must be identical.  The
+integro-differential route is held against its per-call form the same way."""
 import warnings
 from fractions import Fraction
 from math import factorial
@@ -8,9 +9,12 @@ from math import factorial
 import numpy as np
 import operator_eval_oracle as ref
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbra import appell, opcalc, specfun
 from umbra.errors import DivergenceError, InternalConsistencyError, TruncationError
+from umbra.gftrans import PowerSeries
 from umbra.opcalc.quadrature import QuadratureConvergenceWarning
 
 
@@ -141,6 +145,58 @@ def test_integro_oracle_short_and_rational_input():
     for beta in (0.0, 0.02, 1.0):
         got = opcalc.integro_matrix_oracle(f, beta, 2, 0.3, 0.4, 12)
         assert repr(got) == repr(ref.integro_matrix_oracle(f, beta, 2, 0.3, 0.4, 12))
+
+
+def test_integro_oracle_takes_the_complex_view():
+    # the CLI and the catalog pass the series' complex view where floats were passed
+    f = PowerSeries(opcalc.c0_series(40), "ordinary")
+    floats = [float(c) for c in f.coeffs]
+    for beta in (0.0, 0.02, 0.5, 1.0):
+        for x, tau in ((0.0, 0.0), (0.125, 0.25), (0.5, 0.5)):
+            got = opcalc.integro_matrix_oracle(f.complex_coeffs, beta, 2, tau, x)
+            assert repr(got) == repr(opcalc.integro_matrix_oracle(floats, beta, 2, tau, x))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("m, degree", [(2, 40), (2, 81), (4, 81), (6, 97)])
+def test_integro_route_matches_per_call_form(m, degree, beta):
+    f = PowerSeries(opcalc.c0_series(degree), "ordinary")
+    grid = [(x, tau) for x in (0.0, 0.3, -0.5) for tau in (0.0, 1e-9, 0.2, 0.5)] if m == 2 else \
+        [(0.0, 0.0), (0.5, 0.1), (0.25, 0.3)]
+    for x, tau in grid:
+        got = opcalc.integro_diff_evolve(f, beta, m, tau, x)
+        assert repr(got) == repr(ref.integro_diff_evolve(f.coeffs, beta, m, tau, x))
+
+
+series_coefficients = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=30), min_size=1, max_size=30
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=series_coefficients,
+    beta=st.sampled_from([0.0, 0.5, 2.0]),
+    x=st.floats(-0.5, 0.5),
+    tau=st.floats(0.0, 0.5),
+)
+def test_integro_m2_matches_per_call_form_on_random_series(coeffs, beta, x, tau):
+    got = opcalc.integro_diff_evolve(PowerSeries(coeffs, "ordinary"), beta, 2, tau, x)
+    assert repr(got) == repr(ref.integro_diff_evolve(coeffs, beta, 2, tau, x))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    head=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=30), min_size=1, max_size=8),
+    beta=st.sampled_from([0.0, 0.5, 1.0]),
+    x=st.floats(-0.5, 0.5),
+    tau=st.floats(0.1, 0.3),
+)
+def test_integro_m4_matches_per_call_form_on_random_series(head, beta, x, tau):
+    # the beta > 0 rule needs coefficients through degree 81; the tail carries C_0's
+    coeffs = list(head) + list(opcalc.c0_series(81)[len(head):])
+    got = opcalc.integro_diff_evolve(PowerSeries(coeffs, "ordinary"), beta, 4, tau, x)
+    assert repr(got) == repr(ref.integro_diff_evolve(coeffs, beta, 4, tau, x))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
