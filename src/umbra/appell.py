@@ -17,9 +17,8 @@ from typing import Callable, Sequence as SequenceABC
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
-from .gftrans import hermite_form
 from .opcalc.quadrature import FourierSymbol, gaussian_fourier_rows, gaussian_symbol, gaussian_taylor
-from .seqcore import Sequence, TransformParams, _cleared, _integer_product, hermite_complementary_seq
+from .seqcore import _cleared, _integer_product
 from .specfun import polyval_coeffs
 
 _SQRT2PI = sqrt(2.0 * pi)
@@ -194,16 +193,6 @@ def appell_poly(fam: AppellFamily, n: int, sign: str = "plus") -> tuple:
     return tuple(poly)
 
 
-def generating_check(fam: AppellFamily, N: int, t: complex, x: complex, sign: str = "plus") -> float:
-    """|sum_{n<=N} t^n a_n(x)/n! - A(t)^{+-1} e^{tx}|: residual of the defining product."""
-    total = 0j
-    for n in range(N + 1):
-        value = polyval_coeffs(map(complex, appell_poly(fam, n, sign)), x)
-        total += t ** n / factorial(n) * value
-    closed = (fam.value_at(t) if sign == "plus" else fam.inverse_at(t)) * np.exp(t * x)
-    return abs(total - closed)
-
-
 @dataclass(frozen=True)
 class GaussianFunction:
     """f(x) = exp(-scale x^2) with its transform pair and exact Taylor data."""
@@ -340,45 +329,3 @@ def reconstruct(fam: AppellFamily, res: ExpansionResult, x: complex) -> complex:
         value = polyval_coeffs(map(complex, appell_poly(fam, n, "plus")), x)
         total += complex(alpha) * value
     return total
-
-
-def reconstruction_residual(fam: AppellFamily, res: ExpansionResult, f, xs) -> float:
-    """Sup-residual of the partial expansion against f on a grid."""
-    return max(abs(reconstruct(fam, res, float(x)) - complex(f(float(x)))) for x in xs)
-
-
-def umbral_composition_check(fam: AppellFamily, n: int):
-    """A(d/dx) applied to a_n^-(x) must return x^n: the two operators cancel.
-
-    Returns the residual polynomial coefficients; exactly zero in rational mode.
-    """
-    minus = appell_poly(fam, n, "minus")
-    out = [0 * fam.a_taylor[0]] * (n + 1)
-    for m, cm in enumerate(fam.a_taylor[: n + 1]):
-        if cm == 0:
-            continue
-        # cm * d^m applied to the minus polynomial
-        for j in range(m, n + 1):
-            if minus[j] != 0:
-                out[j - m] += cm * minus[j] * (factorial(j) // factorial(j - m))
-    out[n] -= 1
-    return tuple(out)
-
-
-def gauss_umbral_bridge_residual(a: Sequence, y, xs) -> float:
-    """Max residual between the umbral-derivative Gaussian evolution of the EGF
-    and the closed form e^{y x^2} g(x).
-
-    The evolution e^{y (d/da^)^2} turns a_n into the complementary Hermite
-    transform with parameters (1, y); its EGF must match the closed product.
-    """
-    p = TransformParams(1, Fraction(y))
-    transformed = hermite_complementary_seq(a, p)
-    closed = hermite_form(p, "complementary").bind(a)
-    worst = 0.0
-    for x in xs:
-        umbral_side = 0j
-        for n, b in enumerate(transformed.terms):
-            umbral_side += complex(b) * complex(x) ** n / factorial(n)
-        worst = max(worst, abs(umbral_side - closed(complex(x))))
-    return worst

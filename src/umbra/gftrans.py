@@ -3,21 +3,20 @@
 Each section-1..3 transform has a closed form acting on the ordinary (OGF) or
 exponential (EGF) generating function of the input sequence.  Each is written
 once, as a `Form`: a sum of terms w P(x) S^(r)(U(x)) built from
-`TransformParams`.  The same terms evaluate the form on a truncated series and,
-with the geometric / factorial tail bounds here, give the truncation budgets
-under which the identity suite compares it against direct series summation of
-the transformed sequence.
+`TransformParams`, and the same terms evaluate the form on a truncated series.
+The identity catalog (`checks`) reads those terms at |x| for its truncation
+budgets and compares each form against direct series summation of the
+transformed sequence.
 
 Coefficients are complex floats in this module; the exact sequences of seqcore
 convert losslessly on entry.
 """
 from __future__ import annotations
 
-import sys
 from cmath import exp as cexp
 from dataclasses import dataclass
 from functools import cached_property
-from math import exp, factorial, inf, lgamma, log
+from math import factorial
 from typing import Callable, Literal
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
@@ -53,52 +52,6 @@ class PowerSeries:
         and kept with the series (a tuple, so read-only; not a field, so equality
         and hash ignore it).  A grid of evaluations should reuse one series."""
         return tuple(map(complex, self.coeffs))
-
-
-def ordinary_tail(M: float, rho: float, xabs: float, first_omitted: int) -> float:
-    """Tail of sum_{n >= first_omitted} M (rho |x|)^n, assuming |c_n| <= M rho^n."""
-    s = rho * xabs
-    if s >= 1.0:
-        return float("inf")
-    return M * s ** first_omitted / (1.0 - s)
-
-
-_LOG_FLOAT_MAX = log(sys.float_info.max)
-
-
-def power_over_factorial(s: float, n: int) -> float:
-    """s^n / n! for s >= 0, in log space so that no order overflows a float."""
-    if s == 0.0:
-        return 0.0 ** n
-    log_value = n * log(s) - lgamma(n + 1)
-    return exp(log_value) if log_value < _LOG_FLOAT_MAX else inf
-
-
-def exponential_tail(M: float, rho: float, xabs: float, first_omitted: int) -> float:
-    """Tail of sum_{n >= fo} M (rho |x|)^n / n! bounded by the shifted exponential."""
-    s = rho * xabs
-    return M * power_over_factorial(s, first_omitted) * exp(s)
-
-
-def derivative_tail_ordinary(M: float, rho: float, r: int, uabs: float, first_omitted: int) -> float:
-    """Truncation tail of the r-th derivative of an ordinary series with |c_n| <= M rho^n.
-
-    f^(r)(u) = sum_n c_{n+r} (n+r)!/n! u^n; the geometric majorant sums in
-    closed form to M rho^r r! / (1-s)^{r+1}, so the tail is that total minus
-    the kept partial sum (exact for the majorant).  At r = 0 the tail is
-    `ordinary_tail`, the geometric closed form: the subtraction would lose it
-    to cancellation once it falls below the rounding of the total.
-    """
-    if r == 0:
-        return ordinary_tail(M, rho, uabs, first_omitted)
-    s = rho * uabs
-    if s >= 1.0:
-        return float("inf")
-    total = M * rho ** r * factorial(r) / (1.0 - s) ** (r + 1)
-    kept = 0.0
-    for n in range(first_omitted):
-        kept += M * rho ** r * (factorial(n + r) // factorial(n)) * s ** n
-    return max(total - kept, 0.0)
 
 
 def _eval_ordinary(coeffs, x: complex) -> complex:
@@ -267,16 +220,6 @@ def laguerre_form(p: TransformParams, kind: Kind) -> Form:
         return Form((Term(1, _unit, lambda x: -al * x / (1 - be * x), "exponential", divisor=lambda x: 1 - be * x),),
                     kind, be)
     return Form((Term(1, lambda x: cexp(be * x), lambda x: -al * x, "bessel"),), kind)
-
-
-def binomial_gf_involution_residual(a: Sequence, x: complex) -> float:
-    """|twice-applied closed-form map - f(x)|: x -> -x/(1-x) composed with its
-    prefactor is an exact involution, so this should vanish to rounding."""
-    u = -x / (1 - x)
-    inner = modular_form(TransformParams(1, 1), "ordinary").bind(a)(u)
-    twice = inner / (1 - x)
-    direct = _eval_ordinary(a.terms, x)
-    return abs(twice - direct)
 
 
 def sequence_series(a: Sequence, kind: Kind) -> Callable[[complex], complex]:

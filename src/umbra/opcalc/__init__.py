@@ -1,11 +1,11 @@
 """Operator calculus via the Fourier representation.
 
-Quadrature engine, truncated-operator oracles, formal disentanglement checks,
+Quadrature engine, truncated-operator oracles, the exact eps-series engine,
 series-level operators, and the evolution/transform operations built on them.
 """
 
 from ..specfun import polyval_coeffs
-from .formal import OperatorTerm, cubic_disentangle_check, weyl_check
+from .formal import OperatorTerm
 from .fourier import (
     GridFunction,
     big_o_on_monomial,
@@ -51,15 +51,12 @@ from .quadrature import (
 )
 from .series_ops import (
     borel_transform,
-    commutator_check_LD,
     exp_laguerre_derivative,
     exp_negD,
 )
 
 __all__ = [
     "OperatorTerm",
-    "cubic_disentangle_check",
-    "weyl_check",
     "GridFunction",
     "big_o_on_monomial",
     "gaussian_shift_transform",
@@ -97,7 +94,6 @@ __all__ = [
     "gaussian_taylor",
     "legendre_composite_rule",
     "borel_transform",
-    "commutator_check_LD",
     "exp_laguerre_derivative",
     "exp_negD",
 ]

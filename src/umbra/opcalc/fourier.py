@@ -31,6 +31,7 @@ from ..seqcore import Sequence
 from ..specfun import FACTORIAL_DEGREE_MAX, hermite2, polyval_coeffs, tricomi_c
 from .quadrature import (
     FourierSymbol,
+    factorials,
     gauss_weighted_integral,
     gaussian_fourier_integral,
     legendre_composite_rule,
@@ -182,14 +183,6 @@ def _hankel_index(rows: int, cols: int) -> np.ndarray:
     return index
 
 
-@lru_cache(maxsize=None)
-def _factorials(size: int) -> np.ndarray:
-    """n! rounded to the nearest double, n < size (read-only, shared)."""
-    table = np.array([float(factorial(n)) for n in range(size)])
-    table.flags.writeable = False
-    return table
-
-
 def _evolution_tables(f_ord: tuple, beta: float, x: float, work_order: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient tables of [e^{i beta k D^{-1}} e^{i k LD} f](x) as a polynomial in k.
 
@@ -201,7 +194,7 @@ def _evolution_tables(f_ord: tuple, beta: float, x: float, work_order: int) -> t
     tf = len(f_ord) - 1
     steps = np.arange(1.0, work_order + 1.0)
     borel = np.zeros(2 * tf + 1, dtype=complex)
-    borel[: tf + 1] = _factorials(tf + 1) * np.asarray(f_ord)
+    borel[: tf + 1] = factorials(tf + 1) * np.asarray(f_ord)
     a = _binomial_table(tf + 1) * borel[_hankel_index(tf + 1, tf + 1)]
     xpow = np.zeros(tf + work_order + 1)  # x^q / q!, zero past work_order
     xpow[: work_order + 1] = np.cumprod(np.concatenate(((1.0,), x / steps)))

@@ -18,6 +18,7 @@ from ..errors import InvalidParameterError, TruncationError
 from ..seqcore import Sequence, _egf_product
 from ..specfun import FACTORIAL_DEGREE_MAX, polyval_coeffs, tricomi_series
 from .operators import TruncatedOperator
+from .quadrature import factorials
 
 
 #: apply_entire_function sums at most this many Taylor orders and stops once
@@ -92,10 +93,6 @@ def tricomi_evolution_series(x: float, tau: float) -> float:
 ORACLE_TAYLOR_BETA = 0.04
 ORACLE_TAYLOR_ORDERS = 400
 
-#: n! rounded to the nearest double, n <= FACTORIAL_DEGREE_MAX: the oracle's basis scaling
-_FACTORIALS = np.array([float(factorial(n)) for n in range(FACTORIAL_DEGREE_MAX + 1)])
-
-
 @lru_cache(maxsize=None)
 def _unit_eigensystem(n_basis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the symmetric tridiagonal matrix with zero
@@ -144,9 +141,9 @@ def integro_matrix_oracle(
         )
     n_basis = degree_cap + 1
     coeffs = np.asarray(list(f_ord_coeffs)[:n_basis], dtype=complex)
-    factorials = _FACTORIALS[:n_basis]
+    fact = factorials(n_basis)
     e_coeffs = np.zeros(n_basis, dtype=complex)
-    e_coeffs[: len(coeffs)] = coeffs * factorials[: len(coeffs)]
+    e_coeffs[: len(coeffs)] = coeffs * fact[: len(coeffs)]
 
     if beta < ORACLE_TAYLOR_BETA:
         down = np.arange(1, n_basis, dtype=complex)
@@ -196,7 +193,7 @@ def integro_matrix_oracle(
         evolved_e = d * np.exp(log_s)
 
     # Horner on Python scalars: numpy scalar arithmetic is several times slower
-    return complex(polyval_coeffs((evolved_e / factorials).tolist(), x))
+    return complex(polyval_coeffs((evolved_e / fact).tolist(), x))
 
 
 def c0_series(order: int):

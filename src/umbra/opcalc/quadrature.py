@@ -60,6 +60,14 @@ def log_gamma_half(size: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def factorials(size: int) -> np.ndarray:
+    """n! rounded to the nearest double, n < size (read-only, shared)."""
+    table = np.array([float(factorial(n)) for n in range(size)])
+    table.flags.writeable = False
+    return table
+
+
 def _check_hermite_moments(nodes: np.ndarray, weights: np.ndarray) -> None:
     # moments: integral e^{-k^2} k^{2m} dk = Gamma(m + 1/2); checked in log space
     # densely for small m and on a sparse sample up to the theoretical limit.

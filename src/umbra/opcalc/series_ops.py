@@ -1,15 +1,13 @@
-"""Series-level operators: Borel transform, e^{-alpha D^{-1}}, e^{alpha LD}, [LD, D^{-1}].
+"""Series-level operators: Borel transform, e^{-alpha D^{-1}} and e^{alpha LD}.
 
 Series are ascending coefficient tuples (index = monomial degree), as in
-`TruncatedOperator.apply`.  Exact coefficients stay exact, so eigenfunction and
-commutator claims can be asserted with zero tolerance.
+`TruncatedOperator.apply`.  Exact coefficients stay exact, so the catalog can
+assert eigenfunction and commutator claims on them with zero tolerance.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-
-from .operators import derivative_op, laguerre_derivative_op, neg_derivative_op, x_multiply_op
 
 
 def borel_transform(coeffs) -> tuple:
@@ -32,26 +30,6 @@ def exp_negD(alpha, coeffs) -> tuple:
             total += coeffs[n] * (-alpha) ** (m - n) * Fraction(factorial(n), factorial(m - n) * factorial(m))
         out[m] = total
     return tuple(out)
-
-
-def commutator_check_LD(coeffs) -> tuple:
-    """Residual of the Weyl pair claim [LD, D^{-1}] = 1 in its operational use.
-
-    LD o D^{-1} is computed honestly.  D^{-1} o LD is computed the way the
-    Weyl-algebra manipulations use it: LD is split as x d^2 + d and the
-    D^{-1} d factor is cancelled formally, leaving D^{-1} x d^2 + 1.  That
-    cancellation is only exact on inputs with f(0) = 0, which is precisely the
-    restriction the pair carries: the residual is -f(0) as a constant series.
-
-    Both products are banded operators at cap deg f + 2, where neither loses
-    a coefficient; the residual has the input's length.
-    """
-    cap = len(coeffs) + 1
-    d = derivative_op(cap)
-    neg = neg_derivative_op(cap)
-    lhs = laguerre_derivative_op(cap).compose(neg)
-    rhs = neg.compose(x_multiply_op(cap).compose(d.compose(d)))
-    return tuple(r - 2 * c for r, c in zip((lhs + rhs.scale(-1)).apply(coeffs), coeffs))
 
 
 def exp_laguerre_derivative(alpha, coeffs) -> tuple:

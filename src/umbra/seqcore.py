@@ -279,7 +279,7 @@ def laguerre_transform_seq(a: Sequence, p: TransformParams) -> Sequence:
 
 @dataclass(frozen=True)
 class Stage:
-    """One step of a transform pipeline."""
+    """One named transform with its parameters, as the command line gives it."""
 
     name: str
     alpha: Fraction | None = None
@@ -316,31 +316,6 @@ _STAGES = {
 }
 
 TRANSFORM_NAMES = tuple(_STAGES)
-
-
-def compose_transforms(pipeline: Iterable[Stage], a: Sequence) -> Sequence:
-    """Apply pipeline stages left to right; empty pipeline is the identity."""
-    out = a
-    for stage in pipeline:
-        out = stage.apply(out)
-    return out
-
-
-def modular_after_hermite_gap(a: Sequence, alpha, beta, gamma, delta) -> tuple[Fraction, ...]:
-    """Residual of B(alpha,beta) o H(gamma,delta) against the single Hermite transform with
-    parameters (alpha - beta*gamma, beta^2*delta).
-
-    Derived from the exponential generating functions; expected to vanish
-    identically, which pins down what the garbled composite formula intends.
-    """
-    alpha, beta, gamma, delta = map(_frac, (alpha, beta, gamma, delta))
-    sequential = compose_transforms(
-        [Stage("hermite", alpha=gamma, beta=delta),
-         Stage("modular", alpha=alpha, beta=beta)],
-        a,
-    )
-    closed = hermite_transform_seq(a, TransformParams(alpha - beta * gamma, beta ** 2 * delta))
-    return tuple(s - c for s, c in zip(sequential.terms, closed.terms))
 
 
 def render_rational(q: Fraction) -> str:

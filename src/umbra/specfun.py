@@ -115,11 +115,3 @@ def stirling2(k: int, n: int) -> int:
         raise InternalConsistencyError(f"S2({k},{n}) sum not divisible by {k}!")
     return q
 
-
-def hermite_addition_check(n: int, x, y, z):
-    """Residual of the addition theorem: sum_s C(n,s) x^s H_{n-s}(y,z) - H_n(x+y, z).
-
-    Exactly zero on rational inputs.
-    """
-    lhs = sum(comb(n, s) * x ** s * hermite2(n - s, y, z) for s in range(n + 1))
-    return lhs - hermite2(n, x + y, z)

@@ -124,10 +124,10 @@ def test_07_tricomi_evolution():
 
 def test_08_disentanglement_exact_and_errata():
     derived_zero = (
-        oc.weyl_check(1, 1, order=8) == 0
-        and oc.weyl_check(Fraction(3, 2), Fraction(-2, 3), order=8) == 0
-        and oc.cubic_disentangle_check(1, 1, order=8) == 0
-        and oc.cubic_disentangle_check(Fraction(3, 4), 2, order=8) == 0
+        checks._weyl_check(1, 1, order=8) == 0
+        and checks._weyl_check(Fraction(3, 2), Fraction(-2, 3), order=8) == 0
+        and checks._cubic_disentangle_check(1, 1, order=8) == 0
+        and checks._cubic_disentangle_check(Fraction(3, 4), 2, order=8) == 0
     )
     rows = checks.run_selected("disentangle")
     printed_nonzero = next(r.residual for _, r in rows if r.equation == "Eq. 72") != 0
@@ -153,7 +153,7 @@ def test_09_pauli_matrix_functions():
 
 def test_10_weyl_algebra_and_borel():
     commutator_zero = all(
-        all(c == 0 for c in oc.commutator_check_LD(coeffs))
+        all(c == 0 for c in checks._commutator_check_LD(coeffs))
         for coeffs in ((0, Fraction(1)), (0, 0, 0, Fraction(1)), (0, Fraction(3), 0, Fraction(-2)))
     )
     borel_exact = oc.borel_transform(oc.c0_series(20)) == tuple(
@@ -207,8 +207,8 @@ def test_13_umbral_transform():
     for x in (-0.3, -0.2, -0.1, 0.05, 0.15, 0.25, 0.3):
         got = oc.umbral_operator_transform(oc.gaussian_symbol(float(scale)), a, x, growth=(1.0, 1.0))
         worst = max(worst, abs(got - oc.umbral_double_sum(taylor, a, x)))
-    bridge = ap.gauss_umbral_bridge_residual(sq.Sequence.of([1] * 40), Fraction(1, 4),
-                                             np.linspace(-0.8, 0.8, 10))
+    bridge = checks._gauss_umbral_bridge_residual(sq.Sequence.of([1] * 40), Fraction(1, 4),
+                                                  np.linspace(-0.8, 0.8, 10))
     report(13, "umbral transform vs double-sum oracle; gaussian-evolution bridge",
            worst <= 1e-7 and bridge <= 1e-10, f"worst {worst:.2e}, bridge {bridge:.2e}")
 

@@ -243,3 +243,64 @@ def test_j0_trapezoid_matches_scipy():
     # the Eq. 36 row's oracle on the arguments 2 sqrt(x), x in [0, 1/2], that it sees
     for z in np.linspace(0.0, np.sqrt(2.0), 101):
         assert abs(checks._bessel_j0(z) - scipy.special.j0(z)) <= 4.5e-16
+
+
+#: (suite, name, status, repr(residual), detail) at the default seed and order of every
+#: row that evaluates the truncation tails or states an identity in checks itself
+_PINNED_ROWS = [
+    ("involution", "function-level involution of the closed form", "pass", "4.441434166503682e-16", ""),
+    ("kbinomial", "rising 0-binomial, ordinary closed form", "pass", "2.2591401799415137e-16",
+     "worst: geometric-2 at x=0.173-0.1j"),
+    ("kbinomial", "rising 0-binomial, exponential closed form", "pass", "3.664190261084146e-16",
+     "worst: geometric-2 at x=-0.2+0.346j"),
+    ("kbinomial", "rising 1-binomial, ordinary closed form", "pass", "1.7554167342883506e-16",
+     "worst: geometric-2 at x=-0.173+0.1j"),
+    ("kbinomial", "rising 1-binomial, exponential closed form", "pass", "3.510833468576701e-16",
+     "worst: geometric-2 at x=-0.2+0.346j"),
+    ("kbinomial", "rising 2-binomial, ordinary closed form", "pass", "3.3306690738754696e-16",
+     "worst: linear at x=-0.286+3.5e-17j"),
+    ("kbinomial", "rising 2-binomial, exponential closed form", "pass", "3.2529802841962337e-16",
+     "worst: geometric-2 at x=-0.2+0.346j"),
+    ("kbinomial", "rising 3-binomial, ordinary closed form", "pass", "7.355227538141662e-15",
+     "worst: ones at x=0.333+0j"),
+    ("kbinomial", "rising 3-binomial, exponential closed form", "pass", "4.590651162634715e-16",
+     "worst: geometric-2 at x=-0.346-0.2j"),
+    ("gftrans", "binomial transform, ordinary closed form", "pass", "2.237726045655905e-16",
+     "worst: geometric-2 at x=-3.18e-17-0.173j"),
+    ("gftrans", "binomial transform, exponential closed form", "pass", "6.000001325187846e-16",
+     "worst: harmonic at x=0.208-0.0861j"),
+    ("gftrans", "modular transform, ordinary closed form", "pass", "3.229497895144947e-16",
+     "worst: alternating-half at x=0.39-0.225j"),
+    ("gftrans", "modular transform, exponential closed form", "pass", "5.883292200762792e-16",
+     "worst: harmonic at x=0.0861-0.208j"),
+    ("gftrans", "hermite transform (standard), closed form", "pass", "6.929550416236011e-16",
+     "worst: geometric-2 at x=0.39-0.225j"),
+    ("gftrans", "hermite transform (complementary), closed form", "pass", "5.898524686200832e-16",
+     "worst: alternating-half at x=-0.208-0.0861j"),
+    ("gftrans", "laguerre transform, ordinary closed form", "pass", "5.421578130536614e-16",
+     "worst: geometric-2 at x=-0.225-0.39j"),
+    ("gftrans", "laguerre transform, exponential closed form", "pass", "6.146464501791508e-16",
+     "worst: alternating-half at x=0.0861-0.208j"),
+    ("hermite", "hermite addition theorem", "pass", "0.0", "addition theorem, exact over random rationals"),
+    ("hermite", "derived composite closed form", "pass", "0.0", "B(a,b) after H(g,d) = H(a-bg, b^2 d), exact"),
+    ("disentangle", "weyl decoupling rule", "pass", "0.0", "order-8 expansion on monomials up to degree 8"),
+    ("disentangle", "cubic disentanglement, derived constant", "pass", "0.0",
+     "order-8 expansion with the derived commutator constant"),
+    ("weyl-borel", "laguerre-derivative commutator", "pass", "0.0", "[LD, D^{-1}] = 1 on f(0) = 0 polynomials, exact"),
+    ("weyl-borel", "right-inverse defect off f(0)=0", "flagged-errata", "1.0",
+     "f = 1 + x: constant defect -1 demonstrates the f(0)=0 restriction"),
+    ("appell", "generating product, both signs", "pass", "4.440892098500626e-16", "Bernoulli family, both signs, N = 30"),
+    ("appell", "umbral composition", "pass", "0.0", "A(d) [1/A(d)] x^n = x^n, exact"),
+    ("appell", "reconstruction residual decreases", "pass", "6.253537280431765e-05",
+     "sup-residual decreases: 8.23e-05 -> 6.25e-05"),
+    ("umbral", "umbral gaussian evolution bridge", "pass", "1.3322676295501878e-15",
+     "umbral Gaussian evolution vs closed form"),
+]
+
+
+@pytest.mark.parametrize("suite,name,status,residual,detail", _PINNED_ROWS,
+                         ids=[row[1] for row in _PINNED_ROWS])
+def test_identity_rows_keep_their_results_bit_for_bit(suite, name, status, residual, detail):
+    (row,) = [check for s, check in checks.resolve_suites(suite) if s == suite and check.name == name]
+    result = checks.run_check(row)
+    assert (result.status, repr(result.residual), result.detail) == (status, residual, detail)

@@ -8,17 +8,15 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbra import checks
 from umbra import seqcore as sq
 from umbra.errors import DivergenceError, InvalidParameterError, TruncationError
 from umbra.gftrans import (
     PowerSeries,
-    binomial_gf_involution_residual,
-    exponential_tail,
     hermite_form,
     k_binomial_form,
     laguerre_form,
     modular_form,
-    ordinary_tail,
     sequence_series,
 )
 from umbra.seqcore import Sequence, TransformParams, rising_k_binomial
@@ -43,26 +41,26 @@ def k_binomial(a, k, kind):
 class TestSeriesEval:
     def test_geometric_value_and_tail(self):
         value = sequence_series(ones(21), "ordinary")(0.5)
-        tail = ordinary_tail(1.0, 1.0, 0.5, 21)
+        tail = checks._ordinary_tail(1.0, 1.0, 0.5, 21)
         assert value == pytest.approx(2 - 2.0 ** -20, rel=1e-15)
         assert tail == pytest.approx(2.0 ** -20, rel=1e-12)
         assert abs(2.0 - value) <= tail * (1 + 1e-12)
 
     def test_exponential_reaches_e(self):
         value = sequence_series(ones(31), "exponential")(1.0)
-        tail = exponential_tail(1.0, 1.0, 1.0, 31)
+        tail = checks._exponential_tail(1.0, 1.0, 1.0, 31)
         # the tail bound covers truncation only; allow summation rounding on top
         assert abs(value - np.e) <= tail + 1e-15
         assert tail < 1e-25
 
     def test_zero_growth_means_zero_tail(self):
         assert sequence_series(Sequence.of([3]), "ordinary")(0.25) == 3.0
-        assert ordinary_tail(0.0, 1.0, 0.25, 1) == 0.0
-        assert exponential_tail(0.0, 1.0, 0.25, 1) == 0.0
+        assert checks._ordinary_tail(0.0, 1.0, 0.25, 1) == 0.0
+        assert checks._exponential_tail(0.0, 1.0, 0.25, 1) == 0.0
 
     def test_radius_violation(self):
         # outside the declared radius no finite budget exists
-        assert ordinary_tail(1.0, 2.0, 0.8, 2) == float("inf")
+        assert checks._ordinary_tail(1.0, 2.0, 0.8, 2) == float("inf")
 
     def test_bad_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -174,9 +172,11 @@ class TestBinomialClosedForms:
             binomial(ones(10), 1.2, "ordinary")
 
     def test_function_level_involution(self):
+        # x -> -x/(1-x) with its prefactor 1/(1-x) is an exact involution of the closed form
         a = Sequence.of([Fraction(1, n + 1) for n in range(65)])
+        direct = sequence_series(a, "ordinary")
         for x in (0.3, -0.25, 0.2 + 0.2j):
-            assert binomial_gf_involution_residual(a, x) < 1e-12
+            assert abs(binomial(a, -x / (1 - x), "ordinary") / (1 - x) - direct(x)) < 1e-12
 
 
 class TestModularClosedForms:

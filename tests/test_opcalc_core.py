@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import opcalc
+from umbra import checks, opcalc
 from umbra.opcalc import formal, quadrature
 from umbra.errors import InvalidParameterError
 
@@ -92,32 +92,32 @@ class TestQuadratureRules:
 
 class TestWeylCheck:
     def test_a_zero(self):
-        assert opcalc.weyl_check(0, 3) == 0
+        assert checks._weyl_check(0, 3) == 0
 
     def test_b_zero(self):
-        assert opcalc.weyl_check(Fraction(5, 2), 0) == 0
+        assert checks._weyl_check(Fraction(5, 2), 0) == 0
 
     def test_unit(self):
-        assert opcalc.weyl_check(1, 1, order=8) == 0
+        assert checks._weyl_check(1, 1, order=8) == 0
 
     @given(small_rationals, small_rationals)
     @settings(max_examples=15, deadline=None)
     def test_exact_for_rationals(self, a, b):
-        assert opcalc.weyl_check(a, b, order=6) == 0
+        assert checks._weyl_check(a, b, order=6) == 0
 
 
 class TestCubicDisentangle:
     def test_beta_zero(self):
-        assert opcalc.cubic_disentangle_check(Fraction(2, 3), 0) == 0
+        assert checks._cubic_disentangle_check(Fraction(2, 3), 0) == 0
 
     def test_alpha_zero(self):
-        assert opcalc.cubic_disentangle_check(0, 2) == 0
+        assert checks._cubic_disentangle_check(0, 2) == 0
 
     def test_unit_exact(self):
-        assert opcalc.cubic_disentangle_check(1, 1, order=8) == 0
+        assert checks._cubic_disentangle_check(1, 1, order=8) == 0
 
     def test_nontrivial_exact(self):
-        assert opcalc.cubic_disentangle_check(Fraction(3, 4), 2, order=8) == 0
+        assert checks._cubic_disentangle_check(Fraction(3, 4), 2, order=8) == 0
 
     def test_printed_constant_matches_at_alpha_one(self):
         # alpha = 1 hides the Eq. 72 misprint: the printed alpha^4/3 and alpha^{5/2}
@@ -125,7 +125,7 @@ class TestCubicDisentangle:
         A, B = formal.OperatorTerm(1, Fraction(1), "d2"), formal.OperatorTerm(1, Fraction(1), "x")
         scalar = formal.OperatorTerm(3, Fraction(1, 3), "1")
         drift = formal.OperatorTerm(2, Fraction(-1), "d")
-        assert formal.product_residual([[A, B]], [[scalar, drift, A], [B]], 6, formal.CUBIC_MAX_DEGREE) == 0
+        assert checks._product_residual([[A, B]], [[scalar, drift, A], [B]], 6, checks._CUBIC_MAX_DEGREE) == 0
 
 
 class TestExpApply:
@@ -353,16 +353,16 @@ class TestSeriesOps:
         assert out == (0, 1, Fraction(-1, 2), Fraction(1, 12))
 
     def test_commutator_zero_on_f0_zero(self):
-        res = opcalc.commutator_check_LD((0, Fraction(1), 0, Fraction(1), Fraction(5)))
+        res = checks._commutator_check_LD((0, Fraction(1), 0, Fraction(1), Fraction(5)))
         assert len(res) == 5
         assert all(c == 0 for c in res)
 
     def test_commutator_x_cubed(self):
-        res = opcalc.commutator_check_LD((0, 0, 0, Fraction(1)))
+        res = checks._commutator_check_LD((0, 0, 0, Fraction(1)))
         assert all(c == 0 for c in res)
 
     def test_commutator_defect_is_minus_f0(self):
-        res = opcalc.commutator_check_LD((Fraction(1), Fraction(1)))
+        res = checks._commutator_check_LD((Fraction(1), Fraction(1)))
         assert res[0] == -1
         assert all(c == 0 for c in res[1:])
 
@@ -372,7 +372,7 @@ class TestSeriesOps:
         # exact on every input, with no ValidityWarning at the chosen cap
         with warnings.catch_warnings():
             warnings.simplefilter("error", opcalc.ValidityWarning)
-            res = opcalc.commutator_check_LD(coeffs)
+            res = checks._commutator_check_LD(coeffs)
         assert res == (-coeffs[0],) + (0,) * (len(coeffs) - 1)
 
     def test_borel_basics(self):

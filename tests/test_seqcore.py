@@ -15,12 +15,10 @@ from umbra.seqcore import (
     TransformParams,
     _egf_product,
     binomial_transform,
-    compose_transforms,
     hermite_complementary_seq,
     hermite_inverse_seq,
     hermite_transform_seq,
     laguerre_transform_seq,
-    modular_after_hermite_gap,
     modular_inverse,
     modular_transform,
     rising_k_binomial,
@@ -275,43 +273,28 @@ class TestEgfProduct:
 
 
 class TestCompose:
-    def test_empty_pipeline_is_identity(self):
-        a = seq(1, 2, 3)
-        assert compose_transforms([], a).terms == a.terms
-
     @given(sequences)
     @settings(max_examples=30)
     def test_double_binomial_is_identity(self, a):
-        pipeline = [Stage("binomial"), Stage("binomial")]
-        assert compose_transforms(pipeline, a).terms == a.terms
-
-    def test_pipeline_matches_sequential_calls(self):
-        a = seq(1, 1, 1, 1)
-        pipeline = [
-            Stage("modular", alpha=Fraction(2), beta=Fraction(3)),
-            Stage("hermite", alpha=Fraction(1, 2), beta=Fraction(5)),
-        ]
-        via_pipeline = compose_transforms(pipeline, a)
-        direct = hermite_transform_seq(
-            modular_transform(a, TransformParams(2, 3)), TransformParams(Fraction(1, 2), 5)
-        )
-        assert via_pipeline.terms == direct.terms
+        assert Stage("binomial").apply(Stage("binomial").apply(a)).terms == a.terms
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(InvalidParameterError):
-            compose_transforms([Stage("hankel")], seq(1))
+            Stage("hankel").apply(seq(1))
 
     def test_stage_missing_param_rejected(self):
         with pytest.raises(InvalidParameterError):
-            compose_transforms([Stage("modular", alpha=Fraction(1))], seq(1, 2))
+            Stage("modular", alpha=Fraction(1)).apply(seq(1, 2))
 
     @given(sequences, rationals, rationals, rationals, rationals)
     @settings(max_examples=30)
     def test_derived_composite_closed_form_holds(self, a, alpha, beta, gamma, delta):
         # B(alpha,beta) after H(gamma,delta) equals one Hermite transform with
         # parameters (alpha - beta gamma, beta^2 delta), exactly
-        gap = modular_after_hermite_gap(a, alpha, beta, gamma, delta)
-        assert all(g == 0 for g in gap)
+        sequential = modular_transform(hermite_transform_seq(a, TransformParams(gamma, delta)),
+                                       TransformParams(alpha, beta))
+        closed = hermite_transform_seq(a, TransformParams(alpha - beta * gamma, beta ** 2 * delta))
+        assert sequential.terms == closed.terms
 
 
 class TestExchangeFormat:

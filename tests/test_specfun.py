@@ -1,6 +1,6 @@
 """Reference special functions: exact values and oracle comparisons."""
 from fractions import Fraction
-from math import factorial, perm
+from math import comb, factorial, perm
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from umbra.specfun import (
     hermite2,
     hermite2_coeffs,
-    hermite_addition_check,
     polyval_coeffs,
     stirling2,
     tricomi_c,
@@ -165,6 +164,11 @@ class TestStirling2:
                 assert x ** n == sum(stirling2(k, n) * perm(x, k) for k in range(n + 1))
         assert stirling2(2, 3) == 3
         assert stirling2(5, 3) == 0
+
+
+def hermite_addition_check(n, x, y, z):
+    """sum_s C(n,s) x^s H_{n-s}(y,z) - H_n(x+y, z): the addition theorem, exactly zero on rationals."""
+    return sum(comb(n, s) * x ** s * hermite2(n - s, y, z) for s in range(n + 1)) - hermite2(n, x + y, z)
 
 
 class TestHermiteAddition:
