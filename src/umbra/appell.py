@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
 from .opcalc.quadrature import FourierSymbol, gaussian_fourier_rows, gaussian_symbol, gaussian_taylor
-from .seqcore import _cleared, _integer_product
+from .seqcore import _cleared, _gauss_egf, _integer_product
 from .specfun import polyval_coeffs
 
 _SQRT2PI = sqrt(2.0 * pi)
@@ -296,16 +296,12 @@ def operational_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> 
             sum((cm * f.taylor(n + m) * (factorial(n + m) // factorial(n)) for m, cm in enumerate(inv) if cm), 0.0)
             for n in range(N + 1)
         )
-    den = lcm(*(c.denominator for c in inv))
-    terms = [(m, c.numerator * (den // c.denominator)) for m, c in enumerate(inv) if c]
+    den, nums = _cleared([1] * len(inv), inv)
+    terms = [(m, c) for m, c in enumerate(nums) if c]
     p, q = f.scale.numerator, f.scale.denominator
     rank = (N + len(inv) - 1) // 2
     # q^R F_{2l} = (2l)!/l! (-p)^l q^{R-l}; odd orders vanish
-    scaled = [0] * (2 * rank + 2)
-    ratio = 1  # (2l)!/l!
-    for l in range(rank + 1):
-        scaled[2 * l] = ratio * (-p) ** l * q ** (rank - l)
-        ratio *= 2 * (2 * l + 1)
+    scaled = [w * q ** (rank - j // 2) for j, w in enumerate(_gauss_egf(-p, 2 * rank + 2))]
     return tuple(
         Fraction(sum(c * scaled[n + m] for m, c in terms), den * q ** rank * factorial(n))
         for n in range(N + 1)

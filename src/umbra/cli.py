@@ -183,95 +183,27 @@ def _build_family(args):
 
 
 def cmd_expand(args) -> int:
-    import numpy as np
-
     from . import appell as ap
+    from . import checks
 
     _at_least_one(args.count, "--count")
     fam = _build_family(args)
     f = ap.GaussianFunction(_parse_float_sized(args.scale, "--scale"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = ap.expansion_coefficients(fam, f, args.count)
-        oracle = (ap.widening_coefficients(f, args.count) if args.family == "gauss-hermite-type"
-                  else ap.operational_coefficients(fam, f, args.count))
+        result, coefficients = checks.expansion_sweep(fam, f, args.count)
         lines = ["section,n,value_re,value_im,oracle,abs_diff,nodes"]
-        for n, (c, o, nodes) in enumerate(zip(result.coefficients, oracle, result.node_counts)):
-            c = complex(c)
-            lines.append(
-                f"coefficient,{n},{c.real:.12e},{c.imag:.12e},{float(o):.12e},"
-                f"{abs(c - float(o)):.3e},{nodes}"
-            )
-        for x in np.linspace(-1.0, 1.0, 21):
-            rec = ap.reconstruct(fam, result, float(x))
-            ref = complex(f(float(x)))
-            lines.append(
-                f"reconstruction,{x:.2f},{rec.real:.12e},{rec.imag:.12e},{ref.real:.12e},"
-                f"{abs(rec - ref):.3e},"
-            )
+        for n, ((c, o, diff), nodes) in enumerate(zip(coefficients, result.node_counts)):
+            lines.append(f"coefficient,{n},{c.real:.12e},{c.imag:.12e},{o:.12e},{diff:.3e},{nodes}")
+        for x, rec, ref, diff in checks.reconstruction_sweep(fam, result, f):
+            lines.append(f"reconstruction,{x:.2f},{rec.real:.12e},{rec.imag:.12e},{ref.real:.12e},{diff:.3e},")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _evolve_heat(args) -> list[str]:
-    import numpy as np
-
-    from . import opcalc as oc
-
-    scale = float(_parse_float_sized(args.scale, "--scale"))
-    # exact Gaussian widening: variance 1/(2 s) -> 1/(2 s) + 2 alpha
-    denom = 1.0 + 4.0 * args.alpha * scale
-    if not math.isfinite(denom):
-        raise InvalidParameterError(f"--scale {scale:g} at --alpha {args.alpha:g}: the widened variance overflows")
-    grid = oc.GridFunction.sample(lambda t: np.exp(-scale * t * t), args.extent, args.points)
-    evolved = oc.heat_evolve_ft(grid, args.alpha)
-    amp = 1.0 / np.sqrt(denom)
-    reference = amp * np.exp(-scale * grid.xs() ** 2 / denom)
-    lines = [f"# heat evolution: alpha={args.alpha:g} scale={scale:g} extent={args.extent:g} points={args.points}"]
-    lines.append("x,tau,value,oracle_residual")
-    for x, v, ref in zip(grid.xs(), evolved.samples, reference):
-        lines.append(f"{x:.6f},{args.alpha:.6f},{v.real:.12e},{abs(v - ref):.3e}")
-    return lines
-
-
-def _evolve_tricomi(args) -> list[str]:
-    import numpy as np
-
-    from . import opcalc as oc
-
-    lines = [f"# tricomi evolution on [0,1]^2: {args.x_count} x {args.tau_count} grid"]
-    lines.append("x,tau,value,oracle_residual")
-    for x in np.linspace(0.0, 1.0, args.x_count):
-        for tau in np.linspace(0.0, 1.0, args.tau_count):
-            value = oc.tricomi_evolution(float(x), float(tau))
-            oracle = oc.tricomi_evolution_series(float(x), float(tau))
-            lines.append(f"{x:.6f},{tau:.6f},{value.real:.12e},{abs(value - oracle):.3e}")
-    return lines
-
-
-def _evolve_integro(args) -> list[str]:
-    import numpy as np
-
-    from . import gftrans as gf
-    from . import opcalc as oc
-
-    # m >= 4 integrates out to |k| ~ 32, which needs an initial series of degree 81
-    order = 40 if args.m == 2 else 81
-    f = gf.PowerSeries(oc.c0_series(order), "ordinary")
-    lines = [
-        f"# integro-differential evolution: m={args.m} beta={args.beta:g} "
-        f"initial=C0 truncation={order} oracle=matrix-exponential(D={order})"
-    ]
-    lines.append("x,tau,value,oracle_residual")
-    for x in np.linspace(0.0, 0.5, args.x_count):
-        for tau in np.linspace(0.0, 0.5, args.tau_count):
-            value = oc.integro_diff_evolve(f, args.beta, args.m, float(tau), float(x))
-            oracle = oc.integro_matrix_oracle(f.complex_coeffs, args.beta, args.m, float(tau), float(x), order)
-            lines.append(f"{x:.6f},{tau:.6f},{value.real:.12e},{abs(value - oracle):.3e}")
-    return lines
-
-
 def cmd_evolve(args) -> int:
+    from . import checks
+
     for flag in ("alpha", "extent", "beta"):
         _finite(getattr(args, flag), f"--{flag}")
     for flag in ("points", "x_count", "tau_count"):
@@ -279,11 +211,20 @@ def cmd_evolve(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if args.equation == "heat":
-            lines = _evolve_heat(args)
+            scale = float(_parse_float_sized(args.scale, "--scale"))
+            header = (f"heat evolution: alpha={args.alpha:g} scale={scale:g} "
+                      f"extent={args.extent:g} points={args.points}")
+            rows = checks.heat_sweep(scale, args.alpha, args.extent, args.points)
         elif args.equation == "tricomi":
-            lines = _evolve_tricomi(args)
+            header = f"tricomi evolution on [0,1]^2: {args.x_count} x {args.tau_count} grid"
+            rows = checks.tricomi_sweep(args.x_count, args.tau_count)
         else:
-            lines = _evolve_integro(args)
+            order = checks.c0_truncation(args.m)
+            header = (f"integro-differential evolution: m={args.m} beta={args.beta:g} "
+                      f"initial=C0 truncation={order} oracle=matrix-exponential(D={order})")
+            rows = checks.integro_sweep(args.beta, args.m, args.x_count, args.tau_count)
+    lines = [f"# {header}", "x,tau,value,oracle_residual"]
+    lines += [f"{x:.6f},{tau:.6f},{value.real:.12e},{residual:.3e}" for x, tau, value, residual in rows]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

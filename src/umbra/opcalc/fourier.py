@@ -27,7 +27,7 @@ from ..errors import (
     UnsupportedSymbolError,
 )
 from ..gftrans import PowerSeries
-from ..seqcore import Sequence
+from ..seqcore import Sequence, _gauss_egf
 from ..specfun import FACTORIAL_DEGREE_MAX, hermite2, polyval_coeffs, tricomi_c
 from .quadrature import (
     FourierSymbol,
@@ -106,9 +106,7 @@ def gaussian_shift_transform(coeffs, y) -> tuple:
     if not y > 0:
         raise InvalidParameterError("the Gaussian shift transform needs y > 0")
     coeffs = tuple(coeffs)
-    moments = [1]
-    for r in range(len(coeffs) // 2):
-        moments.append(moments[r] * -2 * (2 * r + 1) * y)
+    moments = _gauss_egf(-y, len(coeffs))[::2]
     return tuple(
         sum(comb(m + 2 * r, 2 * r) * coeffs[m + 2 * r] * moments[r] for r in range((len(coeffs) - 1 - m) // 2 + 1))
         for m in range(len(coeffs))

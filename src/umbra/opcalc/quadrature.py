@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import InvalidParameterError
+from ..seqcore import _factorials, _gauss_egf
 
 DEFAULT_START_NODES = 128
 NODE_CAP = 1024
@@ -291,8 +292,5 @@ def cos_gaussian_symbol(scale: float = 1.0) -> FourierSymbol:
 
 def gaussian_taylor(scale: Fraction, order: int) -> tuple[Fraction, ...]:
     """Exact Taylor coefficients of exp(-scale u^2) through the given order."""
-    scale = Fraction(scale)
-    out = [Fraction(0)] * (order + 1)
-    for l in range(order // 2 + 1):
-        out[2 * l] = (-scale) ** l / factorial(l)
-    return tuple(out)
+    egf = _gauss_egf(-Fraction(scale), order + 1)
+    return tuple(Fraction(w, j_factorial) for w, j_factorial in zip(egf, _factorials(order + 1)))

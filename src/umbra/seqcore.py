@@ -53,6 +53,9 @@ A * (1/A) check of Appell families.
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -167,34 +170,28 @@ def _factorials(count: int) -> list[int]:
     return out
 
 
-def _gauss_ints(x: int, count: int) -> list[int]:
-    """x^r (2r)!/r! at index 2r, 0 at odd indices: the EGF of e^{x t^2} for integer x."""
+def _gauss_egf(y, count: int) -> list:
+    """EGF coefficients of e^{y t^2} below index count: y^r (2r)!/r! at 2r, 0 at odd indices.
+
+    Exact on an int or Fraction y (ints on an int), plain arithmetic on a float.
+    """
     out, w = [], 1
     for j in range(count):
-        if j % 2:
-            out.append(0)
-        else:
-            if j:
-                w *= 2 * (j - 1) * x  # (2r)!/r! = 2 (2r - 1) (2r - 2)!/(r - 1)!
-            out.append(w)
+        if j and j % 2 == 0:
+            w = w * (2 * (j - 1)) * y  # (2r)!/r! = 2 (2r - 1) (2r - 2)!/(r - 1)!
+        out.append(0 if j % 2 else w)
     return out
 
 
-def _egf_product(left: list[Fraction | int], right: list[Fraction | int], c: int = 1,
-                 s: Fraction | int = 1) -> Sequence:
-    """b_n = s^n sum_j C(n,j) L_j R_{n-j}, the coefficients of L(s x) R(s x).
+def _egf_product(left: list[Fraction | int], right: list[Fraction | int], c: int = 1) -> Sequence:
+    """b_n = sum_j C(n,j) L_j R_{n-j}, the coefficients of L(x) R(x).
 
-    The sum is taken as (s/c)^n sum_j C(n,j) (c^j L_j) (c^{n-j} R_{n-j}),
-    the same number; with c a common denominator of the parameters whose
-    powers L and R carry, each c^j L_j has a small denominator.
+    The sum is taken as c^{-n} sum_j C(n,j) (c^j L_j) (c^{n-j} R_{n-j}), the
+    same number; with c a common denominator of the parameters whose powers
+    L and R carry, each c^j L_j has a small denominator.
     """
     cj = _powers(c, len(left))
-    return _integer_product(_cleared(cj, left), _cleared(cj, right), Fraction(s, c))
-
-
-def _gauss_weights(beta: Fraction, count: int) -> list[Fraction]:
-    """EGF coefficients of e^{beta x^2}: beta^r (2r)!/r! at index 2r, 0 at odd indices."""
-    return [Fraction(w, beta.denominator ** (j // 2)) for j, w in enumerate(_gauss_ints(beta.numerator, count))]
+    return _integer_product(_cleared(cj, left), _cleared(cj, right), Fraction(1, c))
 
 
 def binomial_transform(a: Sequence) -> Sequence:
@@ -232,7 +229,7 @@ def hermite_transform_seq(a: Sequence, p: TransformParams) -> Sequence:
     al, be, n = p.alpha, p.beta, len(a)
     spread = [a[j // 2] for j in range(n)]  # a_r at j = 2r; the odd j carry weight 0
     return _integer_product(_cleared(_powers(al.numerator * be.denominator, n)),
-                            _cleared(_gauss_ints(be.numerator * al.denominator ** 2 * be.denominator, n), spread),
+                            _cleared(_gauss_egf(be.numerator * al.denominator ** 2 * be.denominator, n), spread),
                             Fraction(1, p.scale))
 
 
@@ -244,7 +241,7 @@ def hermite_complementary_seq(a: Sequence, p: TransformParams) -> Sequence:
     instead and the generating-function tests enforce it.
     """
     al, be, n = p.alpha, p.beta, len(a)
-    return _integer_product(_cleared(_gauss_ints(be.numerator * al.denominator ** 2 * be.denominator, n)),
+    return _integer_product(_cleared(_gauss_egf(be.numerator * al.denominator ** 2 * be.denominator, n)),
                             _cleared(_powers(al.numerator * be.denominator, n), a.terms), Fraction(1, p.scale))
 
 
@@ -259,7 +256,7 @@ def hermite_inverse_seq(b: Sequence, p: TransformParams) -> Sequence:
     if p.alpha == 0:
         raise InvalidParameterError("hermite inverse needs alpha != 0")
     al, be, n = p.alpha, p.beta, len(b)
-    return _integer_product(_cleared(_gauss_ints(-be.numerator * be.denominator, n)),
+    return _integer_product(_cleared(_gauss_egf(-be.numerator * be.denominator, n)),
                             _cleared(_powers(be.denominator, n), b.terms),
                             Fraction(al.denominator, al.numerator * be.denominator))
 
@@ -318,15 +315,38 @@ _STAGES = {
 TRANSFORM_NAMES = tuple(_STAGES)
 
 
+_DIGITS_LOCK = threading.Lock()
+
+
+@contextmanager
+def _any_digits():
+    """Lift the interpreter's cap on int <-> str conversion (4300 digits) inside the
+    exchange-format functions: an exact term may have any number of digits.  The
+    cap is process-wide, so one caller at a time saves and restores it."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    with _DIGITS_LOCK:
+        saved = sys.get_int_max_str_digits()
+        set_limit(0)
+        try:
+            yield
+        finally:
+            set_limit(saved)
+
+
 def render_rational(q: Fraction) -> str:
     return str(q)
 
 
+@_any_digits()
 def sequence_to_json(a: Sequence) -> str:
     """Serialize in the exchange format: {"terms": ["p/q" | "p", ...]}."""
     return json.dumps({"terms": [render_rational(t) for t in a.terms]})
 
 
+@_any_digits()
 def sequence_from_json(text: str) -> Sequence:
     """Parse the exchange format; exact round-trip with sequence_to_json."""
     try:

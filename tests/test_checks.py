@@ -84,6 +84,45 @@ def test_tricomi_spot_row_sees_a_small_route_error(monkeypatch, offset):
     assert checks.run_check(row).status == ("fail" if offset else "pass")
 
 
+def _only_row(suite: str, name: str) -> checks.Check:
+    (row,) = [chk for _, chk in checks.resolve_suites(suite) if chk.name == name]
+    return row
+
+
+def _assert_fails_with_nan(row: checks.Check) -> None:
+    result = checks.run_check(row)
+    assert result.status == "fail" and np.isnan(result.residual), result
+
+
+def test_eq55_grid_row_fails_on_one_nan_point(monkeypatch):
+    # the sweep's maximum must not drop a NaN at (x, tau) = (1/2, 1/2)
+    route = checks.oc.tricomi_evolution
+    monkeypatch.setattr(checks.oc, "tricomi_evolution",
+                        lambda x, tau: float("nan") if (x, tau) == (0.5, 0.5) else route(x, tau))
+    _assert_fails_with_nan(_only_row("tricomi", "evolution quadrature vs series"))
+
+
+def test_master_row_fails_on_one_nan_sample_point(monkeypatch):
+    # the Eq. 9 closed form is NaN at one sample point of the first test sequence
+    case = checks.master_cases()[0]
+    point = checks.sample_points(case.radius(checks.MASTER_SEQUENCES[0]))[3]
+    bind = gf.Form.bind
+
+    def nan_at_one_point(form, a):
+        closed = bind(form, a)
+        return lambda x: complex("nan") if x == point else closed(x)
+
+    monkeypatch.setattr(gf.Form, "bind", nan_at_one_point)
+    _assert_fails_with_nan(_only_row("gftrans", case.label))
+
+
+def test_pauli_row_fails_on_one_nan_oracle_value(monkeypatch):
+    spectral = checks.oc.pauli_spectral
+    monkeypatch.setattr(checks.oc, "pauli_spectral",
+                        lambda func, omega: spectral(func, omega) * (np.nan if omega == 0.7 else 1.0))
+    _assert_fails_with_nan(_only_row("pauli", "matrix function vs spectral oracle"))
+
+
 def test_disentangle_reports_two_errata_rows(recwarn):
     results = checks.run_selected("disentangle")
     errata = [r for _, r in results if r.status == "flagged-errata"]

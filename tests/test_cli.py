@@ -17,7 +17,7 @@ from transform_oracle import expected
 import umbra
 from umbra.checks import MAX_ORDER, suite_names
 from umbra.cli import main
-from umbra.seqcore import TRANSFORM_NAMES
+from umbra.seqcore import TRANSFORM_NAMES, Stage, sequence_from_json
 
 
 def write(tmp_path, name, text):
@@ -50,6 +50,25 @@ class TestTransform:
         assert main(["transform", src, "--name", name, "--alpha=-2/3", "--beta=5/7", "--k", "2"]) == 0
         want = expected(name, terms, Fraction(-2, 3), Fraction(5, 7), 2)
         assert json.loads(capsys.readouterr().out)["terms"] == [str(w) for w in want]
+
+    @pytest.mark.parametrize("terms,argv,stage", [
+        (["1"] * 256, ["--name", "hermite", "--alpha", str(10 ** 20), "--beta", "1"],
+         Stage("hermite", Fraction(10 ** 20), Fraction(1))),
+        (["1", "-1/2", "3/7"], ["--name", "k-binomial", "--k", "100000"], Stage("k-binomial", k=100000)),
+    ], ids=["hermite", "k-binomial"])
+    def test_terms_past_the_int_string_cap_roundtrip(self, terms, argv, stage, tmp_path):
+        # terms of 5,000 to 30,000 digits, past the interpreter's 4,300-digit cap on
+        # int <-> str conversion: written, read back exactly, and read again as input
+        src = write(tmp_path, "a.json", json.dumps({"terms": terms}))
+        out, back = tmp_path / "b.json", tmp_path / "c.json"
+        assert main(["transform", src, *argv, "--output", str(out)]) == 0
+        want = stage.apply(sequence_from_json(Path(src).read_text())).terms
+        assert max(t.numerator.bit_length() for t in want) > 4400 * 3.32  # more than 4,400 digits
+        assert sequence_from_json(out.read_text()).terms == want
+        # the binomial transform is an involution: twice gives the file back byte for byte
+        assert main(["transform", str(out), "--name", "binomial", "--output", str(back)]) == 0
+        assert main(["transform", str(back), "--name", "binomial", "--output", str(back)]) == 0
+        assert back.read_text() == out.read_text()
 
     def test_boolean_terms_exit_2(self, tmp_path):
         src = write(tmp_path, "a.json", '{"terms": [true, false, 3]}')
