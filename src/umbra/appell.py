@@ -8,6 +8,7 @@ operational series oracle, and the two routes must agree.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
@@ -171,7 +172,14 @@ def gauss_hermite_family() -> AppellFamily:
 
 
 def family_from_taylor(coeffs: SequenceABC, name: str = "user-taylor") -> AppellFamily:
-    return AppellFamily(name, tuple(coeffs))
+    """A family known only by Taylor data, which is evaluated in doubles: every
+    coefficient of A and of 1/A must fit a float."""
+    fam = AppellFamily(name, tuple(coeffs))
+    for label, taylor in (("A", fam.a_taylor), ("1/A", fam.a_inv_taylor)):
+        n = next((n for n, c in enumerate(taylor) if abs(c) > sys.float_info.max), None)
+        if n is not None:
+            raise InvalidParameterError(f"Taylor coefficient {n} of {label} must be small enough for a float")
+    return fam
 
 
 def appell_poly(fam: AppellFamily, n: int, sign: str = "plus") -> tuple:

@@ -35,8 +35,9 @@ from . import gftrans as gf
 from . import opcalc as oc
 from . import seqcore as sq
 from . import specfun as sf
-from .errors import InvalidParameterError, UnsupportedSymbolError
+from .errors import DivergenceError, InvalidParameterError, UnsupportedSymbolError
 from .opcalc.formal import exp_apply
+from .opcalc.operators import apply_operator, coefficients, polynomial
 
 DEFAULT_SEED = 20100601
 DEFAULT_ORDER = 64
@@ -150,11 +151,16 @@ def expansion_sweep(fam: ap.AppellFamily, f: ap.GaussianFunction, count: int) ->
 
     The oracle is the operational series, except for the gauss-hermite-type
     family: its series diverges from scale 3/16 on, so it is held to the
-    Eq. 40 widening law instead.
+    Eq. 40 widening law instead.  An exact oracle coefficient past the float
+    range raises DivergenceError, naming the lowest such order.
     """
     result = ap.expansion_coefficients(fam, f, count)
     oracle = (ap.widening_coefficients(f, count) if fam is ap.gauss_hermite_family()
               else ap.operational_coefficients(fam, f, count))
+    for n, o in enumerate(oracle):
+        if abs(o) > sys.float_info.max:
+            raise DivergenceError(f"oracle coefficient n={n} is past the float range: "
+                                  f"the expansion of family {fam.name!r} diverges at this scale")
     pairs = [(complex(c), float(o)) for c, o in zip(result.coefficients, oracle)]
     return result, [(c, o, abs(c - o)) for c, o in pairs]
 
@@ -709,15 +715,16 @@ def _commutator_check_LD(coeffs) -> tuple:
     cancellation is only exact on inputs with f(0) = 0, which is precisely the
     restriction the pair carries: the residual is -f(0) as a constant series.
 
-    Both products are banded operators at cap deg f + 2, where neither loses
-    a coefficient; the residual has the input's length.
+    Both products are applied action by action, and neither raises the
+    degree; the residual has the input's length.
     """
-    cap = len(coeffs) + 1
-    d = oc.derivative_op(cap)
-    neg = oc.neg_derivative_op(cap)
-    lhs = oc.laguerre_derivative_op(cap).compose(neg)
-    rhs = neg.compose(oc.x_multiply_op(cap).compose(d.compose(d)))
-    return tuple(r - 2 * c for r, c in zip((lhs + rhs.scale(-1)).apply(coeffs), coeffs))
+    def act(action, state):
+        return apply_operator([oc.OperatorTerm(0, 1, action)], state, 0)
+
+    f = polynomial(coeffs)
+    lhs = act("LD", act("Dinv", f))
+    rhs = act("Dinv", act("x", act("d2", f)))
+    return tuple(lhs.get((0, n), 0) - rhs.get((0, n), 0) - 2 * c for n, c in enumerate(coeffs))
 
 
 def _chk_commutator() -> Outcome:
@@ -738,8 +745,10 @@ def _chk_borel_c0() -> Outcome:
 def _chk_exp_laguerre() -> Outcome:
     c0 = oc.c0_series(24)
     out = oc.exp_laguerre_derivative(Fraction(1, 2), c0)
-    if out != oc.laguerre_derivative_op(24).expm_apply(c0, scale=Fraction(1, 2)):
-        return Outcome(1.0, "Borel and matrix-exponential routes disagree", passed=False)
+    # e^{eps LD/2} terminates by eps^24 on the degree-24 series; eps = 1 sums its orders
+    expanded = exp_apply([oc.OperatorTerm(1, Fraction(1, 2), "LD")], polynomial(c0), 24)
+    if list(out) != coefficients(expanded, len(c0)):
+        return Outcome(1.0, "Borel and operator-exponential routes disagree", passed=False)
     worst = _worst(abs(float(out[j] / c0[j]) - exp(-0.5)) for j in range(12))
     return Outcome(worst, "dual-route evolution; eigenvalue e^{-alpha} on C_0")
 
@@ -968,10 +977,10 @@ _EQ75_PRINTED_SHIFT = 2.0
 def _errata_eq75() -> Outcome:
     sym = oc.gaussian_symbol(1.0)
     alpha, beta, n, x = 0.25, 0.25, 1, 0.5
-    op = oc.second_derivative_plus_x_op(alpha, beta, 220)
+    argument = [oc.OperatorTerm(0, alpha, "d2"), oc.OperatorTerm(0, beta, "x")]
     taylor_tab = oc.gaussian_taylor(Fraction(1), 200)
     oracle = oc.apply_entire_function(
-        lambda j: float(taylor_tab[j]) if j < len(taylor_tab) else 0.0, op, [0.0, 1.0], x
+        lambda j: float(taylor_tab[j]) if j < len(taylor_tab) else 0.0, argument, [0.0, 1.0], x
     )
 
     def printed_form(k):

@@ -88,7 +88,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
+        with sq._any_digits():
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"{what} is not a valid rational: {text!r}") from exc
 
@@ -168,12 +169,12 @@ def _build_family(args):
         if not args.taylor_file:
             raise InvalidParameterError("--taylor-file is required for the user-taylor-file family")
         try:
-            with open(args.taylor_file) as fh:
+            with open(args.taylor_file) as fh, sq._any_digits():
                 raw = json.load(fh)
-            # as for sequence terms: JSON true/false are not coefficients, and a string is not a list
-            if not isinstance(raw, list) or not raw or any(isinstance(c, bool) for c in raw):
-                raise ValueError("the document must be a non-empty list of rationals")
-            coeffs = [Fraction(str(c)) for c in raw]
+                # as for sequence terms: JSON true/false are not coefficients, and a string is not a list
+                if not isinstance(raw, list) or not raw or any(isinstance(c, bool) for c in raw):
+                    raise ValueError("the document must be a non-empty list of rationals")
+                coeffs = [Fraction(str(c)) for c in raw]
         except OSError as exc:
             raise SequenceFormatError(f"cannot read {args.taylor_file}: {exc}") from exc
         except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:

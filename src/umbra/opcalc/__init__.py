@@ -1,11 +1,11 @@
 """Operator calculus via the Fourier representation.
 
-Quadrature engine, truncated-operator oracles, the exact eps-series engine,
-series-level operators, and the evolution/transform operations built on them.
+Quadrature engine, the sparse operator engine and its exact eps-series
+exponentials, the oracles built on them, series-level operators, and the
+evolution/transform operations.
 """
 
 from ..specfun import polyval_coeffs
-from .formal import OperatorTerm
 from .fourier import (
     GridFunction,
     big_o_on_monomial,
@@ -16,15 +16,7 @@ from .fourier import (
     tricomi_evolution,
     umbral_operator_transform,
 )
-from .operators import (
-    TruncatedOperator,
-    ValidityWarning,
-    derivative_op,
-    laguerre_derivative_op,
-    neg_derivative_op,
-    second_derivative_plus_x_op,
-    x_multiply_op,
-)
+from .operators import OperatorTerm
 from .oracles import (
     apply_entire_function,
     c0_series,
@@ -65,14 +57,7 @@ __all__ = [
     "matrix_function_pauli",
     "tricomi_evolution",
     "umbral_operator_transform",
-    "TruncatedOperator",
-    "ValidityWarning",
-    "derivative_op",
-    "laguerre_derivative_op",
-    "neg_derivative_op",
     "polyval_coeffs",
-    "second_derivative_plus_x_op",
-    "x_multiply_op",
     "apply_entire_function",
     "c0_series",
     "integro_matrix_oracle",

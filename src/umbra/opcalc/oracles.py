@@ -1,8 +1,8 @@
 """Independent oracles for the quadrature operations.
 
 Each quadrature claim is checked against a second route that never touches the
-Fourier representation: truncated-operator matrices (Taylor sums or matrix
-exponentials), spectral decomposition for the 2x2 case, plain series for the
+Fourier representation: Taylor sums of operators applied action by action,
+matrix exponentials, spectral decomposition for the 2x2 case, plain series for the
 evolution solutions, and exact-rational double sums for the umbral transform.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import InvalidParameterError, TruncationError
 from ..seqcore import Sequence, _egf_product
 from ..specfun import FACTORIAL_DEGREE_MAX, polyval_coeffs, tricomi_series
-from .operators import TruncatedOperator
+from .operators import OperatorTerm, apply_operator, coefficients, polynomial
 from .quadrature import factorials
 
 
@@ -29,27 +29,25 @@ _TAYLOR_RTOL = 1e-18
 
 def apply_entire_function(
     taylor: Callable[[int], complex],
-    op: TruncatedOperator,
+    terms: list[OperatorTerm],
     coeffs,
     x: complex,
 ) -> complex:
-    """sum_j taylor(j) (op^j f)(x): Taylor sum of f(op) applied to a polynomial.
+    """sum_j taylor(j) (A^j f)(x): Taylor sum of f(A) applied to a polynomial,
+    A the sum of the eps^0 terms.
 
-    Terms must decay for the configured operator/symbol pair (Gaussian symbols
+    The Taylor terms must decay for the configured operator/symbol pair (Gaussian symbols
     against the small parameters used in the tests); summation stops after the
     terms stay negligible for several consecutive orders.
     """
-    if op.degree_cap < len(coeffs) - 1 + _TAYLOR_TERMS:
-        raise InvalidParameterError(
-            f"operator cap too small for the Taylor sum: need input degree + {_TAYLOR_TERMS}"
-        )
-    v = list(coeffs) + [0] * (op.degree_cap + 1 - len(coeffs))
+    state = polynomial(coeffs)
     total = 0j
     quiet = 0
     for j in range(_TAYLOR_TERMS):
         t = taylor(j)
         if t:
-            term = complex(t) * complex(polyval_coeffs(v, x))
+            top = max((degree for _, degree in state), default=0)
+            term = complex(t) * complex(polyval_coeffs(coefficients(state, top + 1), x))
             total += term
             if abs(term) < _TAYLOR_RTOL * max(abs(total), 1e-30):
                 quiet += 1
@@ -57,7 +55,7 @@ def apply_entire_function(
                 quiet = 0
             if quiet >= 4 and j > 8:
                 break
-        v = list(op.apply(v))
+        state = apply_operator(terms, state, 0)
     return total
 
 

@@ -1,8 +1,8 @@
 """Series-level operators: Borel transform, e^{-alpha D^{-1}} and e^{alpha LD}.
 
-Series are ascending coefficient tuples (index = monomial degree), as in
-`TruncatedOperator.apply`.  Exact coefficients stay exact, so the catalog can
-assert eigenfunction and commutator claims on them with zero tolerance.
+Series are ascending coefficient tuples (index = monomial degree).  Exact
+coefficients stay exact, so the catalog can assert eigenfunction and
+commutator claims on them with zero tolerance.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ def exp_laguerre_derivative(alpha, coeffs) -> tuple:
     """e^{alpha LD} f via the Borel route f_B(D^{-1} + alpha) . 1.
 
     Exact on rational input.  The catalog cross-checks it against the
-    nilpotent matrix exponential of the truncated LD operator
-    (`laguerre_derivative_op(order).expm_apply`).
+    terminating exponential of eps LD on the sparse operator engine
+    (`formal.exp_apply`).
     """
     borel = borel_transform(coeffs)
     order = len(borel) - 1

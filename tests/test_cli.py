@@ -17,7 +17,7 @@ from transform_oracle import expected
 import umbra
 from umbra.checks import MAX_ORDER, suite_names
 from umbra.cli import main
-from umbra.seqcore import TRANSFORM_NAMES, Stage, sequence_from_json
+from umbra.seqcore import TRANSFORM_NAMES, Stage, _any_digits, sequence_from_json
 
 
 def write(tmp_path, name, text):
@@ -301,6 +301,8 @@ class TestEvolve:
     ["evolve", "--equation", "integro-diff", "--beta", "1e300"],
     ["evolve", "--equation", "heat", "--alpha", "8"],
     ["evolve", "--equation", "heat", "--alpha", "20"],
+    # exact oracle coefficients past the float range: float() raised OverflowError
+    ["expand", "--family", "identity", "--count", "5", "--scale", "1e200"],
 ], ids=" ".join)
 def test_range_guard_exits_4(argv, capsys):
     # these used to exit 0 with nan or wrapped-around values in the output
@@ -308,6 +310,10 @@ def test_range_guard_exits_4(argv, capsys):
     out, err = capsys.readouterr()
     assert "Traceback" not in err and "error:" in err
     assert "nan" not in out.lower()
+
+
+#: stands for a Taylor file written by the test that uses it
+TAYLOR_400_DIGITS = "<taylor file>"
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,13 +327,16 @@ def test_range_guard_exits_4(argv, capsys):
     # the Gaussian scale is exact, but these two commands also use it as a float
     ["expand", "--family", "bernoulli", "--count", "4", "--scale", "1e400"],
     ["evolve", "--equation", "heat", "--scale", "1e400"],
+    # a Taylor file whose second coefficient has 400 digits: A is evaluated in doubles
+    ["expand", "--family", "user-taylor-file", "--taylor-file", TAYLOR_400_DIGITS, "--count", "5"],
     ["check", "--tolerance", "nan"],
     ["check", "--tolerance", "-0.5"],
     ["check", "--order", "0"],
     ["check", "--order", str(MAX_ORDER + 1)],
 ], ids=" ".join)
-def test_bad_numeric_flag_exits_3(argv, capsys):
-    assert main(argv) == 3
+def test_bad_numeric_flag_exits_3(argv, tmp_path, capsys):
+    taylor = write(tmp_path, "t.json", json.dumps(["1", "1" * 400]))
+    assert main([taylor if part == TAYLOR_400_DIGITS else part for part in argv]) == 3
     out, err = capsys.readouterr()
     assert "Traceback" not in err and "must be" in err
     assert "nan" not in out.lower()
@@ -359,8 +368,30 @@ def test_exact_transform_parameters_take_any_size(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["terms"] == [str(w) for w in want]
 
 
+def test_transform_flag_past_the_int_string_cap(tmp_path, capsys):
+    # a 5,000-digit --alpha is exact: it exited 3 and echoed itself to stderr
+    src = write(tmp_path, "a.json", '{"terms": ["1", "2"]}')
+    alpha = "1" * 5000
+    assert main(["transform", src, "--name", "modular", "--alpha", alpha, "--beta", "1"]) == 0
+    out, err = capsys.readouterr()
+    with _any_digits():
+        want = expected("modular", ["1", "2"], Fraction(alpha), Fraction(1), None)
+    assert err == "" and sequence_from_json(out).terms == tuple(want)
+
+
+def test_taylor_coefficient_past_the_int_string_cap(tmp_path, capsys):
+    # (10^4400 + 1) / 10^4400 is a float-sized rational of 4,401-digit terms: it exited 2
+    den = 10 ** 4400
+    with _any_digits():
+        doc = json.dumps([f"{den + 1}/{den}"] + ["0"] * 7)
+    taylor = write(tmp_path, "t.json", doc)
+    assert main(["expand", "--family", "user-taylor-file", "--taylor-file", taylor, "--count", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "coefficient,0,1.000000000000e+00" in out
+
+
 # values that have broken numeric parsing, factorial ranges and grid sizes before
-FUZZ_VALUES = ("nan", "inf", "-inf", "1e308", "171", "257", "", "0", "-1", "1/2")
+FUZZ_VALUES = ("nan", "inf", "-inf", "1e308", "1e200", "171", "257", "", "0", "-1", "1/2")
 
 
 def _flags(required: dict, optional: dict):

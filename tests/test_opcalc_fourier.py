@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbra import opcalc
-from umbra.opcalc import fourier, oracles, quadrature
+from umbra.opcalc import formal, fourier, operators, oracles, quadrature
 from umbra.errors import (
     DivergenceError,
     DomainTooSmallError,
@@ -47,9 +47,9 @@ class TestPhiShift:
     @given(st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=50), min_size=1, max_size=17),
            positive_rationals)
     def test_matches_nilpotent_exponential(self, coeffs, y):
-        # e^{-y d^2} on polynomials as the terminating operator exponential
-        d = opcalc.derivative_op(len(coeffs) - 1)
-        assert opcalc.gaussian_shift_transform(coeffs, y) == d.compose(d).expm_apply(coeffs, scale=-y)
+        # e^{-y d^2} on polynomials as the terminating exponential of eps (-y) d^2, summed over eps orders
+        state = formal.exp_apply([operators.OperatorTerm(1, -y, "d2")], operators.polynomial(coeffs), len(coeffs))
+        assert opcalc.gaussian_shift_transform(coeffs, y) == tuple(operators.coefficients(state, len(coeffs)))
 
     @pytest.mark.parametrize("y", [0.1, 0.5, 2.0])
     def test_floats_match_fixed_hermite_rule(self, y):
@@ -107,8 +107,8 @@ class TestBigO:
     def test_matches_taylor_oracle(self, alpha, beta, n, x):
         sym = opcalc.gaussian_symbol(1.0)
         got = opcalc.big_o_on_monomial(sym, alpha, beta, n, x)
-        op = opcalc.second_derivative_plus_x_op(alpha, beta, 220)
-        ref = opcalc.apply_entire_function(_gaussian_taylor_float(), op, [0.0] * n + [1.0], x)
+        argument = [opcalc.OperatorTerm(0, alpha, "d2"), opcalc.OperatorTerm(0, beta, "x")]
+        ref = opcalc.apply_entire_function(_gaussian_taylor_float(), argument, [0.0] * n + [1.0], x)
         assert got == pytest.approx(ref, abs=1e-7)
 
 
