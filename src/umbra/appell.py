@@ -26,17 +26,26 @@ _SQRT2PI = sqrt(2.0 * pi)
 
 #: n! growth in the coefficient prefactor makes higher orders meaningless in doubles
 MAX_COEFFICIENTS = 24
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def _exact(coeffs: SequenceABC) -> tuple[Fraction, ...]:
+    """Taylor data as Fractions; a float converts to its exact value."""
+    try:
+        return tuple(map(Fraction, coeffs))
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidParameterError("Taylor coefficients must be rational or finite floats") from None
 
 
 def series_reciprocal(coeffs: SequenceABC) -> tuple:
-    """Taylor coefficients of 1/A from those of A; exact on rational input.
+    """Exact Taylor coefficients of 1/A from the rational ones of A.
 
     Standard convolution recurrence d_0 = 1/c_0, d_n = -(1/c_0) sum c_j d_{n-j}.
     """
     c0 = coeffs[0]
     if c0 == 0:
         raise InvalidParameterError("characteristic function must not vanish at 0")
-    inv = [1 / Fraction(c0) if isinstance(c0, (int, Fraction)) else 1.0 / c0]
+    inv = [1 / Fraction(c0)]
     for n in range(1, len(coeffs)):
         acc = sum(coeffs[j] * inv[n - j] for j in range(1, n + 1))
         inv.append(-inv[0] * acc)
@@ -45,9 +54,11 @@ def series_reciprocal(coeffs: SequenceABC) -> tuple:
 
 @dataclass(frozen=True)
 class AppellFamily:
-    """Characteristic function A(t) as Taylor coefficients plus complex evaluators.
+    """Characteristic function A(t) as exact Taylor coefficients plus complex evaluators.
 
-    The evaluators work elementwise, on a complex scalar or a numpy array.
+    Taylor data is stored as Fractions (a float enters as its exact value), each
+    of A and 1/A within float range.  The evaluators work elementwise, on a
+    complex scalar or a numpy array.
     """
 
     name: str
@@ -59,23 +70,24 @@ class AppellFamily:
     def __post_init__(self) -> None:
         if not self.a_taylor:
             raise InvalidParameterError("need at least the constant Taylor coefficient")
-        object.__setattr__(self, "a_taylor", tuple(self.a_taylor))
-        if not self.a_inv_taylor:
-            object.__setattr__(self, "a_inv_taylor", series_reciprocal(self.a_taylor))
-        # convolution of A and 1/A must be the identity series; on rational
-        # data n! conv_n is the EGF product of (j! a_j) and (j! inv_j), taken on
-        # integers, and an exact identity needs no float test
-        a, inv = self.a_taylor, tuple(self.a_inv_taylor[:len(self.a_taylor)])
-        if all(isinstance(v, (int, Fraction)) for v in a + inv):
-            weights = [factorial(j) for j in range(len(a))]
-            scaled = _integer_product(_cleared(weights, a), _cleared(weights, inv)).terms
-            if scaled[0] == 1 and not any(scaled[1:]):
-                return
-            convs = [v / w for v, w in zip(scaled, weights)]
-        else:
-            convs = [sum(a[j] * inv[n - j] for j in range(n + 1)) for n in range(len(a))]
-        for n, conv in enumerate(convs):
-            if abs(complex(conv) - (n == 0)) > 1e-12:
+        a = _exact(self.a_taylor)
+        inv = _exact(self.a_inv_taylor) if self.a_inv_taylor else series_reciprocal(a)
+        object.__setattr__(self, "a_taylor", a)
+        object.__setattr__(self, "a_inv_taylor", inv)
+        for label, taylor in (("A", a), ("1/A", inv)):
+            n = next((n for n, c in enumerate(taylor) if abs(c) > _FLOAT_MAX), None)
+            if n is not None:
+                raise InvalidParameterError(f"Taylor coefficient {n} of {label} must be small enough for a float")
+        # convolution of A and 1/A must be the identity series: n! conv_n is the
+        # EGF product of (j! a_j) and (j! inv_j), taken on integers, and an exact
+        # identity needs no float test
+        inv = inv[:len(a)]
+        weights = [factorial(j) for j in range(len(a))]
+        scaled = _integer_product(_cleared(weights, a), _cleared(weights, inv)).terms
+        if scaled[0] == 1 and not any(scaled[1:]):
+            return
+        for n, (v, w) in enumerate(zip(scaled, weights)):
+            if abs(complex(v / w) - (n == 0)) > 1e-12:
                 raise InvalidParameterError(f"A * (1/A) deviates from 1 at order {n}")
 
     @property
@@ -171,17 +183,6 @@ def gauss_hermite_family() -> AppellFamily:
     )
 
 
-def family_from_taylor(coeffs: SequenceABC, name: str = "user-taylor") -> AppellFamily:
-    """A family known only by Taylor data, which is evaluated in doubles: every
-    coefficient of A and of 1/A must fit a float."""
-    fam = AppellFamily(name, tuple(coeffs))
-    for label, taylor in (("A", fam.a_taylor), ("1/A", fam.a_inv_taylor)):
-        n = next((n for n, c in enumerate(taylor) if abs(c) > sys.float_info.max), None)
-        if n is not None:
-            raise InvalidParameterError(f"Taylor coefficient {n} of {label} must be small enough for a float")
-    return fam
-
-
 def appell_poly(fam: AppellFamily, n: int, sign: str = "plus") -> tuple:
     """Coefficients (ascending) of a_n^+(x) = A(d/dx) x^n or a_n^-(x) with 1/A.
 
@@ -256,9 +257,10 @@ def expansion_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> Ex
         inverse = fam.inverse_at(1j * probes)
         # Taylor-only families: a truncated polynomial cannot witness growth,
         # so instead demand that the 1/A evaluation has converged out at the
-        # probe points before trusting it under the integral
+        # probe points before trusting it under the integral; c_0 always stays
         if fam.eval_inv is None:
-            dropped = polyval_coeffs(map(complex, fam.a_inv_taylor[:-2]), 1j * probes)
+            kept = max(1, len(fam.a_inv_taylor) - 2)
+            dropped = polyval_coeffs(map(complex, fam.a_inv_taylor[:kept]), 1j * probes)
             unsettled = np.abs(inverse - dropped) > 1e-6 * np.maximum(np.abs(inverse), 1e-300)
             if unsettled.any():
                 raise DivergenceError(
@@ -295,15 +297,10 @@ def operational_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> 
 
     alpha_n = sum_m c^-_m F_{n+m} / n!, F_j = j! f_j, over the family's stored
     Taylor data; the built-in families carry enough orders for the tail to die.
-    A rational family sums on integers: the c^-_m over one denominator D, the
-    F_j over q^R for the scale p/q, so alpha_n = Fraction(sum, D q^R n!).
+    The sum runs on integers: the c^-_m over one denominator D, the F_j over
+    q^R for the scale p/q, so alpha_n = Fraction(sum, D q^R n!).
     """
     inv = fam.a_inv_taylor
-    if not all(isinstance(c, (int, Fraction)) for c in inv):
-        return tuple(
-            sum((cm * f.taylor(n + m) * (factorial(n + m) // factorial(n)) for m, cm in enumerate(inv) if cm), 0.0)
-            for n in range(N + 1)
-        )
     den, nums = _cleared([1] * len(inv), inv)
     terms = [(m, c) for m, c in enumerate(nums) if c]
     p, q = f.scale.numerator, f.scale.denominator

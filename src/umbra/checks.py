@@ -35,7 +35,7 @@ from . import gftrans as gf
 from . import opcalc as oc
 from . import seqcore as sq
 from . import specfun as sf
-from .errors import DivergenceError, InvalidParameterError, UnsupportedSymbolError
+from .errors import DivergenceError, InvalidParameterError, UnsupportedSymbolError, quoted
 from .opcalc.formal import exp_apply
 from .opcalc.operators import apply_operator, coefficients, polynomial
 
@@ -1173,7 +1173,7 @@ def resolve_suites(selector: str, seed: int = DEFAULT_SEED, order: int = DEFAULT
     if selector == "all":
         return [(name, check) for name, checks in suites.items() for check in checks]
     if selector not in suites:
-        raise InvalidParameterError(f"unknown suite {selector!r}; choose from {', '.join(suite_names())}")
+        raise InvalidParameterError(f"unknown suite {quoted(selector)}; choose from {', '.join(suite_names())}")
     return [(selector, check) for check in suites[selector]]
 
 

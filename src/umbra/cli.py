@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from .errors import (
     TruncationError,
     UmbraError,
     UnsupportedSymbolError,
+    quoted,
 )
 
 EXIT_PARSE = 2
@@ -91,14 +91,14 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         with sq._any_digits():
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParameterError(f"{what} is not a valid rational: {text!r}") from exc
+        raise InvalidParameterError(f"{what} is not a valid rational: {quoted(text)}") from exc
 
 
 def _parse_float_sized(text: str, flag: str) -> Fraction:
     """An exact flag value that is also used as a float, so must not overflow one."""
     value = _parse_fraction(text, flag)
     if abs(value) > sys.float_info.max:
-        raise InvalidParameterError(f"{flag} must be small enough for a float, got {text!r}")
+        raise InvalidParameterError(f"{flag} must be small enough for a float, got {quoted(text)}")
     return value
 
 
@@ -138,11 +138,7 @@ def cmd_check(args) -> int:
         raise InvalidParameterError(f"--tolerance must be >= 0, got {args.tolerance}")
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     order = checks.DEFAULT_ORDER if args.order is None else args.order
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results = checks.run_selected(
-            args.suite, seed=seed, order=order, tolerance_override=args.tolerance
-        )
+    results = checks.run_selected(args.suite, seed=seed, order=order, tolerance_override=args.tolerance)
     report = RunReport(args.suite, seed, order, tuple(results))
     # runtimes are nondeterministic and stay out of files, keeping outputs byte-stable
     include_runtime = args.output is None
@@ -174,12 +170,12 @@ def _build_family(args):
                 # as for sequence terms: JSON true/false are not coefficients, and a string is not a list
                 if not isinstance(raw, list) or not raw or any(isinstance(c, bool) for c in raw):
                     raise ValueError("the document must be a non-empty list of rationals")
-                coeffs = [Fraction(str(c)) for c in raw]
+                coeffs = [_parse_fraction(str(c), f"coefficient {i}") for i, c in enumerate(raw)]
         except OSError as exc:
             raise SequenceFormatError(f"cannot read {args.taylor_file}: {exc}") from exc
-        except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
+        except (ValueError, InvalidParameterError) as exc:
             raise SequenceFormatError(f"bad taylor file: {exc}") from exc
-        return ap.family_from_taylor(coeffs)
+        return ap.AppellFamily("user-taylor", coeffs)
     raise InvalidParameterError(f"unknown family {args.family!r}")
 
 
@@ -190,14 +186,12 @@ def cmd_expand(args) -> int:
     _at_least_one(args.count, "--count")
     fam = _build_family(args)
     f = ap.GaussianFunction(_parse_float_sized(args.scale, "--scale"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result, coefficients = checks.expansion_sweep(fam, f, args.count)
-        lines = ["section,n,value_re,value_im,oracle,abs_diff,nodes"]
-        for n, ((c, o, diff), nodes) in enumerate(zip(coefficients, result.node_counts)):
-            lines.append(f"coefficient,{n},{c.real:.12e},{c.imag:.12e},{o:.12e},{diff:.3e},{nodes}")
-        for x, rec, ref, diff in checks.reconstruction_sweep(fam, result, f):
-            lines.append(f"reconstruction,{x:.2f},{rec.real:.12e},{rec.imag:.12e},{ref.real:.12e},{diff:.3e},")
+    result, coefficients = checks.expansion_sweep(fam, f, args.count)
+    lines = ["section,n,value_re,value_im,oracle,abs_diff,nodes"]
+    for n, ((c, o, diff), nodes) in enumerate(zip(coefficients, result.node_counts)):
+        lines.append(f"coefficient,{n},{c.real:.12e},{c.imag:.12e},{o:.12e},{diff:.3e},{nodes}")
+    for x, rec, ref, diff in checks.reconstruction_sweep(fam, result, f):
+        lines.append(f"reconstruction,{x:.2f},{rec.real:.12e},{rec.imag:.12e},{ref.real:.12e},{diff:.3e},")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -209,21 +203,19 @@ def cmd_evolve(args) -> int:
         _finite(getattr(args, flag), f"--{flag}")
     for flag in ("points", "x_count", "tau_count"):
         _at_least_one(getattr(args, flag), "--" + flag.replace("_", "-"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if args.equation == "heat":
-            scale = float(_parse_float_sized(args.scale, "--scale"))
-            header = (f"heat evolution: alpha={args.alpha:g} scale={scale:g} "
-                      f"extent={args.extent:g} points={args.points}")
-            rows = checks.heat_sweep(scale, args.alpha, args.extent, args.points)
-        elif args.equation == "tricomi":
-            header = f"tricomi evolution on [0,1]^2: {args.x_count} x {args.tau_count} grid"
-            rows = checks.tricomi_sweep(args.x_count, args.tau_count)
-        else:
-            order = checks.c0_truncation(args.m)
-            header = (f"integro-differential evolution: m={args.m} beta={args.beta:g} "
-                      f"initial=C0 truncation={order} oracle=matrix-exponential(D={order})")
-            rows = checks.integro_sweep(args.beta, args.m, args.x_count, args.tau_count)
+    if args.equation == "heat":
+        scale = float(_parse_float_sized(args.scale, "--scale"))
+        header = (f"heat evolution: alpha={args.alpha:g} scale={scale:g} "
+                  f"extent={args.extent:g} points={args.points}")
+        rows = checks.heat_sweep(scale, args.alpha, args.extent, args.points)
+    elif args.equation == "tricomi":
+        header = f"tricomi evolution on [0,1]^2: {args.x_count} x {args.tau_count} grid"
+        rows = checks.tricomi_sweep(args.x_count, args.tau_count)
+    else:
+        order = checks.c0_truncation(args.m)
+        header = (f"integro-differential evolution: m={args.m} beta={args.beta:g} "
+                  f"initial=C0 truncation={order} oracle=matrix-exponential(D={order})")
+        rows = checks.integro_sweep(args.beta, args.m, args.x_count, args.tau_count)
     lines = [f"# {header}", "x,tau,value,oracle_residual"]
     lines += [f"{x:.6f},{tau:.6f},{value.real:.12e},{residual:.3e}" for x, tau, value, residual in rows]
     _emit("\n".join(lines) + "\n", args.output)

@@ -1,6 +1,11 @@
 """Exception hierarchy shared by all umbra modules."""
 
 
+def quoted(text: str) -> str:
+    """User text for an error message: past 40 characters, a prefix and the length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 class UmbraError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -178,7 +178,8 @@ class QuadratureResult:
 def _doubling(g: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int) -> list[QuadratureResult]:
     """The doubling loop for a stack of integrands: g(u, active) gives the rows
     `active` at the nodes u.  A row stops once two successive sums agree, or at
-    the cap with one warning; only the rows still doubling are evaluated."""
+    the cap with one warning naming the row of a stack (a repeated message
+    prints once); only the rows still doubling are evaluated."""
     results: list = [None] * rows
     active, previous = np.arange(rows), None
     n = DEFAULT_START_NODES
@@ -196,10 +197,11 @@ def _doubling(g: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int) -> l
                 keep.append(i)
         active, previous = active[keep], [values[i] for i in keep]
         n *= 2
-    for res in results:
+    for row, res in enumerate(results):
         if not res.converged:
+            where = f" (integrand {row} of {rows})" if rows > 1 else ""
             warnings.warn(
-                f"quadrature did not converge below {CONVERGENCE_TOL:g} at {NODE_CAP} nodes",
+                f"quadrature did not converge below {CONVERGENCE_TOL:g} at {NODE_CAP} nodes{where}",
                 QuadratureConvergenceWarning,
                 stacklevel=3,
             )
@@ -229,8 +231,8 @@ def gaussian_fourier_rows(
 ) -> tuple[QuadratureResult, ...]:
     """gaussian_fourier_integral for `rows` integrands at once: g(k, active) gives
     the rows `active` at the nodes k.  Each row doubles, converges, counts its
-    nodes and warns exactly as its own gaussian_fourier_integral call would, and
-    whatever g shares between rows is computed once per node set."""
+    nodes and warns, naming itself, as its own gaussian_fourier_integral call
+    would, and whatever g shares between rows is computed once per node set."""
     s = _hermite_scale(gauss_coeff)
     return tuple(
         QuadratureResult(res.value * s, res.node_count, res.converged)

@@ -62,7 +62,7 @@ from itertools import repeat
 from math import comb, gcd, lcm
 from typing import Iterable
 
-from .errors import InvalidParameterError, SequenceFormatError
+from .errors import InvalidParameterError, SequenceFormatError, quoted
 
 Rational = Fraction | int | str
 
@@ -315,14 +315,14 @@ _STAGES = {
 TRANSFORM_NAMES = tuple(_STAGES)
 
 
-_DIGITS_LOCK = threading.Lock()
+_DIGITS_LOCK = threading.RLock()
 
 
 @contextmanager
 def _any_digits():
     """Lift the interpreter's cap on int <-> str conversion (4300 digits) inside the
     exchange-format functions: an exact term may have any number of digits.  The
-    cap is process-wide, so one caller at a time saves and restores it."""
+    cap is process-wide, so one caller at a time (nesting allowed) saves and restores it."""
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         yield
@@ -366,5 +366,5 @@ def sequence_from_json(text: str) -> Sequence:
         try:
             terms.append(Fraction(item))
         except (ValueError, ZeroDivisionError) as exc:
-            raise SequenceFormatError(f"term {i} is not a valid rational: {item!r}") from exc
+            raise SequenceFormatError(f"term {i} is not a valid rational: {quoted(item)}") from exc
     return Sequence.of(terms)

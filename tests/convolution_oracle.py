@@ -68,10 +68,10 @@ def series_product(a, b):
 
 def operational_coefficients(inv, f, N):
     """alpha_n = sum_m c_m f_{n+m} (n+m)!/n! over the Taylor table inv of 1/A, with
-    f.taylor the function's Taylor coefficients; floats stay floats."""
+    f.taylor the function's Taylor coefficients."""
     out = []
     for n in range(N + 1):
-        acc = Fraction(0) if isinstance(inv[0], (int, Fraction)) else 0.0
+        acc = Fraction(0)
         for m, cm in enumerate(inv):
             if cm:
                 acc += cm * f.taylor(n + m) * (factorial(n + m) // factorial(n))

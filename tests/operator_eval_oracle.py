@@ -65,7 +65,7 @@ def expansion_coefficients(fam, f, N):
     if fam.eval_inv is None:
         for k in _GUARD_POINTS:
             full = fam.inverse_at(1j * k)
-            dropped = polyval_coeffs(map(complex, fam.a_inv_taylor[:-2]), 1j * k)
+            dropped = polyval_coeffs(map(complex, fam.a_inv_taylor[:max(1, len(fam.a_inv_taylor) - 2)]), 1j * k)
             if abs(full - dropped) > 1e-6 * max(abs(full), 1e-300):
                 raise DivergenceError(
                     f"1/A Taylor data has not converged at |k| = {k:g}: supply more "

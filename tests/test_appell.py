@@ -53,13 +53,14 @@ class TestFamilies:
     @settings(max_examples=150, deadline=None)
     def test_self_check_decides_as_the_plain_convolution(self, c0, rest, index, delta, as_float):
         # the rational route must accept and reject exactly what the 1e-12 test on the
-        # plain Cauchy product of A and the (perturbed) reciprocal does
+        # plain Cauchy product of A and the (perturbed) reciprocal does; float data
+        # enters as its exact values, so the product is theirs
         a = [c0] + rest
         inv = list(appell.series_reciprocal(a))
         inv[index % len(inv)] += delta
         if as_float:
             a, inv = [float(v) for v in a], [float(v) for v in inv]
-        convs = convolution_oracle.series_product(a, inv)
+        convs = convolution_oracle.series_product([Fraction(v) for v in a], [Fraction(v) for v in inv])
         bad = [n for n, v in enumerate(convs) if abs(complex(v) - (n == 0)) > 1e-12]
         if bad:
             with pytest.raises(InvalidParameterError, match=f"at order {bad[0]}$"):
@@ -69,7 +70,31 @@ class TestFamilies:
 
     def test_zero_constant_rejected(self):
         with pytest.raises(InvalidParameterError):
-            appell.family_from_taylor((Fraction(0), Fraction(1)))
+            appell.AppellFamily("user-taylor", (Fraction(0), Fraction(1)))
+
+    @given(st.floats(0.5, 2), st.lists(st.floats(-1e3, 1e3), max_size=11))
+    @settings(max_examples=40, deadline=None)
+    def test_float_taylor_data_enters_exact(self, c0, rest):
+        a = [c0] + rest
+        fam = appell.AppellFamily("floats", a)
+        assert fam == appell.AppellFamily("floats", [Fraction(v) for v in a])
+        assert all(type(c) is Fraction for c in fam.a_taylor + fam.a_inv_taylor)
+
+    @pytest.mark.parametrize("a,inv", [
+        ((1, 0.5j), ()), ((1, float("nan")), ()), ((1, float("inf")), ()), ((Fraction(1),), (1j,)),
+    ], ids=["complex", "nan", "inf", "complex-reciprocal"])
+    def test_non_rational_taylor_data_rejected(self, a, inv):
+        with pytest.raises(InvalidParameterError, match="must be rational or finite floats"):
+            appell.AppellFamily("bad", a, inv)
+
+    @pytest.mark.parametrize("a,message", [
+        ((1, 10 ** 400), "coefficient 1 of A"),
+        # A = 1 + 10^200 t has 1/A = 1 - 10^200 t + 10^400 t^2 - ...
+        ((1, 10 ** 200, 0), "coefficient 2 of 1/A"),
+    ])
+    def test_taylor_data_must_fit_a_float(self, a, message):
+        with pytest.raises(InvalidParameterError, match=f"{message} must be small enough for a float"):
+            appell.AppellFamily("big", a)
 
     def test_bernoulli_inverse_is_shifted_factorials(self, bernoulli):
         # 1/A = (e^t - 1)/t has coefficients 1/(m+1)!; the reciprocal recurrence must find them
@@ -162,16 +187,16 @@ class TestExpansion:
             want = convolution_oracle.operational_coefficients(fam.a_inv_taylor, g, n)
             assert list(appell.operational_coefficients(fam, g, n)) == want
 
-    def test_float_family_operational_oracle_sums_floats(self):
-        fam = appell.family_from_taylor([1.0, -0.5, 1 / 6, -1 / 24, 1 / 120, -1 / 720, 1 / 5040])
-        g = appell.GaussianFunction(Fraction(1, 8))
-        got = appell.operational_coefficients(fam, g, 10)
-        assert all(type(c) is float for c in got)
-        assert list(got) == convolution_oracle.operational_coefficients(fam.a_inv_taylor, g, 10)
-
     def test_coefficient_cap(self, bernoulli):
         with pytest.raises(TruncationError):
             appell.expansion_coefficients(bernoulli, appell.GaussianFunction(Fraction(1)), 30)
+
+    @pytest.mark.parametrize("a", [(1,), (1, 0), (1, 0, 0), (2, 0, 0, 0)], ids=str)
+    def test_short_taylor_data_keeps_c0(self, a):
+        # A constant: 1/A is exact at every |k|, however few coefficients carry it
+        fam = appell.AppellFamily("user-taylor", a)
+        res = appell.expansion_coefficients(fam, appell.GaussianFunction(Fraction(1)), 2)
+        assert complex(res.coefficients[0]) == pytest.approx(1 / a[0], abs=1e-12)
 
     def test_integrability_guard(self):
         coeffs = [Fraction(0)] * 25

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from transform_oracle import expected
 import umbra
 from umbra.checks import MAX_ORDER, suite_names
 from umbra.cli import main
+from umbra.opcalc.quadrature import QuadratureConvergenceWarning
 from umbra.seqcore import TRANSFORM_NAMES, Stage, _any_digits, sequence_from_json
 
 
@@ -113,13 +115,25 @@ def _loaded_modules(script: str, tmp_path, roots: tuple) -> str:
         "import sys\n" + script + "\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(umbra.__file__).parents[1]),
-                                                      env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe, src], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe, src], env=_env(), capture_output=True,
                           text=True, timeout=120, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
+
+
+def _env() -> dict:
+    """The environment with this umbra on the path and Python's default warning filters."""
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(umbra.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def _umbra(argv: list, tmp_path) -> subprocess.CompletedProcess:
+    """The command line run in a fresh interpreter, as a user runs it."""
+    return subprocess.run([sys.executable, "-m", "umbra.cli", *argv], env=_env(), capture_output=True,
+                          text=True, timeout=300, cwd=tmp_path)
 
 
 class TestLayering:
@@ -247,6 +261,34 @@ class TestExpand:
         assert main(["expand", "--family", "user-taylor-file", "--taylor-file", taylor, "--count", "4"]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error: bad taylor file" in err
+
+    def test_constant_taylor_data_of_two_coefficients_runs(self, tmp_path, capsys):
+        # A = 1 as ["1", "0"]: the convergence probe compared 1/A with an empty
+        # polynomial and exited 4, while ["1", "0", "0"] ran
+        taylor = write(tmp_path, "t.json", '["1", "0"]')
+        assert main(["expand", "--family", "user-taylor-file", "--taylor-file", taylor, "--count", "1"]) == 0
+        assert "coefficient,0,1.000000000000e+00" in capsys.readouterr().out
+
+
+class TestWarningsReachStderr:
+    """The commands run under Python's default warning filters: nothing is swallowed."""
+
+    def test_unconverged_orders_are_named_once_each(self, tmp_path, capsys):
+        argv = ["expand", "--family", "gauss-hermite-type", "--scale", "8", "--count", "24"]
+        done = _umbra(argv, tmp_path)
+        with pytest.warns(QuadratureConvergenceWarning):
+            assert main(argv) == 0
+        assert done.returncode == 0 and done.stdout == capsys.readouterr().out
+        named = re.findall(r"QuadratureConvergenceWarning: .* \(integrand (\d+) of 25\)$", done.stderr, re.M)
+        assert named == [str(n) for n in range(6, 25, 2)]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--suite", "all"],
+        ["evolve", "--equation", "integro-diff", "--m", "4", "--beta", "0.5"],
+    ], ids=" ".join)
+    def test_converged_runs_print_no_warning(self, argv, tmp_path):
+        done = _umbra(argv, tmp_path)
+        assert done.returncode == 0 and done.stderr == ""
 
 
 class TestEvolve:
@@ -377,6 +419,26 @@ def test_transform_flag_past_the_int_string_cap(tmp_path, capsys):
     with _any_digits():
         want = expected("modular", ["1", "2"], Fraction(alpha), Fraction(1), None)
     assert err == "" and sequence_from_json(out).terms == tuple(want)
+
+
+#: stands for a file the test writes from its `doc` argument
+DOC = "<document>"
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv,doc,code", [
+    (["transform", DOC, "--name", "modular", "--alpha", LONG + "/0", "--beta", "1"], '{"terms": ["1"]}', 3),
+    (["transform", DOC, "--name", "binomial"], json.dumps({"terms": ["1", LONG + "x"]}), 2),
+    (["expand", "--family", "user-taylor-file", "--taylor-file", DOC, "--count", "2"], json.dumps(["1", LONG + "/0"]), 2),
+    (["expand", "--family", "bernoulli", "--count", "2", "--scale", LONG], None, 3),
+    (["check", "--suite", LONG], None, 3),
+], ids=["alpha", "sequence-term", "taylor-coefficient", "scale", "suite"])
+def test_errors_quote_user_text_in_short(argv, doc, code, tmp_path, capsys):
+    # each of these echoed all 5,000 characters to stderr
+    path = write(tmp_path, "doc.json", doc or "")
+    assert main([path if part == DOC else part for part in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 300 and "characters)" in err
 
 
 def test_taylor_coefficient_past_the_int_string_cap(tmp_path, capsys):

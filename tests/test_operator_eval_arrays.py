@@ -20,8 +20,8 @@ from umbra.opcalc.quadrature import QuadratureConvergenceWarning
 
 def _user_taylor():
     # A = 1 / (1 + t^2/2): the reciprocal data is the polynomial 1 + t^2/2
-    return appell.family_from_taylor(
-        [Fraction((-1) ** (j // 2), 2 ** (j // 2)) if j % 2 == 0 else Fraction(0) for j in range(31)]
+    return appell.AppellFamily(
+        "user-taylor", [Fraction((-1) ** (j // 2), 2 ** (j // 2)) if j % 2 == 0 else Fraction(0) for j in range(31)]
     )
 
 
@@ -69,7 +69,7 @@ def _error_families():
         # 1/A(ik) = e^{k^2} outgrows every Gaussian: the probes reject order 0
         appell.AppellFamily("exp-square", exp_square, eval_inv=lambda z: np.exp(-z * z)),
         # 1/A = 1/(1 - t^2) has no converged Taylor data at |k| = 10
-        appell.family_from_taylor([Fraction(1), Fraction(0), Fraction(-1)]),
+        appell.AppellFamily("user-taylor", [Fraction(1), Fraction(0), Fraction(-1)]),
         # 1/A(ik) = e^{3k/2}: against the widest Gaussian the probes reject order 2
         appell.AppellFamily("tilted", (Fraction(1),), eval_inv=lambda z: np.exp(-1.5j * z)),
     ]
