@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
 from .opcalc.quadrature import FourierSymbol, gaussian_fourier_rows, gaussian_symbol, gaussian_taylor
-from .seqcore import _cleared, _gauss_egf, _integer_product
+from .seqcore import _cleared, _exact, _factorials, _gauss_egf, _integer_correlation, _integer_product
 from .specfun import polyval_coeffs
 
 _SQRT2PI = sqrt(2.0 * pi)
@@ -27,14 +27,6 @@ _SQRT2PI = sqrt(2.0 * pi)
 #: n! growth in the coefficient prefactor makes higher orders meaningless in doubles
 MAX_COEFFICIENTS = 24
 _FLOAT_MAX = Fraction(sys.float_info.max)
-
-
-def _exact(coeffs: SequenceABC) -> tuple[Fraction, ...]:
-    """Taylor data as Fractions; a float converts to its exact value."""
-    try:
-        return tuple(map(Fraction, coeffs))
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise InvalidParameterError("Taylor coefficients must be rational or finite floats") from None
 
 
 def series_reciprocal(coeffs: SequenceABC) -> tuple:
@@ -70,8 +62,8 @@ class AppellFamily:
     def __post_init__(self) -> None:
         if not self.a_taylor:
             raise InvalidParameterError("need at least the constant Taylor coefficient")
-        a = _exact(self.a_taylor)
-        inv = _exact(self.a_inv_taylor) if self.a_inv_taylor else series_reciprocal(a)
+        a = _exact(self.a_taylor, "Taylor coefficients")
+        inv = _exact(self.a_inv_taylor, "Taylor coefficients") if self.a_inv_taylor else series_reciprocal(a)
         object.__setattr__(self, "a_taylor", a)
         object.__setattr__(self, "a_inv_taylor", inv)
         for label, taylor in (("A", a), ("1/A", inv)):
@@ -196,10 +188,9 @@ def appell_poly(fam: AppellFamily, n: int, sign: str = "plus") -> tuple:
         source = fam.a_inv_taylor
     else:
         raise InvalidParameterError("sign must be 'plus' or 'minus'")
-    poly = [0 * source[0]] * (n + 1)
-    for m in range(n + 1):
-        poly[n - m] = source[m] * (factorial(n) // factorial(n - m))
-    return tuple(poly)
+    # x^n has the single exponential coefficient n! at n
+    return _integer_correlation(_cleared([1] * (n + 1), source[: n + 1]), (1, [0] * n + [factorial(n)]),
+                                n + 1, _factorials(n + 1))
 
 
 @dataclass(frozen=True)
@@ -225,13 +216,17 @@ class GaussianFunction:
         return (-self.scale) ** (j // 2) / Fraction(factorial(j // 2))
 
 
+def require_capped(N: int) -> None:
+    if N > MAX_COEFFICIENTS:
+        raise TruncationError(f"coefficient count capped at {MAX_COEFFICIENTS}: n! growth drowns doubles")
+
+
 @dataclass(frozen=True)
 class ExpansionResult:
     """Coefficients with, per order, the quadrature's node count and whether it
     converged before the node cap."""
 
     coefficients: tuple
-    family_name: str
     node_counts: tuple[int, ...]
     converged: tuple[bool, ...]
 
@@ -249,8 +244,7 @@ def expansion_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> Ex
     set evaluates f~(k) [A(ik)]^{-1} once and raises it to every order still
     doubling there.
     """
-    if N > MAX_COEFFICIENTS:
-        raise TruncationError(f"coefficient count capped at {MAX_COEFFICIENTS}: n! growth drowns doubles")
+    require_capped(N)
     sym = f.symbol()
     probes = np.array(_GUARD_POINTS)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -288,7 +282,7 @@ def expansion_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> Ex
     results = gaussian_fourier_rows(sym.gauss_coeff, integrands, N + 1)
     coeffs = [1j ** n / (_SQRT2PI * factorial(n)) * res.value for n, res in enumerate(results)]
     return ExpansionResult(
-        tuple(coeffs), fam.name, tuple(res.node_count for res in results), tuple(res.converged for res in results)
+        tuple(coeffs), tuple(res.node_count for res in results), tuple(res.converged for res in results)
     )
 
 
@@ -297,20 +291,15 @@ def operational_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> 
 
     alpha_n = sum_m c^-_m F_{n+m} / n!, F_j = j! f_j, over the family's stored
     Taylor data; the built-in families carry enough orders for the tail to die.
-    The sum runs on integers: the c^-_m over one denominator D, the F_j over
-    q^R for the scale p/q, so alpha_n = Fraction(sum, D q^R n!).
+    The correlation runs on integers: the c^-_m over one denominator, the F_j
+    over q^R for the scale p/q.
     """
     inv = fam.a_inv_taylor
-    den, nums = _cleared([1] * len(inv), inv)
-    terms = [(m, c) for m, c in enumerate(nums) if c]
     p, q = f.scale.numerator, f.scale.denominator
     rank = (N + len(inv) - 1) // 2
     # q^R F_{2l} = (2l)!/l! (-p)^l q^{R-l}; odd orders vanish
     scaled = [w * q ** (rank - j // 2) for j, w in enumerate(_gauss_egf(-p, 2 * rank + 2))]
-    return tuple(
-        Fraction(sum(c * scaled[n + m] for m, c in terms), den * q ** rank * factorial(n))
-        for n in range(N + 1)
-    )
+    return _integer_correlation(_cleared([1] * len(inv), inv), (q ** rank, scaled), N + 1, _factorials(N + 1))
 
 
 def widening_coefficients(f: GaussianFunction, N: int) -> tuple:
@@ -323,10 +312,14 @@ def widening_coefficients(f: GaussianFunction, N: int) -> tuple:
     return tuple(amplitude * float(widened.taylor(n)) for n in range(N + 1))
 
 
-def reconstruct(fam: AppellFamily, res: ExpansionResult, x: complex) -> complex:
-    """Partial sum f(x) ~ sum alpha_n a_n^+(x) through the stored coefficients."""
-    total = 0j
-    for n, alpha in enumerate(res.coefficients):
-        value = polyval_coeffs(map(complex, appell_poly(fam, n, "plus")), x)
-        total += complex(alpha) * value
-    return total
+def appell_sums(fam: AppellFamily, rows, sign: str = "plus") -> list[complex]:
+    """sum_n w_n a_n(x) in doubles for each row (w, x), w = (w_0, w_1, ...): partial sums of an
+    expansion (Eq. 61) or of the generating function (Eq. 59), each a_n built once for all rows."""
+    polys, sums = [], []
+    for weights, x in rows:
+        polys += [[complex(c) for c in appell_poly(fam, n, sign)] for n in range(len(polys), len(weights))]
+        total = 0j
+        for w, poly in zip(weights, polys):
+            total += w * polyval_coeffs(poly, x)
+        sums.append(total)
+    return sums

@@ -27,13 +27,14 @@ from ..errors import (
     UnsupportedSymbolError,
 )
 from ..gftrans import PowerSeries
-from ..seqcore import Sequence, _gauss_egf
+from ..seqcore import Sequence, _cleared, _exact, _factorials, _integer_correlation
 from ..specfun import FACTORIAL_DEGREE_MAX, hermite2, polyval_coeffs, tricomi_c
 from .quadrature import (
     FourierSymbol,
     factorials,
     gauss_weighted_integral,
     gaussian_fourier_integral,
+    gaussian_taylor,
     legendre_composite_rule,
     log_gamma_half,
 )
@@ -98,19 +99,16 @@ def heat_evolve_ft(f: GridFunction, alpha: float) -> GridFunction:
 def gaussian_shift_transform(coeffs, y) -> tuple:
     """Phi(d/dx) p = (1/(2 sqrt(pi y))) integral e^{-k^2/4y} p(x + ik) dk for Phi(u) = e^{-y u^2}, y > 0.
 
-    Maps ascending coefficients of p to those of e^{-y d^2/dx^2} p.  As
-    p(x + ik) = sum_m x^m sum_j C(m+j, j) p_{m+j} (ik)^j, the integral is a sum of
-    Gaussian moments: odd ones vanish, the mean of (ik)^{2r} is (-y)^r (2r)!/r!.
-    Exact on rational input, plain arithmetic on floats.
+    Maps ascending coefficients of p to those of e^{-y d^2/dx^2} p: the
+    correlation of the Taylor series of e^{-y u^2} with (n! p_n), over m!.
+    Input is exact, a float entering as its exact value; output is Fractions.
     """
+    y, *coeffs = _exact((y, *coeffs), "polynomial coefficients and y")
     if not y > 0:
         raise InvalidParameterError("the Gaussian shift transform needs y > 0")
-    coeffs = tuple(coeffs)
-    moments = _gauss_egf(-y, len(coeffs))[::2]
-    return tuple(
-        sum(comb(m + 2 * r, 2 * r) * coeffs[m + 2 * r] * moments[r] for r in range((len(coeffs) - 1 - m) // 2 + 1))
-        for m in range(len(coeffs))
-    )
+    n = len(coeffs)
+    fact = _factorials(n)
+    return _integer_correlation(_cleared([1] * n, gaussian_taylor(y, n - 1)), _cleared(fact, coeffs), n, fact)
 
 
 def big_o_on_monomial(symbol: FourierSymbol, alpha: float, beta: float, n: int, x: complex) -> complex:

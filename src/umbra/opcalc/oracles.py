@@ -185,8 +185,9 @@ def integro_matrix_oracle(
         # log-scale the similarity transform to dodge under/overflow
         log_s = 0.5 * (np.arange(n_basis) * np.log(beta) - log_fact)
         d = e_coeffs * np.exp(-log_s)
-        # at tau = 0 the decay is 1 even where lambda^m overflows (-0 * inf would be nan)
-        decay = np.exp(-tau * eigvals ** m) if tau else 1.0
+        # lambda is clipped where lambda^m passes 2^1023: e^{-tau lambda^m} is 0 there (tau > 1e-305)
+        cap = 2.0 ** (1023 / m)
+        decay = np.exp(-tau * np.clip(eigvals, -cap, cap) ** m)
         d = eigvecs @ (decay * (eigvecs.T @ d))
         evolved_e = d * np.exp(log_s)
 

@@ -1,13 +1,15 @@
 """Series-level operators: Borel transform, e^{-alpha D^{-1}} and e^{alpha LD}.
 
-Series are ascending coefficient tuples (index = monomial degree).  Exact
-coefficients stay exact, so the catalog can assert eigenfunction and
-commutator claims on them with zero tolerance.
+Series are ascending coefficient tuples (index = monomial degree).  The
+operators take exact input, a float entering as its exact value, and return
+Fractions, so the catalog can assert eigenfunction and commutator claims on
+them with zero tolerance.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import factorial
+
+from ..seqcore import _cleared, _egf_product, _exact, _factorials, _integer_correlation, _powers
 
 
 def borel_transform(coeffs) -> tuple:
@@ -19,34 +21,27 @@ def exp_negD(alpha, coeffs) -> tuple:
     """e^{-alpha D^{-1}} f: termwise e^{-alpha D^{-1}} x^n = n! x^n C_n(alpha x).
 
     The output keeps the input truncation order; contributions of c_n to
-    degree m are c_n (-alpha)^{m-n} n! / ((m-n)! m!).
+    degree m are c_n (-alpha)^{m-n} n! / ((m-n)! m!), so m!^2 times the output
+    is the EGF product of ((-alpha)^j) and (n!^2 c_n).
     """
-    out = [0 * coeffs[0]] * len(coeffs)
-    for m in range(len(coeffs)):
-        total = out[m]
-        for n in range(m + 1):
-            if coeffs[n] == 0:
-                continue
-            total += coeffs[n] * (-alpha) ** (m - n) * Fraction(factorial(n), factorial(m - n) * factorial(m))
-        out[m] = total
-    return tuple(out)
+    alpha, *coeffs = _exact((alpha, *coeffs), "series coefficients and alpha")
+    squares = [f * f for f in _factorials(len(coeffs))]
+    product = _egf_product([(-alpha) ** j for j in range(len(coeffs))],
+                           [s * c for s, c in zip(squares, coeffs)], alpha.denominator)
+    return tuple(b / s for b, s in zip(product.terms, squares))
 
 
 def exp_laguerre_derivative(alpha, coeffs) -> tuple:
     """e^{alpha LD} f via the Borel route f_B(D^{-1} + alpha) . 1.
 
-    Exact on rational input.  The catalog cross-checks it against the
-    terminating exponential of eps LD on the sparse operator engine
-    (`formal.exp_apply`).
+    In exponential coefficients of f_B, (n!)^2 c_n, shifting D^{-1} by alpha
+    is e^{alpha d/dx}; the output is the correlation with alpha^k / k! over
+    (j!)^2.  The catalog cross-checks it against the terminating exponential
+    of eps LD on the sparse operator engine (`formal.exp_apply`).
     """
-    borel = borel_transform(coeffs)
-    order = len(borel) - 1
-    out = [0 * borel[0]] * (order + 1)
-    for j in range(order + 1):
-        total = out[j]
-        for n in range(j, order + 1):
-            if borel[n] == 0:
-                continue
-            total += borel[n] * comb(n, j) * alpha ** (n - j) * Fraction(1, factorial(j))
-        out[j] = total
-    return tuple(out)
+    alpha, *coeffs = _exact((alpha, *coeffs), "series coefficients and alpha")
+    n = len(coeffs)
+    squares = [f * f for f in _factorials(n)]
+    steps = [bk * f for bk, f in zip(_powers(alpha.denominator, n), _factorials(n))]
+    return _integer_correlation(_cleared(_powers(alpha.numerator, n), divisors=steps),
+                                _cleared(squares, coeffs), n, squares)

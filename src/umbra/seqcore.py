@@ -46,15 +46,21 @@ v = -b1 a2 and g = b1 a2^2 b2:
 The side that carries the terms is cleared to integers over one common
 denominator (`_cleared`), and `_integer_product` takes the double sum on
 integers and reduces each b_n once.  `_egf_product` is the same kernel for
-factors given as lists of rationals.  Its users: the catalog's k-binomial
-majorant and shifted-Gaussian table, the umbral double-sum oracle and the
-A * (1/A) check of Appell families.
+factors given as lists of rationals; it serves the catalog's k-binomial
+majorant and shifted-Gaussian table, the umbral double-sum oracle and
+e^{-alpha D^{-1}}.  The Appell A * (1/A) check calls `_integer_product`.
+
+The twin kernel `_integer_correlation` applies Phi(d/dx): d^k shifts
+exponential coefficients by k, so [Phi(d) g]_j = sum_k phi_k F_{j+k}, F_j =
+j! g_j.  Its users: e^{-y d^2}, e^{alpha LD} (e^{alpha d} between Borel
+transforms), A(d) x^n, [A(d)]^{-1} f and the catalog's A(d) [1/A(d)] check.
 """
 from __future__ import annotations
 
 import json
 import sys
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,6 +157,27 @@ def _integer_product(left: tuple[int, list[int]], right: tuple[int, list[int]],
     return Sequence.of(out)
 
 
+def _integer_correlation(left: tuple[int, list[int]], right: tuple[int, list[int]], count: int,
+                         divisors: Iterable[int] | None = None) -> tuple[Fraction, ...]:
+    """c_j = sum_k l_k r_{j+k} / (D_L D_R d_j) for j < count, on the cleared sides (D_L, l), (D_R, r),
+    with r zero past its end and d_j = 1 by default; the sum is on integers and each c_j reduced once."""
+    (dl, ls), (dr, rs) = left, right
+    active = [(k, l) for k, l in enumerate(ls) if l]
+    reach = [k for k, _ in active]
+    return tuple(
+        Fraction(sum(l * rs[j + k] for k, l in active[:bisect_left(reach, len(rs) - j)]), dl * dr * d)
+        for j, d in zip(range(count), divisors or repeat(1))
+    )
+
+
+def _exact(values: Iterable, what: str) -> tuple[Fraction, ...]:
+    """values as Fractions: a float converts to its exact value; complex, NaN and inf raise."""
+    try:
+        return tuple(map(Fraction, values))
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidParameterError(f"{what} must be rational or finite floats") from None
+
+
 def _powers(x: int, count: int) -> list[int]:
     """x^j for j < count, with 0^0 = 1."""
     out, xj = [], 1
@@ -170,11 +197,8 @@ def _factorials(count: int) -> list[int]:
     return out
 
 
-def _gauss_egf(y, count: int) -> list:
-    """EGF coefficients of e^{y t^2} below index count: y^r (2r)!/r! at 2r, 0 at odd indices.
-
-    Exact on an int or Fraction y (ints on an int), plain arithmetic on a float.
-    """
+def _gauss_egf(y: Fraction | int, count: int) -> list:
+    """EGF coefficients of e^{y t^2} below index count: y^r (2r)!/r! at 2r, 0 at odd indices."""
     out, w = [], 1
     for j in range(count):
         if j and j % 2 == 0:

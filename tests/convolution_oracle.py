@@ -1,6 +1,7 @@
 """Plain `Fraction` double sums for the exact convolutions that the catalog,
-the umbral oracle and the Appell self-check compute with `seqcore`'s kernel,
-and for the Appell operational oracle, which sums on cleared integers.
+the umbral oracle and the Appell self-check compute with `seqcore`'s kernels,
+for the correlation kernel itself, and for the Appell operational oracle,
+which sums on cleared integers.
 
 Each function is the direct loop over the index range of its formula: no
 cleared denominators, no exponential generating functions, and no code shared
@@ -76,4 +77,16 @@ def operational_coefficients(inv, f, N):
             if cm:
                 acc += cm * f.taylor(n + m) * (factorial(n + m) // factorial(n))
         out.append(acc)
+    return out
+
+
+def correlation(phi, F, count, divisors):
+    """c_j = sum_k phi_k F_{j+k} / d_j for j < count, with F_i = 0 past the end of F."""
+    out = []
+    for j in range(count):
+        acc = Fraction(0)
+        for k, p in enumerate(phi):
+            if j + k < len(F):
+                acc += Fraction(p) * F[j + k]
+        out.append(acc / divisors[j])
     return out

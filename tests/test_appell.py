@@ -139,15 +139,14 @@ class TestAppellPoly:
 
 class TestGeneratingCheck:
     def test_t_zero(self, bernoulli):
-        assert checks._generating_check(bernoulli, 5, 0.0, 0.7) == 0
+        assert checks._generating_check(bernoulli, 5, [(0.0, 0.7)]) == [0]
 
     def test_bernoulli_product(self, bernoulli):
-        assert checks._generating_check(bernoulli, 30, 0.3, 0.5) < 1e-10
-        assert checks._generating_check(bernoulli, 30, 0.3, 0.5, "minus") < 1e-10
+        for sign in ("plus", "minus"):
+            assert max(checks._generating_check(bernoulli, 30, [(0.3, 0.5)], sign)) < 1e-10
 
     def test_identity_family_both_sides_exponential(self, identity):
-        for t in (0.1, 0.4):
-            assert checks._generating_check(identity, 20, t, 0.3) < 1e-12
+        assert max(checks._generating_check(identity, 20, [(0.1, 0.3), (0.4, 0.3)])) < 1e-12
 
 
 class TestExpansion:
@@ -265,13 +264,14 @@ PINNED_REAL_PARTS = {
 
 class TestReconstruct:
     def test_zero_coefficients_give_zero(self, bernoulli):
-        res = appell.ExpansionResult((0.0, 0.0, 0.0), "bernoulli", (0, 0, 0), (True,) * 3)
-        assert appell.reconstruct(bernoulli, res, 0.4) == 0
+        res = appell.ExpansionResult((0.0, 0.0, 0.0), (0, 0, 0), (True,) * 3)
+        alphas = [complex(a) for a in res.coefficients]
+        assert appell.appell_sums(bernoulli, [(alphas, 0.4), (alphas, -1.0)]) == [0, 0]
 
     def test_identity_family_partial_taylor(self, identity):
         g = appell.GaussianFunction(Fraction(1))
         res = appell.expansion_coefficients(identity, g, 12)
-        got = appell.reconstruct(identity, res, 0.5)
+        (got,) = appell.appell_sums(identity, [([complex(a) for a in res.coefficients], 0.5)])
         partial = sum(float(g.taylor(n)) * 0.5 ** n for n in range(13))
         assert got == pytest.approx(partial, abs=1e-9)
 

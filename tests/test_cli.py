@@ -290,6 +290,24 @@ class TestWarningsReachStderr:
         done = _umbra(argv, tmp_path)
         assert done.returncode == 0 and done.stderr == ""
 
+    @pytest.mark.parametrize("argv,code", [
+        # the exact oracle's range check runs before the quadrature, whose integrand overflowed here
+        (["expand", "--family", "identity", "--count", "5", "--scale", "1e200"], 4),
+        # lambda^400 past the float range in the matrix oracle's eigensystem
+        (["evolve", "--equation", "integro-diff", "--m", "400", "--beta", "1",
+          "--x-count", "2", "--tau-count", "2"], 0),
+        # x^2 past the float range in the initial samples and the exact solution
+        (["evolve", "--equation", "heat", "--extent", "1e300", "--alpha", "1e-300"], 0),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_extreme_inputs_print_no_numpy_warning(self, argv, code, tmp_path):
+        done = _umbra(argv, tmp_path)
+        assert done.returncode == code
+        assert "Warning" not in done.stderr
+        if code:
+            assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        else:
+            assert done.stderr == ""
+
 
 class TestEvolve:
     def test_tricomi_spot_row(self, capsys):

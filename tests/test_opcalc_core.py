@@ -241,6 +241,22 @@ class TestApplyOperator:
         assert got == complex(want)
 
 
+def _shift(coeffs, y):
+    return opcalc.gaussian_shift_transform(coeffs, y)
+
+
+def _negD(coeffs, alpha):
+    return opcalc.exp_negD(alpha, coeffs)
+
+
+def _laguerre(coeffs, alpha):
+    return opcalc.exp_laguerre_derivative(alpha, coeffs)
+
+
+#: the series-level Phi(d) operators, each as (coefficients, parameter)
+SERIES_OPERATORS = (_shift, _negD, _laguerre)
+
+
 class TestSeriesOps:
     def test_exp_negD_constant_gives_c0(self):
         out = opcalc.exp_negD(Fraction(1), (Fraction(1),) + (Fraction(0),) * 12)
@@ -296,6 +312,24 @@ class TestSeriesOps:
         out = opcalc.exp_laguerre_derivative(Fraction(1, 2), c0)
         for j in range(12):
             assert float(out[j] / c0[j]) == pytest.approx(np.exp(-0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("op", SERIES_OPERATORS, ids=lambda op: op.__name__)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12), st.floats(1e-3, 1e3))
+    @settings(max_examples=40, deadline=None)
+    def test_floats_enter_as_their_exact_values(self, op, coeffs, param):
+        got = op(coeffs, param)
+        assert all(type(c) is Fraction for c in got)
+        assert got == op([Fraction(c) for c in coeffs], Fraction(param))
+
+    @pytest.mark.parametrize("op", SERIES_OPERATORS, ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("coeffs,param", [
+        ((1, 2), float("inf")), ((1, 2), float("-inf")), ((1, 2), float("nan")),
+        ((1, 1j), 1), ((1, float("nan")), 1), ((float("inf"),), 1), ((1,), 1j),
+    ])
+    def test_non_finite_or_complex_input_raises(self, op, coeffs, param):
+        # y = inf returned non-finite coefficients from the shift transform
+        with pytest.raises(InvalidParameterError):
+            op(coeffs, param)
 
     def test_exp_laguerre_dual_routes_agree_float(self):
         f = (0.0, 1.0, 0.5, -0.25)

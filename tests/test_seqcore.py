@@ -4,6 +4,7 @@ import threading
 from fractions import Fraction
 from math import comb, gcd
 
+import convolution_oracle
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from umbra.seqcore import (
     TRANSFORM_NAMES,
     Stage,
     TransformParams,
+    _cleared,
     _egf_product,
+    _integer_correlation,
     binomial_transform,
     hermite_complementary_seq,
     hermite_inverse_seq,
@@ -273,6 +276,34 @@ class TestEgfProduct:
                    for t in got)
         assert list(got) == [sum(comb(n, j) * left[j] * right[n - j] for j in range(n + 1))
                              for n in range(len(left))]
+
+
+@st.composite
+def correlation_sides(draw):
+    """phi and F with a run of zeros in each, a count and divisors: phi may be the
+    longer side and the count may pass the end of F."""
+    entry = st.integers(-10 ** 6, 10 ** 6) | rationals
+
+    def side():
+        values = draw(st.lists(entry, min_size=1, max_size=20))
+        start = draw(st.integers(0, len(values)))
+        stop = draw(st.integers(start, len(values)))
+        return values[:start] + [0] * (stop - start) + values[stop:]
+
+    phi, F = side(), side()
+    count = draw(st.integers(0, len(F) + 4))
+    divisors = draw(st.none() | st.lists(st.integers(1, 10 ** 4), min_size=count, max_size=count))
+    return phi, F, count, divisors
+
+
+class TestIntegerCorrelation:
+    @given(correlation_sides())
+    @settings(max_examples=150, deadline=None)
+    def test_terms_are_reduced_fractions_of_the_double_sum(self, sides):
+        phi, F, count, divisors = sides
+        got = _integer_correlation(_cleared([1] * len(phi), phi), _cleared([1] * len(F), F), count, divisors)
+        assert all(type(t) is Fraction and gcd(t.numerator, t.denominator) == 1 for t in got)
+        assert list(got) == convolution_oracle.correlation(phi, F, count, divisors or [1] * count)
 
 
 class TestCompose:
