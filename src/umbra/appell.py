@@ -12,13 +12,13 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
-from math import comb, factorial, lcm, pi, sqrt
+from math import comb, factorial, lcm, log, pi, sqrt
 from typing import Callable, Sequence as SequenceABC
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
-from .opcalc.quadrature import FourierSymbol, gaussian_fourier_rows, gaussian_symbol, gaussian_taylor
+from .opcalc.quadrature import FourierSymbol, gaussian_fourier_rows, gaussian_symbol, gaussian_taylor, node_reach
 from .seqcore import _cleared, _exact, _factorials, _gauss_egf, _integer_correlation, _integer_product
 from .specfun import polyval_coeffs
 
@@ -27,6 +27,8 @@ _SQRT2PI = sqrt(2.0 * pi)
 #: n! growth in the coefficient prefactor makes higher orders meaningless in doubles
 MAX_COEFFICIENTS = 24
 _FLOAT_MAX = Fraction(sys.float_info.max)
+_FLOAT_MIN = Fraction(sys.float_info.min)
+_LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
 def series_reciprocal(coeffs: SequenceABC) -> tuple:
@@ -203,6 +205,10 @@ class GaussianFunction:
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.scale <= 0:
             raise InvalidParameterError("gaussian scale must be positive")
+        # the transform's width 4 scale and its Gaussian coefficient 1/(4 scale) are floats
+        if not _FLOAT_MIN <= 4 * self.scale <= _FLOAT_MAX:
+            raise InvalidParameterError(f"gaussian scale must be between {sys.float_info.min / 4:.3g} "
+                                        f"and {sys.float_info.max / 4:.3g}")
 
     def __call__(self, x):
         return np.exp(-float(self.scale) * np.asarray(x) ** 2)
@@ -246,6 +252,15 @@ def expansion_coefficients(fam: AppellFamily, f: GaussianFunction, N: int) -> Ex
     """
     require_capped(N)
     sym = f.symbol()
+    # the nodes are scaled by f~'s width alone, so k^n must stay a float out to
+    # the widest node the doubling can reach, whatever [A(ik)]^{-1} does to it
+    reach = node_reach(sym.gauss_coeff)
+    if N * log(reach) > _LOG_FLOAT_MAX:
+        n = int(_LOG_FLOAT_MAX / log(reach)) + 1
+        raise DivergenceError(
+            f"integrand for coefficient n={n} takes k^{n} at nodes out to |k| = {reach:.3g}, past the "
+            f"float range: a Gaussian of scale {float(f.scale):.3g} is too wide for {N + 1} coefficients"
+        )
     probes = np.array(_GUARD_POINTS)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         inverse = fam.inverse_at(1j * probes)

@@ -219,6 +219,13 @@ def _hermite_scale(gauss_coeff: float) -> float:
     return 1.0 / sqrt(gauss_coeff)
 
 
+def node_reach(gauss_coeff: float) -> float:
+    """A bound on |k| at every node gaussian_fourier_integral or
+    gaussian_fourier_rows can evaluate: the zeros of the n-th Hermite polynomial
+    lie inside |u| < sqrt(2n + 1), n <= NODE_CAP, and k = u / sqrt(gauss_coeff)."""
+    return sqrt(2 * NODE_CAP + 1) * _hermite_scale(gauss_coeff)
+
+
 def gaussian_fourier_integral(gauss_coeff: float, g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
     """integral exp(-gauss_coeff k^2) g(k) dk via substitution k = u / sqrt(gauss_coeff)."""
     s = _hermite_scale(gauss_coeff)
@@ -293,6 +300,12 @@ def cos_gaussian_symbol(scale: float = 1.0) -> FourierSymbol:
 
 
 def gaussian_taylor(scale: Fraction, order: int) -> tuple[Fraction, ...]:
-    """Exact Taylor coefficients of exp(-scale u^2) through the given order."""
-    egf = _gauss_egf(-Fraction(scale), order + 1)
-    return tuple(Fraction(w, j_factorial) for w, j_factorial in zip(egf, _factorials(order + 1)))
+    """Exact Taylor coefficients of exp(-scale u^2) through the given order.
+
+    With scale = p/q the coefficient at j = 2r is (-p)^r (2r)!/r! over (2r)! q^r:
+    each Fraction is built from two integers.
+    """
+    scale = Fraction(scale)
+    q, egf = scale.denominator, _gauss_egf(-scale.numerator, order + 1)
+    return tuple(Fraction(w, j_factorial * q ** (j // 2))
+                 for j, (w, j_factorial) in enumerate(zip(egf, _factorials(order + 1))))

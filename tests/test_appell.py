@@ -205,6 +205,22 @@ class TestExpansion:
         with pytest.raises(DivergenceError):
             appell.expansion_coefficients(exp_square, appell.GaussianFunction(Fraction(1)), 4)
 
+    @pytest.mark.parametrize("scale", [Fraction(0), Fraction(-1), Fraction(10 ** 308), Fraction(1, 10 ** 400)],
+                             ids=["zero", "negative", "1e308", "1e-400"])
+    def test_gaussian_scale_keeps_its_transform_in_float_range(self, scale):
+        # 4 scale is the transform's width and 1/(4 scale) its Gaussian coefficient
+        with pytest.raises(InvalidParameterError, match="gaussian scale must be"):
+            appell.GaussianFunction(scale)
+
+    def test_too_wide_a_gaussian_is_refused_before_any_evaluation(self, monkeypatch, hermite_type):
+        # the nodes scale with f~'s width sqrt(4 s): at s = 1e50, k^12 is past the float
+        # range at the widest node, although [A(ik)]^{-1} = e^{-k^2} kills the integrand
+        calls = []
+        monkeypatch.setattr(appell.AppellFamily, "inverse_at", lambda self, z: calls.append(z))
+        with pytest.raises(DivergenceError, match=r"n=12 takes k\^12"):
+            appell.expansion_coefficients(hermite_type, appell.GaussianFunction(Fraction(10 ** 50)), 24)
+        assert calls == []
+
     @pytest.mark.parametrize("family", ["bernoulli", "identity", "hermite_type"])
     def test_inverse_evaluated_once_per_node(self, monkeypatch, request, family):
         # 25 orders share the three probe points and the 128- and 256-node sets,

@@ -293,6 +293,10 @@ class TestWarningsReachStderr:
     @pytest.mark.parametrize("argv,code", [
         # the exact oracle's range check runs before the quadrature, whose integrand overflowed here
         (["expand", "--family", "identity", "--count", "5", "--scale", "1e200"], 4),
+        # k^n past the float range at the widest quadrature nodes, although the widening-law
+        # oracle is finite: the quadrature raised OverflowError after numpy's warnings
+        *((["expand", "--family", "gauss-hermite-type", "--count", "24", "--scale", scale], 4)
+          for scale in ("1e50", "1e100", "1e150", "1e200")),
         # lambda^400 past the float range in the matrix oracle's eigensystem
         (["evolve", "--equation", "integro-diff", "--m", "400", "--beta", "1",
           "--x-count", "2", "--tau-count", "2"], 0),
@@ -387,6 +391,10 @@ TAYLOR_400_DIGITS = "<taylor file>"
     # the Gaussian scale is exact, but these two commands also use it as a float
     ["expand", "--family", "bernoulli", "--count", "4", "--scale", "1e400"],
     ["evolve", "--equation", "heat", "--scale", "1e400"],
+    # 4 scale or 1/(4 scale), the transform's width and coefficient, past the float range:
+    # the widening-law oracle raised OverflowError, and a tiny scale printed zeros with exit 0
+    ["expand", "--family", "gauss-hermite-type", "--count", "1", "--scale", "1e308"],
+    ["expand", "--family", "identity", "--count", "3", "--scale", "1e-320"],
     # a Taylor file whose second coefficient has 400 digits: A is evaluated in doubles
     ["expand", "--family", "user-taylor-file", "--taylor-file", TAYLOR_400_DIGITS, "--count", "5"],
     ["check", "--tolerance", "nan"],

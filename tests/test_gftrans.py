@@ -41,7 +41,7 @@ def k_binomial(a, k, kind):
 class TestSeriesEval:
     def test_geometric_value_and_tail(self):
         value = sequence_series(ones(21), "ordinary")(0.5)
-        tail = checks._ordinary_tail(1.0, 1.0, 0.5, 21)
+        tail = checks._derivative_tail_ordinary(1.0, 1.0, 0, 0.5, 21)
         assert value == pytest.approx(2 - 2.0 ** -20, rel=1e-15)
         assert tail == pytest.approx(2.0 ** -20, rel=1e-12)
         assert abs(2.0 - value) <= tail * (1 + 1e-12)
@@ -55,12 +55,12 @@ class TestSeriesEval:
 
     def test_zero_growth_means_zero_tail(self):
         assert sequence_series(Sequence.of([3]), "ordinary")(0.25) == 3.0
-        assert checks._ordinary_tail(0.0, 1.0, 0.25, 1) == 0.0
+        assert checks._derivative_tail_ordinary(0.0, 1.0, 0, 0.25, 1) == 0.0
         assert checks._exponential_tail(0.0, 1.0, 0.25, 1) == 0.0
 
     def test_radius_violation(self):
         # outside the declared radius no finite budget exists
-        assert checks._ordinary_tail(1.0, 2.0, 0.8, 2) == float("inf")
+        assert checks._derivative_tail_ordinary(1.0, 2.0, 0, 0.8, 2) == float("inf")
 
     def test_bad_kind_rejected(self):
         with pytest.raises(InvalidParameterError):

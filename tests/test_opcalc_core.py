@@ -66,6 +66,15 @@ class TestQuadratureRules:
         assert np.max(np.abs(rule.weights / weights - 1.0)) <= 3e-12
         assert np.array_equal(rule.nodes, -rule.nodes[::-1])
 
+    def test_node_reach_bounds_every_rule_the_doubling_uses(self):
+        # the guard against k^n overflow reads the reach, never the rules themselves;
+        # at gauss_coeff = 1/9 the nodes are k = 3u
+        n = quadrature.DEFAULT_START_NODES
+        while n <= quadrature.NODE_CAP:
+            widest = np.max(np.abs(opcalc.gauss_hermite_rule(n).nodes))
+            assert widest * 3.0 < quadrature.node_reach(1 / 9)
+            n *= 2
+
     def test_hermite_rule_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
             opcalc.gauss_hermite_rule(0)
