@@ -1,8 +1,9 @@
 """Command-line front end: sequence transforms, identity suites, Appell
 expansions, and evolution-equation demos with machine-readable output.
 
-Exit codes: 0 success, 1 check failures, 2 input parse errors, 3 invalid
-parameters, 4 divergence / region / truncation guards.
+Exit codes: 0 success, 1 check failures, and otherwise the `exit_code` of the
+`UmbraError` raised (errors.py): 2 input parse errors, 3 invalid parameters,
+4 divergence / region / truncation guards.
 """
 from __future__ import annotations
 
@@ -14,20 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import seqcore as sq
-from .errors import (
-    DivergenceError,
-    DomainTooSmallError,
-    InvalidParameterError,
-    SequenceFormatError,
-    TruncationError,
-    UmbraError,
-    UnsupportedSymbolError,
-    quoted,
-)
-
-EXIT_PARSE = 2
-EXIT_PARAMS = 3
-EXIT_REGION = 4
+from .errors import InvalidParameterError, SequenceFormatError, UmbraError, quoted
 
 
 @dataclass(frozen=True)
@@ -278,18 +266,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SequenceFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except (InvalidParameterError, UnsupportedSymbolError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARAMS
-    except (DivergenceError, TruncationError, DomainTooSmallError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_REGION
     except UmbraError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

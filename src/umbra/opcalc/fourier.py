@@ -289,9 +289,11 @@ def _e_tilde_grid(m: int, tau: float, ks: np.ndarray) -> np.ndarray:
 
 
 INTEGRO_REGION = 0.5
-# Largest beta at which the route still agrees with integro_matrix_oracle to
-# ~1e-12 on the degree-40 C_0 series over |x|, tau <= 1/2: the worst difference
-# is 4.4e-13 at beta = 2, 1.2e-9 at 3 and 8.3e-7 at 5 (series truncation).
+# Largest beta at which integro_matrix_oracle at degree cap 40, the C_0 series'
+# degree, still agrees with the route to ~1e-12 over |x| <= 1/2, tau in
+# [0.05, 0.5]: 5.4e-13 at beta = 2, 1.3e-9 at 3, 1.3e-6 at 5.  At cap 170 the
+# oracle agrees with the route to 1e-15 at all three, so the bound measures the
+# oracle's degree cap, not the route's truncation.
 INTEGRO_BETA_BOUND = 2.0
 
 

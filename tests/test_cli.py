@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from transform_oracle import expected
 
 import umbra
+from umbra import cli, errors
 from umbra.checks import MAX_ORDER, suite_names
 from umbra.cli import main
 from umbra.opcalc.quadrature import QuadratureConvergenceWarning
@@ -204,6 +206,10 @@ class TestCheck:
         assert main(["check", "--suite", suite, "--order", str(order), "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["checks"] and all(c["status"] == "pass" for c in doc["checks"])
+        if order == MAX_ORDER:
+            # the highest order the CLI accepts, once more in a fresh interpreter: the same file
+            done = _umbra(["check", "--suite", suite, "--order", str(order), "--output", "umbra.json"], tmp_path)
+            assert done.returncode == 0 and (tmp_path / "umbra.json").read_bytes() == out.read_bytes()
 
     def test_error_rows_name_no_source_line(self, tmp_path):
         # order 1 is below the k = 2, 3 forms' derivative order: the detail is the error alone
@@ -311,6 +317,48 @@ class TestWarningsReachStderr:
             assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         else:
             assert done.stderr == ""
+
+
+#: stand for files that the test below writes from FILES
+THREE_TERMS = "<three terms>"
+TAYLOR_1_OVER_1_MINUS_T2 = "<taylor 1/(1 - t^2)>"
+FILES = {THREE_TERMS: '{"terms": ["1", "-1/2", "3/7"]}',
+         TAYLOR_1_OVER_1_MINUS_T2: '["1","0","1","0","1","0","1","0","1"]'}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "all"],
+    ["check", "--suite", "all", "--format", "csv"],
+    ["evolve", "--equation", "heat"],
+    ["evolve", "--equation", "tricomi"],
+    ["evolve", "--equation", "integro-diff", "--m", "4", "--beta", "0"],
+    ["evolve", "--equation", "integro-diff", "--m", "4", "--beta", "0.5"],
+    # the m = 2 moment route, at beta = 0 and beta = 1
+    ["evolve", "--equation", "integro-diff", "--m", "2", "--beta", "0"],
+    ["evolve", "--equation", "integro-diff", "--m", "2", "--beta", "1"],
+    ["expand", "--family", "gauss-hermite-type", "--scale", "1/8", "--count", "24"],
+    # orders that reach the 1024-node cap unconverged, each with its warning
+    ["expand", "--family", "gauss-hermite-type", "--scale", "8", "--count", "24"],
+    # a Taylor-only family whose reciprocal 1 - t^2 is exact
+    ["expand", "--family", "user-taylor-file", "--taylor-file", TAYLOR_1_OVER_1_MINUS_T2,
+     "--count", "6", "--scale", "1/8"],
+    *(["transform", THREE_TERMS, "--name", name, "--alpha", "1/2", "--beta", "3", "--k", "2"]
+      for name in TRANSFORM_NAMES),
+], ids=" ".join)
+def test_output_files_match_a_fresh_interpreter(argv, tmp_path, capsys):
+    # --output is byte-stable: the command line as a user runs it writes the bytes of an in-process run
+    paths = {name: write(tmp_path, f"in{i}.json", text) for i, (name, text) in enumerate(FILES.items())}
+    argv = [paths.get(part, part) for part in argv]
+    done = _umbra([*argv, "--output", "umbra.out"], tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--output", str(tmp_path / "main.out")])
+    assert done.returncode == code == 0
+    assert (tmp_path / "umbra.out").read_bytes() == (tmp_path / "main.out").read_bytes()
+    assert re.findall(r"Warning: (.*)", done.stderr) == [str(w.message) for w in caught]
+    if argv[0] == "check":
+        # a report file's one stderr line is its status count
+        assert done.stderr == capsys.readouterr().err == "63 checks: {'pass': 53, 'flagged-errata': 10}\n"
 
 
 class TestEvolve:
@@ -465,6 +513,25 @@ def test_errors_quote_user_text_in_short(argv, doc, code, tmp_path, capsys):
     assert main([path if part == DOC else part for part in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err) < 300 and "characters)" in err
+
+
+#: the exit code README documents for each error type; a type missing here fails the test below
+DOCUMENTED_EXIT_CODES = {
+    errors.UmbraError: 1, errors.InternalConsistencyError: 1, errors.SequenceFormatError: 2,
+    errors.InvalidParameterError: 3, errors.UnsupportedSymbolError: 3,
+    errors.DivergenceError: 4, errors.TruncationError: 4, errors.DomainTooSmallError: 4,
+}
+
+
+@pytest.mark.parametrize("error", [errors.UmbraError, *errors.UmbraError.__subclasses__()],
+                         ids=lambda error: error.__name__)
+def test_error_type_exits_with_its_documented_code(error, monkeypatch, capsys):
+    def raise_it(args):
+        raise error("raised by the command")
+
+    monkeypatch.setattr(cli, "cmd_evolve", raise_it)
+    assert main(["evolve", "--equation", "heat"]) == DOCUMENTED_EXIT_CODES[error]
+    assert capsys.readouterr() == ("", "error: raised by the command\n")
 
 
 def test_taylor_coefficient_past_the_int_string_cap(tmp_path, capsys):
