@@ -197,7 +197,7 @@ def appell_poly(fam: AppellFamily, n: int, sign: str = "plus") -> tuple:
 
 @dataclass(frozen=True)
 class GaussianFunction:
-    """f(x) = exp(-scale x^2) with its transform pair and exact Taylor data."""
+    """f(x) = exp(-scale x^2) with its transform pair; its exact Taylor data is gaussian_taylor(scale, ...)."""
 
     scale: Fraction
 
@@ -215,11 +215,6 @@ class GaussianFunction:
 
     def symbol(self) -> FourierSymbol:
         return gaussian_symbol(float(self.scale))
-
-    def taylor(self, j: int) -> Fraction:
-        if j % 2:
-            return Fraction(0)
-        return (-self.scale) ** (j // 2) / Fraction(factorial(j // 2))
 
 
 def require_capped(N: int) -> None:
@@ -322,9 +317,8 @@ def widening_coefficients(f: GaussianFunction, N: int) -> tuple:
     e^{d^2} e^{-s x^2} = (1+4s)^{-1/2} e^{-s x^2/(1+4s)}: the Taylor coefficients of the
     widened Gaussian.  The operational series of e^{d^2} diverges from s = 3/16 on.
     """
-    widened = GaussianFunction(f.scale / (1 + 4 * f.scale))
     amplitude = 1.0 / sqrt(1 + 4 * f.scale)
-    return tuple(amplitude * float(widened.taylor(n)) for n in range(N + 1))
+    return tuple(amplitude * float(c) for c in gaussian_taylor(f.scale / (1 + 4 * f.scale), N))
 
 
 def appell_sums(fam: AppellFamily, rows, sign: str = "plus") -> list[complex]:

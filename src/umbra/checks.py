@@ -37,6 +37,7 @@ from . import seqcore as sq
 from . import specfun as sf
 from .errors import DivergenceError, InvalidParameterError, UnsupportedSymbolError, quoted
 from .opcalc.formal import exp_apply
+from .opcalc.fourier import INTEGRO_CUTOFFS, INTEGRO_M2_DEGREE, INTEGRO_REGION, integro_series_degree
 from .opcalc.operators import apply_operator, coefficients, polynomial
 
 DEFAULT_SEED = 20100601
@@ -73,6 +74,11 @@ class CheckResult:
     tolerance: float
     runtime: float
     detail: str = ""
+
+    @property
+    def failed(self) -> bool:
+        """Whether the row fails its run: fail, error and stale-errata do; pass and flagged-errata do not."""
+        return self.status in ("fail", "error", "stale-errata")
 
 
 def run_check(check: Check) -> CheckResult:
@@ -120,18 +126,19 @@ def tricomi_sweep(x_count: int, tau_count: int) -> list[tuple]:
 
 
 def c0_truncation(m: int) -> int:
-    """Degree of the Eq. 86 sweep's C_0 series: m >= 4 integrates out to |k| ~ 32, which needs 81."""
-    return 40 if m == 2 else 81
+    """Degree of the Eq. 86 sweep's C_0 series: m >= 4 may integrate out to the
+    route's widest cutoff, and takes the degree the route needs there."""
+    return INTEGRO_M2_DEGREE if m == 2 else integro_series_degree(INTEGRO_CUTOFFS[-1])
 
 
 def integro_sweep(beta: float, m: int, x_count: int, tau_count: int) -> list[tuple]:
-    """Eq. 86 on [0, 1/2]^2 from C_0: the Fourier route against the matrix
-    exponential at the same degree cap."""
+    """Eq. 86 on [0, INTEGRO_REGION]^2 from C_0: the Fourier route against the
+    matrix exponential at the same degree cap."""
     order = c0_truncation(m)
     f = gf.PowerSeries(oc.c0_series(order), "ordinary")
     return _grid_sweep(lambda x, tau: oc.integro_diff_evolve(f, beta, m, tau, x),
                        lambda x, tau: oc.integro_matrix_oracle(f.complex_coeffs, beta, m, tau, x, order),
-                       0.5, x_count, tau_count)
+                       INTEGRO_REGION, x_count, tau_count)
 
 
 def heat_sweep(scale: float, alpha: float, extent: float, points: int) -> list[tuple]:
@@ -169,10 +176,10 @@ def expansion_sweep(fam: ap.AppellFamily, f: ap.GaussianFunction, count: int) ->
     return result, [(c, o, abs(c - o)) for c, o in pairs]
 
 
-def reconstruction_sweep(fam: ap.AppellFamily, result: ap.ExpansionResult, f: ap.GaussianFunction) -> list[tuple]:
+def reconstruction_sweep(fam: ap.AppellFamily, coefficients, f: ap.GaussianFunction) -> list[tuple]:
     """Eq. 61: (x, partial sum, f(x), |partial sum - f(x)|) on 21 points of [-1, 1]."""
     xs = [float(x) for x in np.linspace(-1.0, 1.0, 21)]
-    alphas = [complex(alpha) for alpha in result.coefficients]
+    alphas = [complex(alpha) for alpha in coefficients]
     rows = []
     for x, rec in zip(xs, ap.appell_sums(fam, [(alphas, x) for x in xs])):
         ref = complex(f(x))
@@ -771,7 +778,7 @@ def _chk_exp_laguerre() -> Outcome:
 
 def _chk_integro_diff() -> Outcome:
     worst = _worst(r for beta in (0.0, 0.5, 1.0) for *_, r in integro_sweep(beta, 2, 5, 5))
-    return Outcome(worst, "m=2, beta in {0, 1/2, 1}, grid on [0,0.5]^2 vs matrix exponential")
+    return Outcome(worst, f"m=2, beta in {{0, 1/2, 1}}, grid on [0,{INTEGRO_REGION:g}]^2 vs matrix exponential")
 
 
 def _chk_integro_parity() -> Outcome:
@@ -885,11 +892,12 @@ def _chk_appell_composition() -> Outcome:
 def _chk_appell_reconstruction() -> Outcome:
     bern = ap.bernoulli_family()
     g = ap.GaussianFunction(Fraction(1))
+    # each order doubles on its own, so a shorter expansion is a prefix of this one
+    alphas = ap.expansion_coefficients(bern, g, 20).coefficients
 
     def sup(count: int) -> float:
-        # sup-residual of the partial expansion against g on the grid
-        res = ap.expansion_coefficients(bern, g, count)
-        return _worst(r for *_, r in reconstruction_sweep(bern, res, g))
+        # sup-residual of the partial expansion through order `count` against g on the grid
+        return _worst(r for *_, r in reconstruction_sweep(bern, alphas[: count + 1], g))
 
     sup16, sup20 = sup(16), sup(20)
     if not sup20 < sup16:  # a NaN sup fails too
@@ -1013,7 +1021,8 @@ def _errata_eq86() -> Outcome:
 
     res = oc.gaussian_fourier_integral(1.0 / (4.0 * tau) + beta / 2.0, g)
     printed = res.value / sqrt(2 * pi)
-    oracle = oc.integro_matrix_oracle([float(c) for c in oc.c0_series(40)], beta, 2, tau, x)
+    degree = c0_truncation(2)
+    oracle = oc.integro_matrix_oracle([float(c) for c in oc.c0_series(degree)], beta, 2, tau, x, degree)
     return Outcome(abs(printed - oracle), "printed argument shift vs matrix-exponential oracle")
 
 

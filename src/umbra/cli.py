@@ -18,6 +18,11 @@ from . import seqcore as sq
 from .errors import InvalidParameterError, SequenceFormatError, UmbraError, quoted
 
 
+def _tolerance_text(tolerance: float) -> str:
+    """A row's tolerance as both report formats print it."""
+    return "exact" if tolerance == 0.0 else f"{tolerance:.1e}"
+
+
 @dataclass(frozen=True)
 class RunReport:
     """One identity-suite run: every check appears exactly once."""
@@ -29,7 +34,7 @@ class RunReport:
 
     @property
     def failed(self) -> bool:
-        return any(r.status in ("fail", "error", "stale-errata") for _, r in self.results)
+        return any(r.failed for _, r in self.results)
 
     def to_json(self, include_runtime: bool) -> str:
         rows = []
@@ -40,7 +45,7 @@ class RunReport:
                 "equation": r.equation,
                 "status": r.status,
                 "residual": f"{r.residual:.6e}",
-                "tolerance": "exact" if r.tolerance == 0.0 else f"{r.tolerance:.1e}",
+                "tolerance": _tolerance_text(r.tolerance),
                 "detail": r.detail,
             }
             if include_runtime:
@@ -58,8 +63,7 @@ class RunReport:
             header += ",runtime_s"
         lines = [header]
         for suite, r in self.results:
-            tol = "exact" if r.tolerance == 0.0 else f"{r.tolerance:.1e}"
-            line = f'{suite},{r.equation},{r.status},{r.residual:.6e},{tol},"{r.name}"'
+            line = f'{suite},{r.equation},{r.status},{r.residual:.6e},{_tolerance_text(r.tolerance)},"{r.name}"'
             if include_runtime:
                 line += f",{r.runtime:.3f}"
             lines.append(line)
@@ -178,7 +182,7 @@ def cmd_expand(args) -> int:
     lines = ["section,n,value_re,value_im,oracle,abs_diff,nodes"]
     for n, ((c, o, diff), nodes) in enumerate(zip(coefficients, result.node_counts)):
         lines.append(f"coefficient,{n},{c.real:.12e},{c.imag:.12e},{o:.12e},{diff:.3e},{nodes}")
-    for x, rec, ref, diff in checks.reconstruction_sweep(fam, result, f):
+    for x, rec, ref, diff in checks.reconstruction_sweep(fam, result.coefficients, f):
         lines.append(f"reconstruction,{x:.2f},{rec.real:.12e},{rec.imag:.12e},{ref.real:.12e},{diff:.3e},")
     _emit("\n".join(lines) + "\n", args.output)
     return 0

@@ -34,6 +34,7 @@ from .quadrature import (
     factorials,
     gauss_weighted_integral,
     gaussian_fourier_integral,
+    gaussian_fourier_rows,
     gaussian_taylor,
     legendre_composite_rule,
     log_gamma_half,
@@ -139,12 +140,13 @@ def matrix_function_pauli(symbol: FourierSymbol, omega_mag: float) -> np.ndarray
     """
     if omega_mag < 0:
         raise InvalidParameterError("needs |Omega| >= 0")
-    cos_part = gaussian_fourier_integral(
-        symbol.gauss_coeff, lambda k: symbol.envelope(k) * np.cos(omega_mag * k)
-    ).value / _SQRT2PI
-    sin_part = gaussian_fourier_integral(
-        symbol.gauss_coeff, lambda k: symbol.envelope(k) * np.sin(omega_mag * k)
-    ).value / _SQRT2PI
+
+    def parts(k, rows):
+        # the cos and sin rows share the Gaussian factor, the envelope and the phase
+        envelope, phase = symbol.envelope(k), omega_mag * k
+        return [envelope * (np.cos, np.sin)[r](phase) for r in rows]
+
+    cos_part, sin_part = (res.value / _SQRT2PI for res in gaussian_fourier_rows(symbol.gauss_coeff, parts, 2))
     return np.array([[cos_part, -sin_part], [sin_part, cos_part]], dtype=complex)
 
 
@@ -289,12 +291,28 @@ def _e_tilde_grid(m: int, tau: float, ks: np.ndarray) -> np.ndarray:
 
 
 INTEGRO_REGION = 0.5
-# Largest beta at which integro_matrix_oracle at degree cap 40, the C_0 series'
-# degree, still agrees with the route to ~1e-12 over |x| <= 1/2, tau in
-# [0.05, 0.5]: 5.4e-13 at beta = 2, 1.3e-9 at 3, 1.3e-6 at 5.  At cap 170 the
-# oracle agrees with the route to 1e-15 at all three, so the bound measures the
-# oracle's degree cap, not the route's truncation.
+#: degree of the C_0 series the m = 2 evolution is checked on, and so the cap
+#: of the matrix oracle that checks it
+INTEGRO_M2_DEGREE = 40
+# Largest beta at which integro_matrix_oracle at degree cap INTEGRO_M2_DEGREE
+# still agrees with the route to ~1e-12 over |x| <= 1/2, tau in [0.05, 0.5]:
+# 5.4e-13 at beta = 2, 1.3e-9 at 3, 1.3e-6 at 5.  At cap 170 the oracle agrees
+# with the route to 1e-15 at all three, so the bound measures the oracle's
+# degree cap, not the route's truncation.
 INTEGRO_BETA_BOUND = 2.0
+#: cutoffs |k| <= K the even m >= 4, beta > 0 route tries in turn; a damped
+#: symbol still above 1e-15 at the last one is rejected, never integrated short
+INTEGRO_CUTOFFS = (4.0, 8.0, 16.0, 32.0)
+
+
+def integro_series_degree(K: float) -> int:
+    """Degree an initial series must reach for the even m >= 4, beta > 0 route at cutoff K.
+
+    e^{ik LD} on a series truncated at degree T carries truncation junk
+    ~ k^T / T!, only negligible over |k| <= K when T >= 2.5 K; the Gaussian
+    pair (m = 2) crushes large k on its own, the fatter e~_m tails do not.
+    """
+    return int(2.5 * K + 1)
 
 
 def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: float) -> complex:
@@ -317,7 +335,9 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
         raise DivergenceError("beta < 0 grows the disentanglement factor e^{-beta k^2/2}")
     if not beta <= INTEGRO_BETA_BOUND:
         raise TruncationError(
-            f"beta = {beta:g} outside the truncation-controlled range [0, {INTEGRO_BETA_BOUND:g}]"
+            f"beta = {beta:g} outside [0, {INTEGRO_BETA_BOUND:g}], where the matrix oracle at degree cap "
+            f"{INTEGRO_M2_DEGREE} still checks the route to 1e-12: the bound is the oracle's cap, "
+            f"not the route's truncation"
         )
     if not tau >= 0:
         raise InvalidParameterError("needs tau >= 0")
@@ -341,9 +361,8 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
         return _moment_law_sum(f_ord, a, b, m, tau)
 
     # even m >= 4, beta > 0: locate a cutoff where the damped symbol is
-    # negligible; a symbol still above it at |k| = 32 (beta = 1e-3, tau ~ 0.4 at
-    # m = 4) is rejected, never integrated short
-    for K in (4.0, 8.0, 16.0, 32.0):
+    # negligible (beta = 1e-3, tau ~ 0.4 at m = 4 finds none)
+    for K in INTEGRO_CUTOFFS:
         tail = abs(_e_tilde_grid(m, tau, np.array([K, 1.25 * K])).max()) * np.exp(-beta * K * K / 2.0)
         if tail < 1e-15:
             break
@@ -352,10 +371,7 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
             f"m={m}, beta={beta:g}, tau={tau:g}: the damped symbol is still {tail:.1e} "
             f"at |k| = {K:g}, past the largest cutoff the route controls"
         )
-    # e^{ik LD} on a series truncated at degree T carries truncation junk
-    # ~ k^T / T!, only negligible over |k| <= K when T >= 2.5 K; the Gaussian
-    # pair (m = 2) crushes large k on its own, the fatter e~_m tails do not
-    needed = int(2.5 * K + 1)
+    needed = integro_series_degree(K)
     if len(f_ord) - 1 < needed:
         raise TruncationError(
             f"m={m}, tau={tau:g} integrates out to |k| ~ {K:g}: the initial series must "

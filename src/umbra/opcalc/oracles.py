@@ -111,9 +111,10 @@ def integro_matrix_oracle(
     m: int,
     tau: float,
     x: float,
-    degree_cap: int = 40,
+    degree_cap: int,
 ) -> complex:
-    """e^{-tau (LD + beta D^{-1})^m} f on the degree-capped basis.
+    """e^{-tau (LD + beta D^{-1})^m} f on the basis of degrees <= degree_cap;
+    coefficients of f past the cap are dropped.
 
     Worked in the basis e_n = x^n / n!, where LD shifts down with factor n and
     D^{-1} shifts up with factor 1: the generator G is bidiagonal.  For

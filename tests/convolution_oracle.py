@@ -67,15 +67,20 @@ def series_product(a, b):
     return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(len(a))]
 
 
-def operational_coefficients(inv, f, N):
+def gaussian_taylor(scale, j):
+    """[u^j] exp(-scale u^2): (-scale)^(j/2) / (j/2)! at even j, 0 at odd j."""
+    return Fraction(0) if j % 2 else (-Fraction(scale)) ** (j // 2) / factorial(j // 2)
+
+
+def operational_coefficients(inv, scale, N):
     """alpha_n = sum_m c_m f_{n+m} (n+m)!/n! over the Taylor table inv of 1/A, with
-    f.taylor the function's Taylor coefficients."""
+    f_j the Taylor coefficients of f = exp(-scale x^2)."""
     out = []
     for n in range(N + 1):
         acc = Fraction(0)
         for m, cm in enumerate(inv):
             if cm:
-                acc += cm * f.taylor(n + m) * (factorial(n + m) // factorial(n))
+                acc += cm * gaussian_taylor(scale, n + m) * (factorial(n + m) // factorial(n))
         out.append(acc)
     return out
 

@@ -101,7 +101,7 @@ def expansion_coefficients(fam, f, N):
     return tuple(coeffs), tuple(nodes), tuple(converged)
 
 
-def integro_matrix_oracle(f_ord_coeffs, beta, m, tau, x, degree_cap=40):
+def integro_matrix_oracle(f_ord_coeffs, beta, m, tau, x, degree_cap):
     n_basis = degree_cap + 1
     coeffs = list(f_ord_coeffs)[:n_basis]
     e_coeffs = np.zeros(n_basis, dtype=complex)

@@ -183,7 +183,7 @@ class TestExpansion:
         fam = request.getfixturevalue(family)
         g = appell.GaussianFunction(scale)
         for n in (0, 1, 10, 24):
-            want = convolution_oracle.operational_coefficients(fam.a_inv_taylor, g, n)
+            want = convolution_oracle.operational_coefficients(fam.a_inv_taylor, scale, n)
             assert list(appell.operational_coefficients(fam, g, n)) == want
 
     def test_coefficient_cap(self, bernoulli):
@@ -288,7 +288,7 @@ class TestReconstruct:
         g = appell.GaussianFunction(Fraction(1))
         res = appell.expansion_coefficients(identity, g, 12)
         (got,) = appell.appell_sums(identity, [([complex(a) for a in res.coefficients], 0.5)])
-        partial = sum(float(g.taylor(n)) * 0.5 ** n for n in range(13))
+        partial = sum(float(convolution_oracle.gaussian_taylor(1, n)) * 0.5 ** n for n in range(13))
         assert got == pytest.approx(partial, abs=1e-9)
 
     def test_bernoulli_residual_decreases(self):

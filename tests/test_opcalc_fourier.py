@@ -238,7 +238,7 @@ class TestIntegroDiff:
 
     def test_matches_matrix_oracle(self):
         got = opcalc.integro_diff_evolve(self.f, 1.0, 2, 0.25, 0.25)
-        ref = opcalc.integro_matrix_oracle(self.f_ord, 1.0, 2, 0.25, 0.25)
+        ref = opcalc.integro_matrix_oracle(self.f_ord, 1.0, 2, 0.25, 0.25, 40)
         assert abs(got - ref) < 1e-6
 
     @staticmethod
@@ -265,7 +265,7 @@ class TestIntegroDiff:
     def test_m2_moment_route_matches_oracle_and_quadrature(self, beta, x, tau):
         got = opcalc.integro_diff_evolve(self.f, beta, 2, tau, x)
         assert abs(got - self.hermite_reference(self.f_ord, beta, tau, x)) <= 1e-12
-        assert abs(got - opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, x)) <= 1e-10
+        assert abs(got - opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, x, 40)) <= 1e-10
 
     @pytest.mark.parametrize("n_basis", [41, 82])
     @pytest.mark.parametrize("beta", [0.04, 0.5, 2.0])
@@ -283,7 +283,7 @@ class TestIntegroDiff:
     def test_matrix_oracle_small_beta(self):
         # F(0, tau) = 1 - tau (1 + beta) + O(tau^2) for f = C_0
         tau, beta = 1e-6, 1e-6
-        ref = opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, 0.0)
+        ref = opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, 0.0, 40)
         assert abs(ref - (1.0 - tau * (1.0 + beta))) < 1e-10
 
     @pytest.mark.parametrize("m,degree", [(2, 40), (4, 81)])
@@ -311,7 +311,7 @@ class TestIntegroDiff:
 
         monkeypatch.setattr(quadrature, "adaptive_hermite", no_quadrature)
         got = opcalc.integro_diff_evolve(self.f, 1.0, 2, 0.25, 0.25)
-        assert abs(got - opcalc.integro_matrix_oracle(self.f_ord, 1.0, 2, 0.25, 0.25)) < 1e-14
+        assert abs(got - opcalc.integro_matrix_oracle(self.f_ord, 1.0, 2, 0.25, 0.25, 40)) < 1e-14
 
     @pytest.mark.parametrize("beta", [2.5, 1000.0, 1e300, float("inf"), float("nan")])
     def test_beta_guard(self, beta):

@@ -4,7 +4,7 @@ convergence flags, warning counts and errors must be identical.  The
 integro-differential route is held against its per-call form the same way."""
 import warnings
 from fractions import Fraction
-from math import factorial
+from math import factorial, pi, sqrt
 
 import numpy as np
 import operator_eval_oracle as ref
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from umbra import appell, opcalc, specfun
 from umbra.errors import DivergenceError, InternalConsistencyError, TruncationError
 from umbra.gftrans import PowerSeries
+from umbra.opcalc import fourier
 from umbra.opcalc.quadrature import QuadratureConvergenceWarning
 
 
@@ -120,6 +121,47 @@ def test_rows_warn_once_per_unconverged_row():
     assert got[1] == 2
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_shorter_expansion_is_a_prefix(families, family):
+    # the Eq. 61 row takes its count-16 sums from the first 17 coefficients of its count-20 expansion
+    f = appell.GaussianFunction(Fraction(1))
+    short = _run(lambda: _expansion(families[family], f, 16))
+    assert short == _run(lambda: tuple(part[:17] for part in _expansion(families[family], f, 20)))
+
+
+def _pauli_two_integrals(symbol, omega):
+    """matrix_function_pauli with one doubling loop per part: (matrix as lists, node counts)."""
+    parts = [opcalc.gaussian_fourier_integral(symbol.gauss_coeff, lambda k, f=f: symbol.envelope(k) * f(omega * k))
+             for f in (np.cos, np.sin)]
+    cos_part, sin_part = (res.value / sqrt(2.0 * pi) for res in parts)
+    return [[cos_part, -sin_part], [sin_part, cos_part]], [res.node_count for res in parts]
+
+
+PAULI_SYMBOLS = {
+    "gaussian 1": lambda: opcalc.gaussian_symbol(1.0),
+    "gaussian 16": lambda: opcalc.gaussian_symbol(16.0),
+    "cos-gaussian 1": lambda: opcalc.cos_gaussian_symbol(1.0),
+    "cos-gaussian 4": lambda: opcalc.cos_gaussian_symbol(4.0),
+}
+
+
+# the cos part needs 512 or 1024 nodes at the widest phases, the sin part 256
+@pytest.mark.parametrize("omega", [0.0, 0.7, 2.0, 5.0, 20.0])
+@pytest.mark.parametrize("symbol", list(PAULI_SYMBOLS))
+def test_pauli_rows_match_two_integrals(symbol, omega, monkeypatch):
+    # the cos and sin parts share one gaussian_fourier_rows call: values and node counts as before
+    sym, counts, rows = PAULI_SYMBOLS[symbol](), [], fourier.gaussian_fourier_rows
+
+    def recording(*args):
+        results = rows(*args)
+        counts.extend(res.node_count for res in results)
+        return results
+
+    monkeypatch.setattr(fourier, "gaussian_fourier_rows", recording)
+    got = _run(lambda: (opcalc.matrix_function_pauli(sym, omega).tolist(), counts))
+    assert got == _run(lambda: _pauli_two_integrals(sym, omega))
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.02, 0.5, 2.0])
 @pytest.mark.parametrize("m, degree", [(2, 40), (4, 81)])
 def test_integro_oracle_matches_per_element_scaling(m, degree, beta):
@@ -153,8 +195,8 @@ def test_integro_oracle_takes_the_complex_view():
     floats = [float(c) for c in f.coeffs]
     for beta in (0.0, 0.02, 0.5, 1.0):
         for x, tau in ((0.0, 0.0), (0.125, 0.25), (0.5, 0.5)):
-            got = opcalc.integro_matrix_oracle(f.complex_coeffs, beta, 2, tau, x)
-            assert repr(got) == repr(opcalc.integro_matrix_oracle(floats, beta, 2, tau, x))
+            got = opcalc.integro_matrix_oracle(f.complex_coeffs, beta, 2, tau, x, 40)
+            assert repr(got) == repr(opcalc.integro_matrix_oracle(floats, beta, 2, tau, x, 40))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0, 2.0])
