@@ -53,7 +53,9 @@ ERRATA_FLOOR = 1e-3
 class Outcome:
     residual: float
     detail: str = ""
-    passed: bool | None = None  # None: decide from residual <= tolerance
+    # set only where the verdict is not residual <= tolerance: a master row's
+    # budget breach, and the Eq. 61 row's monotone decrease (tolerance inf)
+    passed: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -471,7 +473,7 @@ def _chk_involution(seed: int) -> Outcome:
     for _ in range(200):
         a = random_sequence(rng)
         if sq.binomial_transform(sq.binomial_transform(a)).terms != a.terms:
-            return Outcome(1.0, f"failed on {a.terms[:4]}...", passed=False)
+            return Outcome(1.0, f"failed on {a.terms[:4]}...")
     return Outcome(0.0, "200 random sequences, exact")
 
 
@@ -489,7 +491,7 @@ def _chk_modular_roundtrip(seed: int) -> Outcome:
         a = random_sequence(rng)
         p = sq.TransformParams(nonzero_rational(rng), nonzero_rational(rng))
         if sq.modular_inverse(sq.modular_transform(a, p), p).terms != a.terms:
-            return Outcome(1.0, f"failed with {p}", passed=False)
+            return Outcome(1.0, f"failed with {p}")
     return Outcome(0.0, "200 random (a, alpha, beta != 0), exact")
 
 
@@ -502,7 +504,7 @@ def _chk_modular_inverse_relation(seed: int) -> Outcome:
         right = sq.modular_transform(b, sq.TransformParams(alpha, 1))
         for n in range(len(b)):
             if left[n] != beta ** -n * right[n]:
-                return Outcome(1.0, "scaled-transform relation broke", passed=False)
+                return Outcome(1.0, "scaled-transform relation broke")
     return Outcome(0.0, "beta^-n scaling relation, exact")
 
 
@@ -511,7 +513,7 @@ def _chk_k_zero_reduction(seed: int) -> Outcome:
     for _ in range(50):
         a = random_sequence(rng, max_len=24, bound=1000)
         if sq.rising_k_binomial(a, 0).terms != sq.binomial_transform(a).terms:
-            return Outcome(1.0, "k=0 does not reduce", passed=False)
+            return Outcome(1.0, "k=0 does not reduce")
     return Outcome(0.0, "k = 0 reduces to the plain transform, exact")
 
 
@@ -522,7 +524,7 @@ def _chk_hermite_roundtrip(seed: int) -> Outcome:
         alpha = nonzero_rational(rng)
         p = sq.TransformParams(alpha, nonzero_rational(rng))
         if sq.hermite_inverse_seq(sq.hermite_complementary_seq(a, p), p).terms != a.terms:
-            return Outcome(1.0, f"failed with {p}", passed=False)
+            return Outcome(1.0, f"failed with {p}")
     return Outcome(0.0, "inverse after complementary transform, 200 random, exact")
 
 
@@ -534,7 +536,7 @@ def _chk_hermite_addition(seed: int) -> Outcome:
         # sum_s C(n,s) x^s H_{n-s}(y,z) = H_n(x+y, z)
         lhs = sum(comb(n, s) * x ** s * sf.hermite2(n - s, y, z) for s in range(n + 1))
         if lhs != sf.hermite2(n, x + y, z):
-            return Outcome(1.0, f"n={n}, args={vals}", passed=False)
+            return Outcome(1.0, f"n={n}, args={vals}")
     return Outcome(0.0, "addition theorem, exact over random rationals")
 
 
@@ -548,7 +550,7 @@ def _chk_derived_composite(seed: int) -> Outcome:
                                           sq.TransformParams(alpha, beta))
         closed = sq.hermite_transform_seq(a, sq.TransformParams(alpha - beta * gamma, beta ** 2 * delta))
         if sequential.terms != closed.terms:
-            return Outcome(1.0, "derived composite closed form broke", passed=False)
+            return Outcome(1.0, "derived composite closed form broke")
     return Outcome(0.0, "B(a,b) after H(g,d) = H(a-bg, b^2 d), exact")
 
 
@@ -568,7 +570,7 @@ def _chk_stirling_operator_identity(seed: int) -> Outcome:
             for j in range(k, deg + 1):
                 rhs[j] += s2 * (factorial(j) // factorial(j - k)) * poly[j]
         if lhs != rhs:
-            return Outcome(1.0, f"operator identity broke at n={n}", passed=False)
+            return Outcome(1.0, f"operator identity broke at n={n}")
     return Outcome(0.0, "(t d/dt)^n = sum S2(k,n) t^k d^k, exact on polynomials")
 
 
@@ -577,7 +579,7 @@ def _chk_stirling_table() -> Outcome:
     for n in range(11):
         for x in range(12):
             if x ** n != sum(sf.stirling2(k, n) * perm(x, k) for k in range(n + 1)):
-                return Outcome(1.0, f"Stirling row {n} fails the power identity at x={x}", passed=False)
+                return Outcome(1.0, f"Stirling row {n} fails the power identity at x={x}")
     return Outcome(0.0, "power-to-falling-factorial identity holds through n=10")
 
 
@@ -617,7 +619,7 @@ def _chk_hermite_integral_representation() -> Outcome:
     for n in range(11):
         for y in _SHIFT_WIDTHS:
             if oc.gaussian_shift_transform((0,) * n + (1,), y) != sf.hermite2_coeffs(n, -y):
-                return Outcome(1.0, f"shift transform of u^{n} is not H_{n}(x, -{y})", passed=False)
+                return Outcome(1.0, f"shift transform of u^{n} is not H_{n}(x, -{y})")
     return Outcome(0.0, "Gaussian-symbol shift transform of u^n = H_n(x, -y), n <= 10, exact")
 
 
@@ -625,7 +627,7 @@ def _chk_monomial_representation() -> Outcome:
     for n in range(11):
         for y in _SHIFT_WIDTHS:
             if oc.gaussian_shift_transform(sf.hermite2_coeffs(n, y), y) != (0,) * n + (1,):
-                return Outcome(1.0, f"shift transform of H_{n}(x, {y}) is not x^{n}", passed=False)
+                return Outcome(1.0, f"shift transform of H_{n}(x, {y}) is not x^{n}")
     return Outcome(0.0, "shift transform of H_n(x, y) = x^n, n <= 10, exact")
 
 
@@ -641,7 +643,7 @@ def _chk_tricomi_spot() -> Outcome:
 def _chk_exp_negD_coefficients() -> Outcome:
     got = oc.exp_negD(Fraction(1), (Fraction(1),) + (Fraction(0),) * 20)
     if got != oc.c0_series(20):
-        return Outcome(1.0, "series of e^{-D^{-1}} 1 is not C_0", passed=False)
+        return Outcome(1.0, "series of e^{-D^{-1}} 1 is not C_0")
     return Outcome(0.0, "e^{-D^{-1}} 1 = C_0(x), exact coefficients")
 
 
@@ -753,7 +755,7 @@ def _commutator_check_LD(coeffs) -> tuple:
 def _chk_commutator() -> Outcome:
     for coeffs in ((0, Fraction(1)), (0, 0, 0, Fraction(1)), (0, Fraction(2), Fraction(-3), 0, Fraction(7))):
         if any(c != 0 for c in _commutator_check_LD(coeffs)):
-            return Outcome(1.0, "commutator residual nonzero on f(0)=0", passed=False)
+            return Outcome(1.0, "commutator residual nonzero on f(0)=0")
     return Outcome(0.0, "[LD, D^{-1}] = 1 on f(0) = 0 polynomials, exact")
 
 
@@ -761,7 +763,7 @@ def _chk_borel_c0() -> Outcome:
     out = oc.borel_transform(oc.c0_series(20))
     want = tuple(Fraction((-1) ** n, factorial(n)) for n in range(21))
     if out != want:
-        return Outcome(1.0, "Borel of C_0 is not e^{-x}", passed=False)
+        return Outcome(1.0, "Borel of C_0 is not e^{-x}")
     return Outcome(0.0, "Borel transform of C_0 = e^{-x}, exact coefficients")
 
 
@@ -771,7 +773,7 @@ def _chk_exp_laguerre() -> Outcome:
     # e^{eps LD/2} terminates by eps^24 on the degree-24 series; eps = 1 sums its orders
     expanded = exp_apply([oc.OperatorTerm(1, Fraction(1, 2), "LD")], polynomial(c0), 24)
     if list(out) != coefficients(expanded, len(c0)):
-        return Outcome(1.0, "Borel and operator-exponential routes disagree", passed=False)
+        return Outcome(1.0, "Borel and operator-exponential routes disagree")
     worst = _worst(abs(float(out[j] / c0[j]) - exp(-0.5)) for j in range(12))
     return Outcome(worst, "dual-route evolution; eigenvalue e^{-alpha} on C_0")
 
@@ -787,7 +789,7 @@ def _chk_integro_parity() -> Outcome:
         oc.integro_diff_evolve(f, 0.5, 3, 0.1, 0.1)
     except UnsupportedSymbolError:
         return Outcome(0.0, "odd m correctly rejected")
-    return Outcome(1.0, "odd m accepted", passed=False)
+    return Outcome(1.0, "odd m accepted")
 
 
 def _chk_umbral() -> Outcome:
@@ -797,7 +799,7 @@ def _chk_umbral() -> Outcome:
     symbol = oc.gaussian_symbol(float(scale))
 
     def residual(x: float) -> float:
-        got = oc.umbral_operator_transform(symbol, a, x, growth=(1.0, 1.0))
+        got = oc.umbral_operator_transform(symbol, a, x, rho=1.0)
         return abs(got - oc.umbral_double_sum(taylor, a, x))
 
     worst = _worst(residual(x) for x in (-0.3, -0.15, 0.1, 0.2, 0.3))
@@ -856,7 +858,7 @@ def _chk_appell_generating() -> Outcome:
 def _chk_appell_bernoulli_poly() -> Outcome:
     bern = ap.bernoulli_family()
     if ap.appell_poly(bern, 2, "plus") != (Fraction(1, 6), Fraction(-1), Fraction(1)):
-        return Outcome(1.0, "a_2^+ is not x^2 - x + 1/6", passed=False)
+        return Outcome(1.0, "a_2^+ is not x^2 - x + 1/6")
     return Outcome(0.0, "a_2^+(x) = x^2 - x + 1/6, exact")
 
 
@@ -872,7 +874,7 @@ def _chk_appell_reciprocity() -> Outcome:
     rec = bern.reciprocal()
     for n in range(8):
         if ap.appell_poly(bern, n, "plus") != ap.appell_poly(rec, n, "minus"):
-            return Outcome(1.0, f"reciprocity broke at n={n}", passed=False)
+            return Outcome(1.0, f"reciprocity broke at n={n}")
     return Outcome(0.0, "'+' of A equals '-' of 1/A, exact")
 
 
@@ -885,7 +887,7 @@ def _chk_appell_composition() -> Outcome:
         out = sq._integer_correlation(sq._cleared([1] * (n + 1), bern.a_taylor[: n + 1]), sq._cleared(fact, minus),
                                       n + 1, fact)
         if out != (0,) * n + (1,):
-            return Outcome(1.0, f"composition broke at n={n}", passed=False)
+            return Outcome(1.0, f"composition broke at n={n}")
     return Outcome(0.0, "A(d) [1/A(d)] x^n = x^n, exact")
 
 
@@ -1194,11 +1196,6 @@ def resolve_suites(selector: str, seed: int = DEFAULT_SEED, order: int = DEFAULT
     return [(selector, check) for check in suites[selector]]
 
 
-def run_selected(selector: str, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER,
-                 tolerance_override: float | None = None) -> list[tuple[str, CheckResult]]:
-    rows = []
-    for suite, check in resolve_suites(selector, seed, order):
-        if tolerance_override is not None and not check.errata and check.tolerance not in (0.0, float("inf")):
-            check = Check(check.name, check.equation, tolerance_override, check.run, check.errata)
-        rows.append((suite, run_check(check)))
-    return rows
+def run_selected(selector: str, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> list[tuple[str, CheckResult]]:
+    # run_check is looked up at call time, so a caller may wrap the module attribute
+    return [(suite, run_check(check)) for suite, check in resolve_suites(selector, seed, order)]

@@ -126,11 +126,9 @@ def cmd_transform(args) -> int:
 def cmd_check(args) -> int:
     from . import checks
 
-    if args.tolerance is not None and _finite(args.tolerance, "--tolerance") < 0:
-        raise InvalidParameterError(f"--tolerance must be >= 0, got {args.tolerance}")
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     order = checks.DEFAULT_ORDER if args.order is None else args.order
-    results = checks.run_selected(args.suite, seed=seed, order=order, tolerance_override=args.tolerance)
+    results = checks.run_selected(args.suite, seed=seed, order=order)
     report = RunReport(args.suite, seed, order, tuple(results))
     # runtimes are nondeterministic and stay out of files, keeping outputs byte-stable
     include_runtime = args.output is None
@@ -236,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--format", choices=("json", "csv"), default="json", help="report format (default json)")
     p_check.add_argument("--seed", type=int, help="seed for the randomized property suites")
     p_check.add_argument("--order", type=int, help="series truncation order for the identity suites")
-    p_check.add_argument("--tolerance", type=float, help="override the tolerance of every non-exact check")
     p_check.add_argument("--output", help="output path (default stdout; files omit runtimes and are byte-stable)")
     p_check.set_defaults(func=cmd_check)
 
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("bernoulli", "identity", "gauss-hermite-type", "user-taylor-file"))
     p_expand.add_argument("--taylor-file", help="JSON list of rational Taylor coefficients of A(t)")
     p_expand.add_argument("--scale", default="1", help="gaussian scale s in exp(-s x^2), rational")
-    p_expand.add_argument("--count", type=int, required=True, help="number of coefficients (max 24)")
+    p_expand.add_argument("--count", type=int, required=True, help="highest coefficient order N: rows n = 0..N (max 24)")
     p_expand.add_argument("--output", help="output path (default stdout)")
     p_expand.set_defaults(func=cmd_expand)
 

@@ -397,19 +397,19 @@ def umbral_operator_transform(
     symbol: FourierSymbol,
     a: Sequence,
     x: float,
-    growth: tuple[float, float] | None = None,
+    rho: float | None = None,
 ) -> complex:
     """F(d/da^) f(x) for f the ordinary generating function of a:
 
     (1/sqrt(2 pi)) integral F~(k) / (1 - i k x) f(x / (1 - i k x)) dk.
 
     The shift e^{ik d/da^} sends a^ to a^ + ik, which puts 1 - ikx in the
-    denominator; the printed 1 + ikx agrees only for even symbols.
+    denominator; the printed 1 + ikx agrees only for even symbols.  Given the
+    growth rate rho of the terms (|a_n| <= M rho^n), an x outside the series
+    radius 1/rho raises DivergenceError.
     """
-    if growth is not None:
-        M, rho = growth
-        if rho * abs(x) >= 1.0:
-            raise DivergenceError(f"rho |x| = {rho * abs(x):g} >= 1: outside the series radius")
+    if rho is not None and rho * abs(x) >= 1.0:
+        raise DivergenceError(f"rho |x| = {rho * abs(x):g} >= 1: outside the series radius")
     coeffs = [complex(t) for t in a.terms]
 
     def g(k):

@@ -208,7 +208,7 @@ def test_13_umbral_transform():
     a = sq.Sequence.of([1] * 80)
     worst = 0.0
     for x in (-0.3, -0.2, -0.1, 0.05, 0.15, 0.25, 0.3):
-        got = oc.umbral_operator_transform(oc.gaussian_symbol(float(scale)), a, x, growth=(1.0, 1.0))
+        got = oc.umbral_operator_transform(oc.gaussian_symbol(float(scale)), a, x, rho=1.0)
         worst = max(worst, abs(got - oc.umbral_double_sum(taylor, a, x)))
     bridge = checks._gauss_umbral_bridge_residual(sq.Sequence.of([1] * 40), Fraction(1, 4),
                                                   np.linspace(-0.8, 0.8, 10))

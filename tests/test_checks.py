@@ -1,4 +1,4 @@
-"""The identity-check registry: statuses, errata rows, overrides."""
+"""The identity-check registry: statuses, errata rows, exact rows."""
 import json
 from fractions import Fraction
 
@@ -128,10 +128,26 @@ def test_errata_row_with_nan_residual_is_stale():
     assert checks.run_check(row).status == "stale-errata"
 
 
-def test_tolerance_override_applies_to_inexact_checks():
-    # an absurdly large override turns every non-exact check green
-    results = checks.run_selected("heat", tolerance_override=10.0)
-    assert all(r.tolerance == 10.0 for _, r in results)
+def _bumped(result):
+    """A library result that breaks its identity: the first term moved by one."""
+    if isinstance(result, Sequence):
+        return Sequence.of([result.terms[0] + 1, *result.terms[1:]])
+    return (result[0] + 1, *result[1:])
+
+
+@pytest.mark.parametrize("module, function, row", [
+    (checks.sq, "binomial_transform", "binomial involution on random rationals"),
+    (checks.oc, "borel_transform", "borel transform of C_0"),
+    (checks.oc, "exp_laguerre_derivative", "laguerre-derivative exponential, dual routes"),  # tolerance 1e-10
+    (checks.ap, "appell_poly", "bernoulli quadratic polynomial"),
+], ids=["Eq. 5b", "Eq. 85 Borel", "Eq. 85 dual routes", "Eq. 60"])
+def test_exact_row_fails_when_its_identity_breaks(monkeypatch, module, function, row):
+    # an exact row's failure return carries residual 1.0, above its tolerance, so that alone fails the row
+    [check] = [check for _, check in checks.resolve_suites("all") if check.name == row]
+    original = getattr(module, function)
+    monkeypatch.setattr(module, function, lambda *args: _bumped(original(*args)))
+    result = checks.run_check(check)
+    assert (result.status, result.residual) == ("fail", 1.0)
 
 
 def test_master_case_runner_reports_worst_point():

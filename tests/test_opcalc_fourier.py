@@ -542,13 +542,13 @@ class TestUmbralTransform:
 
     @pytest.mark.parametrize("x", [0.3, 0.2, -0.25, 0.05])
     def test_matches_double_sum_oracle(self, x):
-        got = opcalc.umbral_operator_transform(self.sym, self.a, x, growth=(1.0, 1.0))
+        got = opcalc.umbral_operator_transform(self.sym, self.a, x, rho=1.0)
         ref = opcalc.umbral_double_sum(self.taylor, self.a, x)
         assert abs(got - ref) < 1e-7
 
     def test_radius_guard(self):
         with pytest.raises(DivergenceError):
-            opcalc.umbral_operator_transform(self.sym, self.a, 1.2, growth=(1.0, 1.0))
+            opcalc.umbral_operator_transform(self.sym, self.a, 1.2, rho=1.0)
 
     @given(st.lists(rationals, min_size=1, max_size=30), st.lists(rationals, min_size=1, max_size=30),
            st.floats(-0.5, 0.5))
