@@ -72,8 +72,11 @@ class RunReport:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot write --output {quoted(output)}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -104,6 +107,17 @@ def _at_least_one(value: int, flag: str) -> int:
     if value < 1:
         raise InvalidParameterError(f"{flag} must be at least 1, got {value}")
     return value
+
+
+#: the largest `evolve --points`, and the largest `--x-count` and `--tau-count`: one
+#: axis array takes 8 MB at these bounds, and a larger count exits 3 before any is made
+MAX_POINTS = 2 ** 20
+MAX_AXIS_COUNT = 10 ** 6
+
+
+def _grid_count(value: int, flag: str, most: int) -> None:
+    if not 1 <= value <= most:
+        raise InvalidParameterError(f"{flag} must be between 1 and {most}, got {value}")
 
 
 def cmd_transform(args) -> int:
@@ -191,8 +205,8 @@ def cmd_evolve(args) -> int:
 
     for flag in ("alpha", "extent", "beta"):
         _finite(getattr(args, flag), f"--{flag}")
-    for flag in ("points", "x_count", "tau_count"):
-        _at_least_one(getattr(args, flag), "--" + flag.replace("_", "-"))
+    for flag, most in (("points", MAX_POINTS), ("x_count", MAX_AXIS_COUNT), ("tau_count", MAX_AXIS_COUNT)):
+        _grid_count(getattr(args, flag), "--" + flag.replace("_", "-"), most)
     if args.equation == "heat":
         scale = float(_parse_float_sized(args.scale, "--scale"))
         header = (f"heat evolution: alpha={args.alpha:g} scale={scale:g} "

@@ -1,224 +1,98 @@
-"""Acceptance criteria: every exit criterion at its stated tolerance.
+"""Acceptance criteria: each exit criterion as a statement about catalog rows.
 
-Each test prints one PASS/FAIL line (run with -s to see them live).  The
-random suites use a fixed seed; tolerances are pinned here, not configurable.
+The catalog (`umbra.checks`) owns every identity's route, oracle, inputs and
+tolerance.  A criterion names the rows of one suite it is about and holds
+them to its own bounds: each row in `bounds` must pass with its residual at
+most its bound, each row in `flagged` must stay flagged-errata, and where a
+runtime bound is given the rows in `bounds` must run within it together.
+The rows come from the session's one catalog run (the `catalog_run` fixture
+of `conftest.py`); this file imports no scipy.  Each test prints one
+PASS/FAIL line (run with -s to see them live).
 """
-import random
-import time
-from fractions import Fraction
-from math import exp, factorial, sqrt
+from dataclasses import dataclass
 
-import numpy as np
-import scipy.special
-
-from umbra import appell as ap
-from umbra import checks
-from umbra import gftrans as gf
-from umbra import opcalc as oc
-from umbra import seqcore as sq
-from umbra import specfun as sf
-from umbra.opcalc.formal import exp_apply
-from umbra.opcalc.operators import coefficients, polynomial
-
-SEED = checks.DEFAULT_SEED
+import pytest
 
 
-def report(number: int, label: str, ok: bool, extra: str = ""):
-    status = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE {number:2d} [{status}] {label}" + (f" ({extra})" if extra else ""))
-    assert ok, f"criterion {number}: {label} {extra}"
+@dataclass(frozen=True)
+class Criterion:
+    label: str
+    suite: str
+    bounds: dict  # row name -> the largest residual the passing row may have
+    flagged: tuple = ()  # row names whose printed constant must still disagree
+    runtime: float | None = None  # seconds the rows in `bounds` may take together
 
 
-def test_01_involution_exact():
-    rng = random.Random(SEED)
-    start = time.perf_counter()
-    ok = True
-    for _ in range(200):
-        a = checks.random_sequence(rng, max_len=32, bound=10 ** 6)
-        if sq.binomial_transform(sq.binomial_transform(a)).terms != a.terms:
-            ok = False
-            break
-    elapsed = time.perf_counter() - start
-    report(1, "binomial involution exact on 200 random sequences", ok and elapsed < 1.0,
-           f"{elapsed:.2f}s")
+KINDS = ("ordinary", "exponential")
+CRITERIA = {
+    1: Criterion("binomial involution exact on random rational sequences", "involution",
+                 {"binomial involution on random rationals": 0.0}, runtime=1.0),
+    2: Criterion("modular roundtrip exact on random draws", "modular",
+                 {"modular transform roundtrip": 0.0}, runtime=1.0),
+    3: Criterion("k-binomial closed forms within tail budgets", "kbinomial",
+                 dict.fromkeys([f"rising {k}-binomial, {kind} closed form" for k in range(4) for kind in KINDS],
+                               1e-10)),
+    4: Criterion("closed generating forms of the 8 transform kinds within tail budgets", "gftrans",
+                 dict.fromkeys([*(f"{name} transform, {kind} closed form"
+                                  for name in ("binomial", "modular", "laguerre") for kind in KINDS),
+                                "hermite transform (standard), closed form",
+                                "hermite transform (complementary), closed form"], 1e-10)),
+    5: Criterion("laguerre specials vs independent Bessel and resolvent oracles", "gftrans",
+                 {"laguerre special: e^x J_0(2 sqrt x)": 1e-10, "laguerre special: resolvent exponential": 1e-10}),
+    6: Criterion("hermite integral representations, exact over n and y", "hermite-integral",
+                 {"shift transform vs two-variable Hermite": 0.0, "monomial integral representation": 0.0},
+                 runtime=10.0),
+    7: Criterion("tricomi evolution vs series on its grid and at F(1,1)", "tricomi",
+                 {"evolution quadrature vs series": 1e-8, "evolution spot value F(1,1)": 1e-8}),
+    8: Criterion("disentanglement residuals exactly zero; printed constants flagged", "disentangle",
+                 {"weyl decoupling rule": 0.0, "cubic disentanglement, derived constant": 0.0},
+                 flagged=("printed commutator constant", "printed ordered-form constants")),
+    9: Criterion("pauli matrix functions vs spectral oracle", "pauli",
+                 {"matrix function vs spectral oracle": 1e-8, "gaussian of the involutive argument": 1e-8}),
+    10: Criterion("weyl algebra, borel transform, dual-route evolution", "weyl-borel",
+                  {"laguerre-derivative commutator": 0.0, "borel transform of C_0": 0.0,
+                   "laguerre-derivative exponential, dual routes": 1e-10}),
+    11: Criterion("integro-differential evolution vs matrix-exponential oracle", "integro-diff",
+                  {"integro-differential evolution vs matrix oracle": 1e-6}, runtime=60.0),
+    12: Criterion("appell coefficients vs operational oracle; bernoulli a_2 exact", "appell",
+                  {"expansion coefficients vs operational oracle": 1e-8, "bernoulli quadratic polynomial": 0.0}),
+    13: Criterion("umbral transform vs double-sum oracle; gaussian-evolution bridge", "umbral",
+                  {"umbral operator transform vs double sum": 1e-7, "umbral gaussian evolution bridge": 1e-10}),
+    14: Criterion("heat evolution matches gaussian widening on-grid", "heat",
+                  {"gaussian variance widening": 1e-6}),
+}
 
 
-def test_02_modular_roundtrip_exact():
-    rng = random.Random(SEED + 1)
-    start = time.perf_counter()
-    ok = True
-    for _ in range(200):
-        a = checks.random_sequence(rng, max_len=32, bound=10 ** 6)
-        p = sq.TransformParams(checks.nonzero_rational(rng, 10 ** 6), checks.nonzero_rational(rng, 10 ** 6))
-        if sq.modular_inverse(sq.modular_transform(a, p), p).terms != a.terms:
-            ok = False
-            break
-    elapsed = time.perf_counter() - start
-    report(2, "modular roundtrip exact on 200 random draws", ok and elapsed < 1.0, f"{elapsed:.2f}s")
+def shortfalls(criterion: Criterion, results: dict) -> list[str]:
+    """Where the catalog's rows miss the criterion; none when they meet it."""
+    missing = []
+    for name in (*criterion.bounds, *criterion.flagged):
+        want = "flagged-errata" if name in criterion.flagged else "pass"
+        row = results.get((criterion.suite, name))
+        if row is None:
+            missing.append(f"no {criterion.suite} row {name!r}")
+        elif row.status != want:
+            missing.append(f"{name!r} is {row.status}, not {want}")
+        elif name in criterion.bounds and not row.residual <= criterion.bounds[name]:
+            missing.append(f"{name!r} residual {row.residual:.2e} above {criterion.bounds[name]:.0e}")
+    return missing
 
 
-def test_03_k_binomial_closed_forms():
-    worst = 0.0
-    ok = True
-    for k in range(4):
-        for case in checks._k_binomial_cases(k):
-            outcome = checks.run_master_case(case, order=64, sequences=checks.K_BINOMIAL_SEQUENCES)
-            if outcome.passed is False:
-                ok = False
-            worst = max(worst, outcome.residual)
-    report(3, "k-binomial closed forms within tail budgets", ok and worst <= 1e-10,
-           f"worst rel {worst:.2e}")
+@pytest.fixture(scope="module")
+def results(catalog_run) -> dict:
+    """The run's `CheckResult`s by (suite, name)."""
+    return {(suite, result.name): result for suite, result in catalog_run[0]}
 
 
-def test_04_generating_function_master_property():
-    worst = 0.0
-    ok = True
-    for case in checks.master_cases():
-        outcome = checks.run_master_case(case, order=64)
-        if outcome.passed is False:
-            ok = False
-        worst = max(worst, outcome.residual)
-    report(4, "closed generating forms on 8 kinds x 5 sequences x 20 points", ok and worst <= 1e-10,
-           f"worst rel {worst:.2e}")
-
-
-def test_05_laguerre_special_cases():
-    ones = sq.Sequence.of([1] * 65)
-    unit = sq.TransformParams(1, 1)
-    bessel_form = gf.laguerre_form(unit, "exponential").bind(ones)
-    resolvent_form = gf.laguerre_form(unit, "ordinary").bind(ones)
-    worst = 0.0
-    for x in np.linspace(0.0, 0.5, 11):
-        bessel = bessel_form(complex(x))
-        worst = max(worst, abs(bessel - exp(x) * scipy.special.j0(2 * sqrt(x))))
-        resolvent = resolvent_form(complex(x))
-        worst = max(worst, abs(resolvent - exp(-x / (1 - x)) / (1 - x)))
-    report(5, "laguerre specials vs independent Bessel oracle", worst <= 1e-10, f"worst {worst:.2e}")
-
-
-def test_06_hermite_integral_representations():
-    # both sides are polynomials in x, compared coefficient by coefficient
-    start = time.perf_counter()
-    failures = []
-    ys = [Fraction(1, 10) + Fraction(19, 40) * j for j in range(5)]  # 0.1 .. 2 in 5 steps
-    for n in (0, 2, 5, 8, 10):
-        monomial = (0,) * n + (1,)
-        for y in ys:
-            if oc.gaussian_shift_transform(monomial, y) != sf.hermite2_coeffs(n, -y):
-                failures.append(f"shift of u^{n} at y = {y}")
-            if oc.gaussian_shift_transform(sf.hermite2_coeffs(n, y), y) != monomial:
-                failures.append(f"shift of H_{n}(x, {y})")
-    elapsed = time.perf_counter() - start
-    report(6, "hermite integral representations, exact over n and y",
-           not failures and elapsed < 10.0, f"{failures or 'exact'}, {elapsed:.1f}s")
-
-
-def test_07_tricomi_evolution():
-    worst = 0.0
-    for x in np.linspace(0.0, 1.0, 11):
-        for tau in np.linspace(0.0, 1.0, 11):
-            got = oc.tricomi_evolution(float(x), float(tau))
-            worst = max(worst, abs(got - oc.tricomi_evolution_series(float(x), float(tau))))
-    spot = abs(oc.tricomi_evolution(1.0, 1.0).real - 0.5206029)
-    report(7, "tricomi evolution vs series on 11x11 grid plus spot value",
-           worst <= 1e-8 and spot <= 5e-7, f"worst {worst:.2e}, spot {spot:.1e}")
-
-
-def test_08_disentanglement_exact_and_errata():
-    derived_zero = (
-        checks._weyl_check(1, 1, order=8) == 0
-        and checks._weyl_check(Fraction(3, 2), Fraction(-2, 3), order=8) == 0
-        and checks._cubic_disentangle_check(1, 1, order=8) == 0
-        and checks._cubic_disentangle_check(Fraction(3, 4), 2, order=8) == 0
-    )
-    rows = checks.run_selected("disentangle")
-    printed_nonzero = next(r.residual for _, r in rows if r.equation == "Eq. 72") != 0
-    flagged = {r.equation for _, r in rows if r.status == "flagged-errata"}
-    report(8, "disentanglement residuals exactly zero; printed constants flagged",
-           derived_zero and printed_nonzero and flagged == {"Eq. 72", "Eq. 75"})
-
-
-def test_09_pauli_matrix_functions():
-    worst = 0.0
-    for factory in (oc.gaussian_symbol, oc.cos_gaussian_symbol):
-        symbol = factory(1.0)
-        for omega in (0.0, 0.7, 1.0, 2.0):
-            got = oc.matrix_function_pauli(symbol, omega)
-            want = oc.pauli_spectral(symbol.func, omega)
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    spot = float(np.max(np.abs(
-        oc.matrix_function_pauli(oc.gaussian_symbol(1.0), 1.0) - exp(-1.0) * np.eye(2)
-    )))
-    report(9, "pauli matrix functions vs spectral oracle", worst <= 1e-8 and spot <= 1e-8,
-           f"worst {worst:.2e}")
-
-
-def test_10_weyl_algebra_and_borel():
-    commutator_zero = all(
-        all(c == 0 for c in checks._commutator_check_LD(coeffs))
-        for coeffs in ((0, Fraction(1)), (0, 0, 0, Fraction(1)), (0, Fraction(3), 0, Fraction(-2)))
-    )
-    borel_exact = oc.borel_transform(oc.c0_series(20)) == tuple(
-        Fraction((-1) ** n, factorial(n)) for n in range(21)
-    )
-    c0 = oc.c0_series(24)
-    evolved = oc.exp_laguerre_derivative(Fraction(1, 2), c0)
-    expanded = exp_apply([oc.OperatorTerm(1, Fraction(1, 2), "LD")], polynomial(c0), 24)
-    dual_routes = list(evolved) == coefficients(expanded, len(c0))
-    eigen = max(abs(float(evolved[j] / c0[j]) - exp(-0.5)) for j in range(12))
-    report(10, "weyl algebra, borel transform, dual-route evolution",
-           commutator_zero and borel_exact and dual_routes and eigen <= 1e-10, f"eigen dev {eigen:.2e}")
-
-
-def test_11_integro_differential_evolution():
-    start = time.perf_counter()
-    f = gf.PowerSeries(oc.c0_series(40), "ordinary")
-    f_ord = [float(c) for c in oc.c0_series(40)]
-    worst = 0.0
-    for beta in (0.0, 0.5, 1.0):
-        for x in np.linspace(0.0, 0.5, 5):
-            for tau in np.linspace(0.0, 0.5, 5):
-                got = oc.integro_diff_evolve(f, beta, 2, float(tau), float(x))
-                want = oc.integro_matrix_oracle(f_ord, beta, 2, float(tau), float(x), 40)
-                worst = max(worst, abs(got - want))
-    elapsed = time.perf_counter() - start
-    report(11, "integro-differential evolution vs degree-40 matrix oracle",
-           worst <= 1e-6 and elapsed < 60.0, f"worst {worst:.2e}, {elapsed:.1f}s")
-
-
-def test_12_appell_expansion():
-    bern = ap.bernoulli_family()
-    g1 = ap.GaussianFunction(Fraction(1))
-    quad = ap.expansion_coefficients(bern, g1, 10)
-    oracle = ap.operational_coefficients(bern, g1, 10)
-    worst = max(abs(complex(c) - float(o)) for c, o in zip(quad.coefficients, oracle))
-    gh = ap.gauss_hermite_family()
-    g8 = ap.GaussianFunction(Fraction(1, 8))
-    quad_h = ap.expansion_coefficients(gh, g8, 10)
-    oracle_h = ap.operational_coefficients(gh, g8, 10)
-    worst = max(worst, max(abs(complex(c) - float(o)) for c, o in zip(quad_h.coefficients, oracle_h)))
-    exact_poly = ap.appell_poly(bern, 2, "plus") == (Fraction(1, 6), Fraction(-1), Fraction(1))
-    report(12, "appell coefficients vs operational oracle; bernoulli a_2 exact",
-           worst <= 1e-8 and exact_poly, f"worst {worst:.2e}")
-
-
-def test_13_umbral_transform():
-    scale = Fraction(1, 32)
-    taylor = oc.gaussian_taylor(scale, 120)
-    a = sq.Sequence.of([1] * 80)
-    worst = 0.0
-    for x in (-0.3, -0.2, -0.1, 0.05, 0.15, 0.25, 0.3):
-        got = oc.umbral_operator_transform(oc.gaussian_symbol(float(scale)), a, x, rho=1.0)
-        worst = max(worst, abs(got - oc.umbral_double_sum(taylor, a, x)))
-    bridge = checks._gauss_umbral_bridge_residual(sq.Sequence.of([1] * 40), Fraction(1, 4),
-                                                  np.linspace(-0.8, 0.8, 10))
-    report(13, "umbral transform vs double-sum oracle; gaussian-evolution bridge",
-           worst <= 1e-7 and bridge <= 1e-10, f"worst {worst:.2e}, bridge {bridge:.2e}")
-
-
-def test_14_heat_evolution():
-    g = oc.GridFunction.sample(lambda t: np.exp(-t ** 2 / 2), 16.0, 1024)
-    out = oc.heat_evolve_ft(g, 0.5)
-    expected = np.exp(-g.xs() ** 2 / 4) / sqrt(2.0)
-    worst = float(np.max(np.abs(out.samples - expected)))
-    report(14, "heat evolution matches gaussian widening on-grid", worst <= 1e-6, f"worst {worst:.2e}")
+@pytest.mark.parametrize("number", CRITERIA, ids=lambda number: f"{number:02d}")
+def test_criterion(number, results):
+    criterion = CRITERIA[number]
+    missing = shortfalls(criterion, results)
+    rows = [results[criterion.suite, name] for name in criterion.bounds if (criterion.suite, name) in results]
+    elapsed = sum(row.runtime for row in rows)
+    if criterion.runtime is not None and not elapsed < criterion.runtime:
+        missing.append(f"{elapsed:.2f}s, not under {criterion.runtime:g}s")
+    worst = max((row.residual for row in rows), default=float("nan"))
+    status = "FAIL" if missing else "PASS"
+    print(f"ACCEPTANCE {number:2d} [{status}] {criterion.label} (worst {worst:.2e}, {elapsed:.2f}s)")
+    assert not missing, f"criterion {number}: {criterion.label}: {'; '.join(missing)}"

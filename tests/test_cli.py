@@ -486,6 +486,18 @@ def test_bad_numeric_flag_exits_3(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--equation", "tricomi", "--x-count", "100000000000000000000"],
+    ["--equation", "integro-diff", "--tau-count", "100000000000000000000"],
+    ["--equation", "heat", "--points", "4611686018427387904"],
+], ids=lambda argv: argv[2])
+def test_grid_past_its_bound_exits_3(argv, capsys):
+    # numpy cannot build these grids: np.linspace and np.zeros raised ValueError with a traceback
+    assert main(["evolve", *argv]) == 3
+    most = cli.MAX_POINTS if argv[2] == "--points" else cli.MAX_AXIS_COUNT
+    assert capsys.readouterr() == ("", f"error: {argv[2]} must be between 1 and {most}, got {argv[3]}\n")
+
+
+@pytest.mark.parametrize("argv", [
     # extent^2 overflowed in the kernel-reach test, and 2 extent / points is inf
     ["evolve", "--equation", "heat", "--extent", "1e308"],
     # 1 + 4 alpha scale is inf: the reference printed nan in every residual
@@ -542,6 +554,23 @@ def test_errors_quote_user_text_in_short(argv, doc, code, tmp_path, capsys):
     assert err.startswith("error: ") and len(err) < 300 and "characters)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", DOC, "--name", "binomial"],
+    ["check", "--suite", "heat"],
+    ["expand", "--family", "bernoulli", "--count", "2"],
+    ["evolve", "--equation", "heat", "--points", "64"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing/x.json", ""], ids=["missing-directory", "a-directory"])
+def test_unwritable_output_exits_3(argv, target, tmp_path, capsys):
+    # the open raised FileNotFoundError or IsADirectoryError: a traceback and exit 1
+    doc = write(tmp_path, "doc.json", '{"terms": ["1", "2"]}')
+    output = str(tmp_path / target)
+    assert main([doc if part == DOC else part for part in argv] + ["--output", output]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write --output {errors.quoted(output)}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 #: the exit code README documents for each error type; a type missing here fails the test below
 DOCUMENTED_EXIT_CODES = {
     errors.UmbraError: 1, errors.InternalConsistencyError: 1, errors.SequenceFormatError: 2,
@@ -588,7 +617,8 @@ def _values(*typical):
 
 
 # `check --suite all` takes seconds and every suite runs alone anyway; grid
-# counts stay at most 3 and --points at most 1024 so that no example is slow
+# counts stay at most 3 and --points at most 1024 so that no example is slow,
+# apart from one value past each bound, which exits 3 before any grid is made
 FUZZ_ARGV = st.one_of(
     _flags(
         {"--suite": st.sampled_from((*suite_names(), "", "bogus"))},
@@ -601,10 +631,11 @@ FUZZ_ARGV = st.one_of(
     ).map(lambda argv: ["expand", *argv]),
     _flags(
         {"--equation": st.sampled_from(("heat", "tricomi", "integro-diff")),
-         "--x-count": st.sampled_from(("1", "2", "3", "0", "-1", "nan", "")),
-         "--tau-count": st.sampled_from(("1", "2", "3", "0", "-1", "nan", ""))},
+         "--x-count": st.sampled_from(("1", "2", "3", "0", "-1", "nan", "", "100000000000000000000")),
+         "--tau-count": st.sampled_from(("1", "2", "3", "0", "-1", "nan", "", "100000000000000000000"))},
         {"--alpha": _values("0.5", "8"), "--beta": _values("0.5", "1", "2.5"), "--m": _values("2", "4", "400"),
-         "--extent": _values("16", "2"), "--points": _values("64", "1024"), "--scale": _values("1/2", "4")},
+         "--extent": _values("16", "2"), "--points": _values("64", "1024", "4611686018427387904"),
+         "--scale": _values("1/2", "4")},
     ).map(lambda argv: ["evolve", *argv]),
 )
 
@@ -623,12 +654,17 @@ def _nan_columns(command: str, out: str) -> list:
 @given(argv=FUZZ_ARGV)
 def test_cli_fuzz_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # a quadrature that stops at its node cap warns on stderr and carries on (README, "Stderr"), so
+    # that warning is output here as in a run of the program; any other warning stays an error
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", QuadratureConvergenceWarning)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
     assert code in range(5), (argv, code)
     assert "Traceback" not in err.getvalue()
+    assert all(w.category is QuadratureConvergenceWarning for w in caught), [str(w.message) for w in caught]
     if code == 0:
         assert not _nan_columns(argv[0], out.getvalue()), argv

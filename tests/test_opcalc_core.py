@@ -5,7 +5,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbra import checks, opcalc
@@ -296,6 +296,7 @@ class TestSeriesOps:
 
     @given(st.lists(small_rationals, min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
+    @example([0, Fraction(3), 0, Fraction(-2)])
     def test_commutator_residual_is_minus_f0(self, coeffs):
         res = checks._commutator_check_LD(coeffs)
         assert res == (-coeffs[0],) + (0,) * (len(coeffs) - 1)

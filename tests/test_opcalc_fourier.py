@@ -83,6 +83,13 @@ class TestMonomialFromHermite:
         for n in range(21):
             assert opcalc.gaussian_shift_transform(hermite2_coeffs(n, y), y) == _monomial(n)
 
+    @pytest.mark.parametrize("y", [Fraction(1, 10) + Fraction(19, 40) * j for j in range(5)], ids=str)
+    def test_both_directions_exact_over_widths(self, y):
+        # Eqs. 46/47 and 48 with exact coefficients, at five widths from 1/10 to 2
+        for n in range(11):
+            assert opcalc.gaussian_shift_transform(_monomial(n), y) == hermite2_coeffs(n, -y)
+            assert opcalc.gaussian_shift_transform(hermite2_coeffs(n, y), y) == _monomial(n)
+
     def test_rejects_bad_y(self):
         for y in (-1.0, 0.0, float("nan")):
             with pytest.raises(InvalidParameterError):
@@ -540,7 +547,7 @@ class TestUmbralTransform:
         got = opcalc.umbral_operator_transform(self.sym, self.a, 0.0)
         assert got == pytest.approx(1.0, abs=1e-12)  # F(0) = 1, a_0 = 1
 
-    @pytest.mark.parametrize("x", [0.3, 0.2, -0.25, 0.05])
+    @pytest.mark.parametrize("x", [-0.3, -0.25, -0.2, -0.1, 0.05, 0.15, 0.2, 0.25, 0.3])
     def test_matches_double_sum_oracle(self, x):
         got = opcalc.umbral_operator_transform(self.sym, self.a, x, rho=1.0)
         ref = opcalc.umbral_double_sum(self.taylor, self.a, x)

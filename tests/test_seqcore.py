@@ -1,4 +1,5 @@
 """Exactness tests for the sequence transforms."""
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from transform_oracle import expected
 
+from umbra.checks import DEFAULT_SEED, nonzero_rational, random_sequence
 from umbra.errors import InvalidParameterError, SequenceFormatError
 from umbra.seqcore import (
     Sequence,
@@ -103,6 +105,14 @@ class TestModular:
     def test_roundtrip(self, a, alpha, beta):
         p = TransformParams(alpha, beta)
         assert modular_inverse(modular_transform(a, p), p).terms == a.terms
+
+    def test_roundtrip_on_wide_random_draws(self):
+        # 200 draws of up to 32 terms, with numerators, denominators and parameters up to 10^6
+        rng = random.Random(DEFAULT_SEED + 1)
+        for _ in range(200):
+            a = random_sequence(rng, max_len=32, bound=10 ** 6)
+            p = TransformParams(nonzero_rational(rng, 10 ** 6), nonzero_rational(rng, 10 ** 6))
+            assert modular_inverse(modular_transform(a, p), p).terms == a.terms
 
     @given(sequences, rationals)
     @settings(max_examples=30)
