@@ -112,19 +112,27 @@ def _worst(residuals) -> float:
 # ---------------------------------------------------------------------------
 # route-vs-oracle sweeps, printed row by row by the CLI's evolve and expand
 
+def _grid_points(end: float, x_count: int, tau_count: int) -> list[tuple[float, float]]:
+    """The (x, tau) points of the grid [0, end]^2, x-major."""
+    taus = [float(tau) for tau in np.linspace(0.0, end, tau_count)]
+    return [(float(x), tau) for x in np.linspace(0.0, end, x_count) for tau in taus]
+
+
 def _grid_sweep(route, oracle, end: float, x_count: int, tau_count: int) -> list[tuple]:
     """(x, tau, route value, |route - oracle|) over the grid [0, end]^2, x-major."""
     rows = []
-    for x in np.linspace(0.0, end, x_count):
-        for tau in np.linspace(0.0, end, tau_count):
-            value = route(float(x), float(tau))
-            rows.append((float(x), float(tau), value, abs(value - oracle(float(x), float(tau)))))
+    for x, tau in _grid_points(end, x_count, tau_count):
+        value = route(x, tau)
+        rows.append((x, tau, value, abs(value - oracle(x, tau))))
     return rows
 
 
 def tricomi_sweep(x_count: int, tau_count: int) -> list[tuple]:
-    """Eq. 55 on [0, 1]^2: the quadrature solution against the series solution."""
-    return _grid_sweep(oc.tricomi_evolution, oc.tricomi_evolution_series, 1.0, x_count, tau_count)
+    """Eq. 55 on [0, 1]^2: the quadrature solution, the grid's points stacked
+    into shared doubling loops, against the series solution."""
+    points = _grid_points(1.0, x_count, tau_count)
+    return [(x, tau, value, abs(value - oc.tricomi_evolution_series(x, tau)))
+            for (x, tau), value in zip(points, oc.tricomi_evolution_points(points))]
 
 
 def c0_truncation(m: int) -> int:

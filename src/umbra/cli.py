@@ -109,15 +109,9 @@ def _at_least_one(value: int, flag: str) -> int:
     return value
 
 
-#: the largest `evolve --points`, and the largest `--x-count` and `--tau-count`: one
-#: axis array takes 8 MB at these bounds, and a larger count exits 3 before any is made
+#: the most points of an `evolve` grid: `--points`, and `--x-count` times `--tau-count`;
+#: a larger grid exits 3 before any array is made
 MAX_POINTS = 2 ** 20
-MAX_AXIS_COUNT = 10 ** 6
-
-
-def _grid_count(value: int, flag: str, most: int) -> None:
-    if not 1 <= value <= most:
-        raise InvalidParameterError(f"{flag} must be between 1 and {most}, got {value}")
 
 
 def cmd_transform(args) -> int:
@@ -205,8 +199,13 @@ def cmd_evolve(args) -> int:
 
     for flag in ("alpha", "extent", "beta"):
         _finite(getattr(args, flag), f"--{flag}")
-    for flag, most in (("points", MAX_POINTS), ("x_count", MAX_AXIS_COUNT), ("tau_count", MAX_AXIS_COUNT)):
-        _grid_count(getattr(args, flag), "--" + flag.replace("_", "-"), most)
+    if not 1 <= args.points <= MAX_POINTS:
+        raise InvalidParameterError(f"--points must be between 1 and {MAX_POINTS}, got {args.points}")
+    for flag in ("x_count", "tau_count"):
+        _at_least_one(getattr(args, flag), "--" + flag.replace("_", "-"))
+    if args.x_count * args.tau_count > MAX_POINTS:
+        raise InvalidParameterError(f"--x-count times --tau-count must be at most {MAX_POINTS}, "
+                                    f"got {args.x_count} x {args.tau_count}")
     if args.equation == "heat":
         scale = float(_parse_float_sized(args.scale, "--scale"))
         header = (f"heat evolution: alpha={args.alpha:g} scale={scale:g} "

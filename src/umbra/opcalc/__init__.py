@@ -14,6 +14,7 @@ from .fourier import (
     integro_diff_evolve,
     matrix_function_pauli,
     tricomi_evolution,
+    tricomi_evolution_points,
     umbral_operator_transform,
 )
 from .operators import OperatorTerm
@@ -56,6 +57,7 @@ __all__ = [
     "integro_diff_evolve",
     "matrix_function_pauli",
     "tricomi_evolution",
+    "tricomi_evolution_points",
     "umbral_operator_transform",
     "polyval_coeffs",
     "apply_entire_function",

@@ -150,6 +150,21 @@ def matrix_function_pauli(symbol: FourierSymbol, omega_mag: float) -> np.ndarray
     return np.array([[cos_part, -sin_part], [sin_part, cos_part]], dtype=complex)
 
 
+#: tau > 0 points per doubling loop of tricomi_evolution_points.  Larger blocks
+#: were no faster and raise the high-water mark: three in-process catalog runs
+#: peaked 0.15 MB above the per-point route with blocks of 32, 0.7 MB with 64
+TRICOMI_BLOCK = 32
+
+
+def _tricomi_integrand(k: np.ndarray, x) -> np.ndarray:
+    """C_0(-i k x), the integrand of Eq. 55 against the weight e^{-k^2/4 tau}."""
+    return tricomi_c(0, -1j * k * x)
+
+
+def _tricomi_normalised(integral: complex, tau: float) -> complex:
+    return integral / (2.0 * sqrt(pi * tau))
+
+
 def tricomi_evolution(x: float, tau: float) -> complex:
     """Solution of d/d tau F = -D^{-2} F, F(x, 0) = 1:
 
@@ -159,8 +174,32 @@ def tricomi_evolution(x: float, tau: float) -> complex:
         return 1.0 + 0j
     if tau < 0:
         raise InvalidParameterError("tricomi evolution needs tau >= 0")
-    res = gauss_weighted_integral(lambda k: tricomi_c(0, -1j * k * x), tau)
-    return res.value / (2.0 * sqrt(pi * tau))
+    res = gauss_weighted_integral(lambda k: _tricomi_integrand(k, x), tau)
+    return _tricomi_normalised(res.value, tau)
+
+
+def tricomi_evolution_points(points: list[tuple[float, float]]) -> list[complex]:
+    """tricomi_evolution at each (x, tau), bit for bit, node counts included.
+
+    The points with tau != 0 are taken in order, TRICOMI_BLOCK at a time, and
+    each block is one stack of gaussian_fourier_rows: its rows share the
+    Gauss-Hermite nodes u, each scaled by its own 1 / sqrt(1 / (4 tau)) as
+    gauss_weighted_integral scales them.  An unconverged point warns as
+    "(integrand r of R)" of its block.
+    """
+    if any(tau < 0 for _, tau in points):
+        raise InvalidParameterError("tricomi evolution needs tau >= 0")
+    values = [1.0 + 0j] * len(points)
+    live = [i for i, (_, tau) in enumerate(points) if tau != 0]
+    for start in range(0, len(live), TRICOMI_BLOCK):
+        block = live[start:start + TRICOMI_BLOCK]
+        xs = np.array([points[i][0] for i in block])[:, None]
+        taus = [points[i][1] for i in block]
+        results = gaussian_fourier_rows([1.0 / (4.0 * tau) for tau in taus],
+                                        lambda k, active: _tricomi_integrand(k, xs[active]), len(block))
+        for i, tau, res in zip(block, taus, results):
+            values[i] = _tricomi_normalised(res.value, tau)
+    return values
 
 
 @lru_cache(maxsize=None)

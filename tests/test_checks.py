@@ -78,9 +78,9 @@ def _assert_fails_with_nan(row: checks.Check) -> None:
 
 def test_eq55_grid_row_fails_on_one_nan_point(monkeypatch):
     # the sweep's maximum must not drop a NaN at (x, tau) = (1/2, 1/2)
-    route = checks.oc.tricomi_evolution
-    monkeypatch.setattr(checks.oc, "tricomi_evolution",
-                        lambda x, tau: float("nan") if (x, tau) == (0.5, 0.5) else route(x, tau))
+    route = checks.oc.tricomi_evolution_points
+    monkeypatch.setattr(checks.oc, "tricomi_evolution_points", lambda points: [
+        float("nan") if point == (0.5, 0.5) else value for point, value in zip(points, route(points))])
     _assert_fails_with_nan(_only_row("tricomi", "evolution quadrature vs series"))
 
 

@@ -485,16 +485,35 @@ def test_bad_numeric_flag_exits_3(argv, tmp_path, capsys):
     assert "nan" not in out.lower()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--equation", "tricomi", "--x-count", "100000000000000000000"],
-    ["--equation", "integro-diff", "--tau-count", "100000000000000000000"],
-    ["--equation", "heat", "--points", "4611686018427387904"],
-], ids=lambda argv: argv[2])
-def test_grid_past_its_bound_exits_3(argv, capsys):
-    # numpy cannot build these grids: np.linspace and np.zeros raised ValueError with a traceback
-    assert main(["evolve", *argv]) == 3
-    most = cli.MAX_POINTS if argv[2] == "--points" else cli.MAX_AXIS_COUNT
-    assert capsys.readouterr() == ("", f"error: {argv[2]} must be between 1 and {most}, got {argv[3]}\n")
+def test_points_past_their_bound_exit_3(capsys):
+    # numpy cannot build this grid: np.zeros raised ValueError with a traceback
+    assert main(["evolve", "--equation", "heat", "--points", "4611686018427387904"]) == 3
+    assert capsys.readouterr() == ("", f"error: --points must be between 1 and {cli.MAX_POINTS}, "
+                                       "got 4611686018427387904\n")
+
+
+@pytest.mark.parametrize("equation", ["tricomi", "integro-diff"])
+@pytest.mark.parametrize("x_count, tau_count", [
+    # np.linspace could not build an axis of 10^20 points; 10^6 x 10^6 passed a per-axis
+    # bound and would have run 10^12 points; 1025 x 1024 is one row past 2^20 points
+    (10 ** 20, 6), (6, 10 ** 20), (10 ** 6, 10 ** 6), (1025, 1024),
+])
+def test_grid_past_its_bound_exits_3_before_any_point(equation, x_count, tau_count, monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("the sweep ran")
+
+    for sweep in ("tricomi_sweep", "integro_sweep"):
+        monkeypatch.setattr(checks, sweep, refuse)
+    assert main(["evolve", "--equation", equation, "--x-count", str(x_count), "--tau-count", str(tau_count)]) == 3
+    assert capsys.readouterr() == ("", f"error: --x-count times --tau-count must be at most {cli.MAX_POINTS}, "
+                                       f"got {x_count} x {tau_count}\n")
+
+
+def test_grid_at_its_bound_is_accepted(monkeypatch, capsys):
+    # 1024 x 1024 is exactly 2^20 points; the sweep is stubbed, only the bound is under test
+    monkeypatch.setattr(checks, "tricomi_sweep", lambda x_count, tau_count: [])
+    assert 1024 * 1024 == cli.MAX_POINTS
+    assert main(["evolve", "--equation", "tricomi", "--x-count", "1024", "--tau-count", "1024"]) == 0
 
 
 @pytest.mark.parametrize("argv", [

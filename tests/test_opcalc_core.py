@@ -5,6 +5,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 import scipy.special
+from exp_apply_oracle import exp_apply_fractions
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,31 @@ class TestExpApply:
         with pytest.raises(InvalidParameterError):
             formal.exp_apply(terms, {(0, 1): Fraction(1)}, 8)
 
+    @pytest.mark.parametrize("scalar, value", [
+        (0.5, Fraction(1)), (1j, Fraction(1)), (Fraction(1, 2), 0.1), (Fraction(1, 2), 1 + 0j), (np.float64(2.0), 1),
+    ])
+    def test_rejects_an_inexact_scalar_or_state_value(self, scalar, value):
+        # cleared to integers, a float would enter as its exact binary value and the result
+        # would look exact; the engine takes exact rationals only
+        with pytest.raises(InvalidParameterError, match="exact rational"):
+            formal.exp_apply([formal.OperatorTerm(1, scalar, "x")], {(0, 1): value}, 4)
+
+    @given(
+        st.lists(st.builds(formal.OperatorTerm, st.integers(1, 3),
+                           st.fractions(min_value=-9, max_value=9, max_denominator=10 ** 6),
+                           st.sampled_from(sorted(operators._ACTIONS))), min_size=1, max_size=5),
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 8)),
+                        st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6).filter(bool),
+                        min_size=1, max_size=6),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_series_equals_the_fraction_loop(self, terms, state, cap):
+        # all six actions, D^{-1}'s 1/(n + 1) among them, on multi-monomial states
+        got = formal.exp_apply(terms, state, cap)
+        assert got == exp_apply_fractions(terms, state, cap)
+        assert all(got.values()) and all(type(c) is Fraction for c in got.values())
+
 
 def _apply(action, coeffs):
     """One eps^0 action on an ascending coefficient vector, read back at its length."""
@@ -342,8 +368,10 @@ class TestSeriesOps:
             op(coeffs, param)
 
     def test_exp_laguerre_dual_routes_agree_float(self):
+        # the series route takes a float as its exact value; the engine takes exact
+        # values only, so it is handed those, and the routes agree exactly
         f = (0.0, 1.0, 0.5, -0.25)
         out = opcalc.exp_laguerre_derivative(0.7, f)
-        via_engine = _exp("LD", 0.7, f)
+        via_engine = _exp("LD", Fraction(0.7), tuple(map(Fraction, f)))
         assert len(out) == 4
-        assert max(abs(a - b) for a, b in zip(out, via_engine)) <= 1e-10
+        assert out == via_engine

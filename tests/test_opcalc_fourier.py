@@ -11,7 +11,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from umbra import opcalc
+from umbra import checks, opcalc
 from umbra.opcalc import formal, fourier, operators, oracles, quadrature
 from umbra.errors import (
     DivergenceError,
@@ -168,6 +168,46 @@ class TestTricomiEvolution:
             for tau in (0.1, 0.6, 1.0):
                 got = opcalc.tricomi_evolution(x, tau)
                 assert abs(got - opcalc.tricomi_evolution_series(x, tau)) < 1e-8
+
+    def test_stacked_sweep_is_the_per_point_route_bit_for_bit(self, monkeypatch):
+        # 13 x 11 has 130 points with tau > 0, ten per x-line: the first block of
+        # TRICOMI_BLOCK ends inside an x-line, and the tau = 0 column and x = 0 row are in
+        assert 130 > fourier.TRICOMI_BLOCK and fourier.TRICOMI_BLOCK % 10
+        nodes, doubling = [], quadrature._doubling
+
+        def counted(g, rows):
+            results = doubling(g, rows)
+            nodes.extend(res.node_count for res in results)
+            return results
+
+        monkeypatch.setattr(quadrature, "_doubling", counted)
+        stacked = checks.tricomi_sweep(13, 11)
+        stacked_nodes, nodes[:] = nodes[:], []
+        per_point = []
+        for x, tau, *_ in stacked:
+            value = opcalc.tricomi_evolution(x, tau)
+            per_point.append((x, tau, value, abs(value - opcalc.tricomi_evolution_series(x, tau))))
+        assert len(stacked) == 143 and {x for x, *_ in stacked} >= {0.0} and {t for _, t, *_ in stacked} >= {0.0}
+        assert [tuple(map(repr, row)) for row in stacked] == [tuple(map(repr, row)) for row in per_point]
+        assert stacked_nodes == nodes and len(nodes) == 130
+
+    def test_stacked_route_rejects_negative_tau(self):
+        with pytest.raises(InvalidParameterError):
+            opcalc.tricomi_evolution_points([(0.5, 0.5), (0.5, -0.1)])
+
+    def test_stacked_route_names_an_unconverged_point_in_its_block(self, monkeypatch):
+        # one row of the stack never settles: it warns alone, as integrand 1 of the block
+        # (the tau = 0 point is no row)
+        route = fourier._tricomi_integrand
+
+        def restless(k, x):
+            # the row at x = 0.4 gains 1e-3 per node: its sum moves with every doubling
+            return route(k, x) + 1e-3 * k.shape[-1] * (x == 0.4)
+
+        monkeypatch.setattr(fourier, "_tricomi_integrand", restless)
+        with pytest.warns(quadrature.QuadratureConvergenceWarning, match=r"\(integrand 1 of 3\)") as caught:
+            opcalc.tricomi_evolution_points([(0.5, 0.0), (0.1, 0.2), (0.4, 0.2), (0.9, 0.3)])
+        assert len(caught) == 1
 
 
 def _evolved_series_values(f_ord: list[complex], beta: float, ks: np.ndarray, x: float, work_order: int) -> np.ndarray:
