@@ -202,7 +202,7 @@ class GaussianFunction:
     scale: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        object.__setattr__(self, "scale", _exact((self.scale,), "gaussian scale")[0])
         if self.scale <= 0:
             raise InvalidParameterError("gaussian scale must be positive")
         # the transform's width 4 scale and its Gaussian coefficient 1/(4 scale) are floats

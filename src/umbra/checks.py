@@ -118,18 +118,9 @@ def _grid_points(end: float, x_count: int, tau_count: int) -> list[tuple[float, 
     return [(float(x), tau) for x in np.linspace(0.0, end, x_count) for tau in taus]
 
 
-def _grid_sweep(route, oracle, end: float, x_count: int, tau_count: int) -> list[tuple]:
-    """(x, tau, route value, |route - oracle|) over the grid [0, end]^2, x-major."""
-    rows = []
-    for x, tau in _grid_points(end, x_count, tau_count):
-        value = route(x, tau)
-        rows.append((x, tau, value, abs(value - oracle(x, tau))))
-    return rows
-
-
 def tricomi_sweep(x_count: int, tau_count: int) -> list[tuple]:
-    """Eq. 55 on [0, 1]^2: the quadrature solution, the grid's points stacked
-    into shared doubling loops, against the series solution."""
+    """Eq. 55 on [0, 1]^2, (x, tau, value, |value - oracle|) x-major: the
+    quadrature solution, its points stacked by tau, against the series solution."""
     points = _grid_points(1.0, x_count, tau_count)
     return [(x, tau, value, abs(value - oc.tricomi_evolution_series(x, tau)))
             for (x, tau), value in zip(points, oc.tricomi_evolution_points(points))]
@@ -142,13 +133,16 @@ def c0_truncation(m: int) -> int:
 
 
 def integro_sweep(beta: float, m: int, x_count: int, tau_count: int) -> list[tuple]:
-    """Eq. 86 on [0, INTEGRO_REGION]^2 from C_0: the Fourier route against the
-    matrix exponential at the same degree cap."""
+    """Eq. 86 on [0, INTEGRO_REGION]^2 from C_0, rows as in tricomi_sweep: the
+    Fourier route against the matrix exponential at the same degree cap."""
     order = c0_truncation(m)
     f = gf.PowerSeries(oc.c0_series(order), "ordinary")
-    return _grid_sweep(lambda x, tau: oc.integro_diff_evolve(f, beta, m, tau, x),
-                       lambda x, tau: oc.integro_matrix_oracle(f.complex_coeffs, beta, m, tau, x, order),
-                       INTEGRO_REGION, x_count, tau_count)
+    rows = []
+    for x, tau in _grid_points(INTEGRO_REGION, x_count, tau_count):
+        value = oc.integro_diff_evolve(f, beta, m, tau, x)
+        oracle = oc.integro_matrix_oracle(f.complex_coeffs, beta, m, tau, x, order)
+        rows.append((x, tau, value, abs(value - oracle)))
+    return rows
 
 
 def heat_sweep(scale: float, alpha: float, extent: float, points: int) -> list[tuple]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from cmath import exp as cexp
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import factorial
 from typing import Callable, Literal
 
@@ -54,28 +54,15 @@ class PowerSeries:
         return tuple(map(complex, self.coeffs))
 
 
-def _eval_ordinary(coeffs, x: complex) -> complex:
-    return polyval_coeffs(map(complex, coeffs), x)
-
-
-def _eval_exponential(coeffs, x: complex) -> complex:
+def _divided_power_series(coeffs, x: complex, step: int) -> complex:
+    """sum c_n x^n / (n!)^step: the exponential series at step 1, at step 2 the
+    bessel series, the Laguerre-side companion q(x) = sum c_r x^r / (r!)^2."""
     value = 0j
     power = 1.0 + 0j
     for n, c in enumerate(coeffs):
         if n:
-            power *= x / n
-        value += complex(c) * power
-    return value
-
-
-def _eval_bessel(coeffs, x: complex) -> complex:
-    # q(x) = sum c_r x^r / (r!)^2, the Laguerre-side companion series
-    value = 0j
-    power = 1.0 + 0j
-    for r, c in enumerate(coeffs):
-        if r:
-            power *= x / (r * r)
-        value += complex(c) * power
+            power *= x / n ** step
+        value += c * power
     return value
 
 
@@ -98,7 +85,9 @@ def _derivative_terms(terms: tuple, r: int, kind: Series) -> tuple:
     return tuple(out)
 
 
-_EVALUATORS = {"ordinary": _eval_ordinary, "exponential": _eval_exponential, "bessel": _eval_bessel}
+#: evaluators of each input series on complex coefficients
+_EVALUATORS = {"ordinary": polyval_coeffs, "exponential": partial(_divided_power_series, step=1),
+               "bessel": partial(_divided_power_series, step=2)}
 
 
 def _unit(x: complex) -> int:

@@ -150,12 +150,6 @@ def matrix_function_pauli(symbol: FourierSymbol, omega_mag: float) -> np.ndarray
     return np.array([[cos_part, -sin_part], [sin_part, cos_part]], dtype=complex)
 
 
-#: tau > 0 points per doubling loop of tricomi_evolution_points.  Larger blocks
-#: were no faster and raise the high-water mark: three in-process catalog runs
-#: peaked 0.15 MB above the per-point route with blocks of 32, 0.7 MB with 64
-TRICOMI_BLOCK = 32
-
-
 def _tricomi_integrand(k: np.ndarray, x) -> np.ndarray:
     """C_0(-i k x), the integrand of Eq. 55 against the weight e^{-k^2/4 tau}."""
     return tricomi_c(0, -1j * k * x)
@@ -178,27 +172,37 @@ def tricomi_evolution(x: float, tau: float) -> complex:
     return _tricomi_normalised(res.value, tau)
 
 
+#: the most rows of one stack in tricomi_evolution_points: a stack's arrays hold
+#: rows x nodes entries, so a tau with more x values is split.  Unsplit, the
+#: peak grows with the grid: `evolve --equation tricomi` on 2000 x 2 points
+#: peaked at 72 MB RSS against 33 MB in stacks of 32, and a 300 x 4 grid ran
+#: 67 ms against 51 ms (stacks of 64: as fast as 32)
+TRICOMI_STACK_ROWS = 32
+
+
 def tricomi_evolution_points(points: list[tuple[float, float]]) -> list[complex]:
     """tricomi_evolution at each (x, tau), bit for bit, node counts included.
 
-    The points with tau != 0 are taken in order, TRICOMI_BLOCK at a time, and
-    each block is one stack of gaussian_fourier_rows: its rows share the
-    Gauss-Hermite nodes u, each scaled by its own 1 / sqrt(1 / (4 tau)) as
-    gauss_weighted_integral scales them.  An unconverged point warns as
-    "(integrand r of R)" of its block.
+    The weight e^{-k^2/4 tau} depends on tau alone, so the points that share a
+    tau != 0 are stacks of gaussian_fourier_rows, rows its x values in order,
+    TRICOMI_STACK_ROWS at a time; the taus run in order of their first point.
+    An unconverged point warns as "(integrand r of R)" of its stack.
     """
     if any(tau < 0 for _, tau in points):
         raise InvalidParameterError("tricomi evolution needs tau >= 0")
     values = [1.0 + 0j] * len(points)
-    live = [i for i, (_, tau) in enumerate(points) if tau != 0]
-    for start in range(0, len(live), TRICOMI_BLOCK):
-        block = live[start:start + TRICOMI_BLOCK]
-        xs = np.array([points[i][0] for i in block])[:, None]
-        taus = [points[i][1] for i in block]
-        results = gaussian_fourier_rows([1.0 / (4.0 * tau) for tau in taus],
-                                        lambda k, active: _tricomi_integrand(k, xs[active]), len(block))
-        for i, tau, res in zip(block, taus, results):
-            values[i] = _tricomi_normalised(res.value, tau)
+    by_tau: dict[float, list[int]] = {}
+    for i, (_, tau) in enumerate(points):
+        if tau != 0:
+            by_tau.setdefault(tau, []).append(i)
+    for tau, rows in by_tau.items():
+        for start in range(0, len(rows), TRICOMI_STACK_ROWS):
+            stack = rows[start:start + TRICOMI_STACK_ROWS]
+            xs = np.array([points[i][0] for i in stack])[:, None]
+            results = gaussian_fourier_rows(1.0 / (4.0 * tau),
+                                            lambda k, active: _tricomi_integrand(k, xs[active]), len(stack))
+            for i, res in zip(stack, results):
+                values[i] = _tricomi_normalised(res.value, tau)
     return values
 
 

@@ -6,9 +6,9 @@ handles after the substitution k = u / sqrt(A).  Rules self-check their
 Gaussian moments at construction; evaluations double the node count until two
 successive results agree, warning at the 1024-node cap.  One doubling loop
 serves a single integrand (`adaptive_hermite`) and a stack of integrands
-(`gaussian_fourier_rows`) that share the Gaussian factor or carry one each,
-their nodes scaled row by row: each row converges, counts its nodes and warns
-on its own, and only the rows still doubling are evaluated at the next rule.
+(`gaussian_fourier_rows`) that share the Gaussian factor: each row converges,
+counts its nodes and warns on its own, and only the rows still doubling are
+evaluated at the next rule.
 """
 from __future__ import annotations
 
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isinf, log, pi, sqrt
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..errors import InvalidParameterError
-from ..seqcore import _factorials, _gauss_egf
+from ..seqcore import _exact, _factorials, _gauss_egf
 
 DEFAULT_START_NODES = 128
 NODE_CAP = 1024
@@ -234,31 +234,17 @@ def gaussian_fourier_integral(gauss_coeff: float, g: Callable[[np.ndarray], np.n
 
 
 def gaussian_fourier_rows(
-    gauss_coeff: float | Sequence[float], g: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int
+    gauss_coeff: float, g: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int
 ) -> tuple[QuadratureResult, ...]:
-    """gaussian_fourier_integral for `rows` integrands at once: g(k, active) gives
-    the rows `active` at the nodes k.  Each row doubles, converges, counts its
-    nodes and warns, naming itself, as its own gaussian_fourier_integral call
-    would, and whatever g shares between rows is computed once per node set.
-
-    `gauss_coeff` is one coefficient for every row, and k the nodes' 1-d array;
-    or one coefficient per row, and k an (active rows, nodes) array whose row r
-    holds the nodes scaled by row r's own 1 / sqrt(coefficient)."""
-    if np.ndim(gauss_coeff) == 0:
-        s = _hermite_scale(gauss_coeff)
-        scales, column = [s] * rows, None
-    elif len(gauss_coeff) == rows:
-        scales = [_hermite_scale(c) for c in gauss_coeff]
-        column = np.array(scales)[:, None]
-    else:
-        raise InvalidParameterError(f"{len(gauss_coeff)} gaussian coefficients for {rows} integrands")
-
-    def rows_at(u: np.ndarray, active: np.ndarray) -> np.ndarray:
-        return g(u * s if column is None else u * column[active], active)
-
+    """gaussian_fourier_integral for `rows` integrands that share the weight
+    exp(-gauss_coeff k^2): g(k, active) gives the rows `active` at the 1-d nodes
+    k.  Each row doubles, converges, counts its nodes and warns, naming itself,
+    as its own gaussian_fourier_integral call would, and whatever g shares
+    between rows is computed once per node set."""
+    s = _hermite_scale(gauss_coeff)
     return tuple(
-        QuadratureResult(res.value * scale, res.node_count, res.converged)
-        for res, scale in zip(_doubling(rows_at, rows), scales)
+        QuadratureResult(res.value * s, res.node_count, res.converged)
+        for res in _doubling(lambda u, active: g(u * s, active), rows)
     )
 
 
@@ -320,7 +306,7 @@ def gaussian_taylor(scale: Fraction, order: int) -> tuple[Fraction, ...]:
     With scale = p/q the coefficient at j = 2r is (-p)^r (2r)!/r! over (2r)! q^r:
     each Fraction is built from two integers.
     """
-    scale = Fraction(scale)
+    scale = _exact((scale,), "gaussian scale")[0]
     q, egf = scale.denominator, _gauss_egf(-scale.numerator, order + 1)
     return tuple(Fraction(w, j_factorial * q ** (j // 2))
                  for j, (w, j_factorial) in enumerate(zip(egf, _factorials(order + 1))))

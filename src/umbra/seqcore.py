@@ -73,10 +73,19 @@ from .errors import InvalidParameterError, SequenceFormatError, quoted
 Rational = Fraction | int | str
 
 
+#: what Fraction raises on a value that is no finite rational
+_NOT_RATIONAL = (TypeError, ValueError, OverflowError, ZeroDivisionError)
+
+
 def _frac(value: Rational) -> Fraction:
     if isinstance(value, float):
-        raise TypeError("exact sequences do not accept floats; pass Fraction, int or 'p/q' string")
-    return Fraction(value)
+        raise InvalidParameterError("exact sequences do not accept floats; pass Fraction, int or 'p/q' string")
+    try:
+        return Fraction(value)
+    except _NOT_RATIONAL:
+        raise InvalidParameterError(
+            f"{quoted(str(value))} is not an exact rational; pass Fraction, int or 'p/q' string"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,7 @@ def _exact(values: Iterable, what: str) -> tuple[Fraction, ...]:
     """values as Fractions: a float converts to its exact value; complex, NaN and inf raise."""
     try:
         return tuple(map(Fraction, values))
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+    except _NOT_RATIONAL:
         raise InvalidParameterError(f"{what} must be rational or finite floats") from None
 
 
@@ -242,8 +251,8 @@ def modular_inverse(b: Sequence, p: TransformParams) -> Sequence:
 
 def rising_k_binomial(a: Sequence, k: int) -> Sequence:
     """b_n = sum_{s<=n} (-1)^s C(n,s) s^k a_s, with 0^0 = 1."""
-    if k < 0:
-        raise InvalidParameterError("k must be a nonnegative integer")
+    if not isinstance(k, int) or k < 0:
+        raise InvalidParameterError(f"k must be a nonnegative integer, got {k!r}")
     n = len(a)
     return _integer_product(_cleared([1] * n), _cleared([(-1) ** s * s ** k for s in range(n)], a.terms))
 

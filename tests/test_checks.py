@@ -6,7 +6,7 @@ import convolution_oracle
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from umbra import checks
@@ -41,7 +41,7 @@ def test_order_outside_the_verified_range_raises(order):
 @pytest.mark.parametrize("kind", ["ordinary", "exponential"])
 def test_direct_side_converted_once_is_bit_identical(transform, kind):
     # the master cases evaluate the transformed sequence's series from terms converted once;
-    # the evaluators convert each exact term on every call
+    # given the exact terms, the evaluators convert each one where it meets a complex number
     transformed = transform(checks.MASTER_SEQUENCES[4].build(64), sq.TransformParams(Fraction(3, 4), Fraction(-1, 2)))
     direct = gf.sequence_series(transformed, kind)
     points = checks.sample_points(0.45)
@@ -157,30 +157,42 @@ def test_master_case_runner_reports_worst_point():
     assert "worst" in outcome.detail
 
 
-@pytest.mark.parametrize("order", [4, 16])
-def test_master_budgets_are_rigorous(order):
-    # 100 more input terms move the closed form by at most closed_tail, and the direct
-    # series of |transformed majorant|, 100 terms longer, stays below direct_total;
+#: the longest side the budgets are compared with: from order 266 on, the Hermite
+#: case's transformed majorant overflows a float
+_LONG_ORDER_CAP = 265
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 15), st.integers(1, checks.MAX_ORDER))
+@example(0, 4)
+@example(15, 16)
+@example(7, checks.MAX_ORDER)
+def test_master_budgets_are_rigorous(index, order):
+    # up to 100 more input terms move the closed form by at most closed_tail, and the direct
+    # series of |transformed majorant|, as long, stays below direct_total;
     # the majorant with alternating signs is transformed too, since a signed
     # transform cancels on M rho^n and reaches only part of the total
     cases = [(case, checks.MASTER_SEQUENCES) for case in checks.master_cases()]
     cases += [(case, checks.K_BINOMIAL_SEQUENCES) for k in range(4) for case in checks._k_binomial_cases(k)]
     assert len(cases) == 16
-    for case, sequences in cases:
-        for ts in sequences:
-            r = case.radius(ts)
-            short, long = case.form.bind(ts.build(order)), case.form.bind(ts.build(order + 100))
-            for x in checks.sample_points(r):
-                value = long(x)
-                slack = checks._FLOAT_SLACK * (abs(value) + 1)
-                assert abs(value - short(x)) <= case.closed_tail(ts, abs(x), order) + slack, (case.label, ts.label, x)
-            majorant = ts.majorant(order + 100)
-            alternated = Sequence.of((-1) ** n * t for n, t in enumerate(majorant.terms))
-            reached = max(
-                checks._partial_weighted((case.transform_majorant or case.transform)(b), r, case.kind)
-                for b in (majorant, alternated)
-            )
-            assert reached <= case.direct_total(ts, r) * (1 + 1e-12), (case.label, ts.label)
+    case, sequences = cases[index]
+    # a form's r-th derivative needs more than r terms
+    assume(max(t.r for t in case.form.terms) <= order)
+    long_order = min(order + 100, _LONG_ORDER_CAP)
+    for ts in sequences:
+        r = case.radius(ts)
+        short, long = case.form.bind(ts.build(order)), case.form.bind(ts.build(long_order))
+        for x in checks.sample_points(r):
+            value = long(x)
+            slack = checks._FLOAT_SLACK * (abs(value) + 1)
+            assert abs(value - short(x)) <= case.closed_tail(ts, abs(x), order) + slack, (case.label, ts.label, x)
+        majorant = ts.majorant(long_order)
+        alternated = Sequence.of((-1) ** n * t for n, t in enumerate(majorant.terms))
+        reached = max(
+            checks._partial_weighted((case.transform_majorant or case.transform)(b), r, case.kind)
+            for b in (majorant, alternated)
+        )
+        assert reached <= case.direct_total(ts, r) * (1 + 1e-12), (case.label, ts.label)
 
 
 def test_partial_weighted_sums_absolute_terms():

@@ -1,6 +1,7 @@
 """Quadrature operator functions against their independent oracles."""
 from fractions import Fraction
 from math import comb, exp, factorial, pi, sqrt
+from unittest import mock
 
 import convolution_oracle
 import fourier_oracle
@@ -169,10 +170,9 @@ class TestTricomiEvolution:
                 got = opcalc.tricomi_evolution(x, tau)
                 assert abs(got - opcalc.tricomi_evolution_series(x, tau)) < 1e-8
 
-    def test_stacked_sweep_is_the_per_point_route_bit_for_bit(self, monkeypatch):
-        # 13 x 11 has 130 points with tau > 0, ten per x-line: the first block of
-        # TRICOMI_BLOCK ends inside an x-line, and the tau = 0 column and x = 0 row are in
-        assert 130 > fourier.TRICOMI_BLOCK and fourier.TRICOMI_BLOCK % 10
+    @staticmethod
+    def _counted_nodes(run):
+        """run() with the node count of every row of every doubling loop, in the order the loops run."""
         nodes, doubling = [], quadrature._doubling
 
         def counted(g, rows):
@@ -180,33 +180,62 @@ class TestTricomiEvolution:
             nodes.extend(res.node_count for res in results)
             return results
 
-        monkeypatch.setattr(quadrature, "_doubling", counted)
-        stacked = checks.tricomi_sweep(13, 11)
-        stacked_nodes, nodes[:] = nodes[:], []
-        per_point = []
-        for x, tau, *_ in stacked:
-            value = opcalc.tricomi_evolution(x, tau)
-            per_point.append((x, tau, value, abs(value - opcalc.tricomi_evolution_series(x, tau))))
+        with mock.patch.object(quadrature, "_doubling", counted):
+            return run(), nodes
+
+    def test_stacked_sweep_is_the_per_point_route_bit_for_bit(self):
+        # 13 x 11 has ten tau > 0 stacks of 13 rows each, and the tau = 0 column and x = 0 row are in;
+        # the stacks run tau by tau, so the per-point node counts are compared in that order
+        stacked, stacked_nodes = self._counted_nodes(lambda: checks.tricomi_sweep(13, 11))
+
+        def per_point_sweep():
+            rows = []
+            for x, tau, *_ in sorted(stacked, key=lambda row: row[1]):
+                value = opcalc.tricomi_evolution(x, tau)
+                rows.append((x, tau, value, abs(value - opcalc.tricomi_evolution_series(x, tau))))
+            return rows
+
+        per_point, nodes = self._counted_nodes(per_point_sweep)
+        per_point.sort(key=lambda row: row[0])  # stable: x-major again, tau ascending in each x
         assert len(stacked) == 143 and {x for x, *_ in stacked} >= {0.0} and {t for _, t, *_ in stacked} >= {0.0}
         assert [tuple(map(repr, row)) for row in stacked] == [tuple(map(repr, row)) for row in per_point]
         assert stacked_nodes == nodes and len(nodes) == 130
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_stacked_points_are_the_per_point_route_bit_for_bit(self, data):
+        # a few taus, 0 among the candidates, shared by points in any order; a small row
+        # cap splits the points of one tau into several stacks.  The stacks run in order
+        # of each tau's first point, so the per-point node counts are compared in that order
+        taus = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=4))
+        points = data.draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.sampled_from(taus)), min_size=1, max_size=24))
+        with mock.patch.object(fourier, "TRICOMI_STACK_ROWS", data.draw(st.sampled_from([3, 32]))):
+            stacked, stacked_nodes = self._counted_nodes(lambda: opcalc.tricomi_evolution_points(points))
+        per_point = [opcalc.tricomi_evolution(x, tau) for x, tau in points]
+        first = {}
+        for i, (_, tau) in enumerate(points):
+            first.setdefault(tau, i)
+        stack_order = sorted((i for i, (_, tau) in enumerate(points) if tau != 0), key=lambda i: first[points[i][1]])
+        _, nodes = self._counted_nodes(lambda: [opcalc.tricomi_evolution(*points[i]) for i in stack_order])
+        assert list(map(repr, stacked)) == list(map(repr, per_point))
+        assert stacked_nodes == nodes
 
     def test_stacked_route_rejects_negative_tau(self):
         with pytest.raises(InvalidParameterError):
             opcalc.tricomi_evolution_points([(0.5, 0.5), (0.5, -0.1)])
 
     def test_stacked_route_names_an_unconverged_point_in_its_block(self, monkeypatch):
-        # one row of the stack never settles: it warns alone, as integrand 1 of the block
-        # (the tau = 0 point is no row)
+        # one row of a tau stack never settles: it warns alone, as integrand 1 of the two points
+        # at tau = 0.2 (the tau = 0 point is no row, and the point at tau = 0.3 is its own stack)
         route = fourier._tricomi_integrand
 
         def restless(k, x):
-            # the row at x = 0.4 gains 1e-3 per node: its sum moves with every doubling
-            return route(k, x) + 1e-3 * k.shape[-1] * (x == 0.4)
+            # the row at x = 0.9 gains 1e-3 per node: its sum moves with every doubling
+            return route(k, x) + 1e-3 * k.shape[-1] * (x == 0.9)
 
         monkeypatch.setattr(fourier, "_tricomi_integrand", restless)
-        with pytest.warns(quadrature.QuadratureConvergenceWarning, match=r"\(integrand 1 of 3\)") as caught:
-            opcalc.tricomi_evolution_points([(0.5, 0.0), (0.1, 0.2), (0.4, 0.2), (0.9, 0.3)])
+        with pytest.warns(quadrature.QuadratureConvergenceWarning, match=r"\(integrand 1 of 2\)") as caught:
+            opcalc.tricomi_evolution_points([(0.5, 0.0), (0.1, 0.2), (0.4, 0.3), (0.9, 0.2)])
         assert len(caught) == 1
 
 

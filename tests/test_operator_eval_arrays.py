@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbra import appell, opcalc, specfun
-from umbra.errors import DivergenceError, InternalConsistencyError, InvalidParameterError, TruncationError
+from umbra.errors import DivergenceError, InternalConsistencyError, TruncationError
 from umbra.gftrans import PowerSeries
 from umbra.opcalc import fourier
 from umbra.opcalc.quadrature import QuadratureConvergenceWarning
@@ -119,19 +119,6 @@ def test_rows_warn_once_per_unconverged_row():
                                 for r in range(5)))
     assert got == single
     assert got[1] == 2
-
-
-def test_rows_with_their_own_coefficients_match_single_integrals():
-    # row r is integral e^{-c_r k^2} g_r(k) dk; the spike row warns as it does alone
-    spike = lambda u: np.exp(-((u * 3000.0) ** 2) % 7.0)  # noqa: E731
-    coeffs = [0.25, 2.0, 1.0 / 3.0, 7.5]
-    funcs = [lambda k: np.cos(k) + 1j * k, spike, lambda k: k * k, lambda k: np.exp(-k * k)]
-    rows = lambda k, active: np.array([funcs[r](k[i]) for i, r in enumerate(active)])  # noqa: E731
-    got = _run(lambda: opcalc.gaussian_fourier_rows(coeffs, rows, 4))
-    assert got == _run(lambda: tuple(opcalc.gaussian_fourier_integral(c, f) for c, f in zip(coeffs, funcs)))
-    assert got[1] == 1
-    with pytest.raises(InvalidParameterError, match="3 gaussian coefficients for 4 integrands"):
-        opcalc.gaussian_fourier_rows(coeffs[:3], rows, 4)
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))

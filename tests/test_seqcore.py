@@ -11,8 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from transform_oracle import expected
 
+from umbra.appell import GaussianFunction
 from umbra.checks import DEFAULT_SEED, nonzero_rational, random_sequence
 from umbra.errors import InvalidParameterError, SequenceFormatError
+from umbra.opcalc.quadrature import gaussian_taylor
 from umbra.seqcore import (
     Sequence,
     TRANSFORM_NAMES,
@@ -207,11 +209,24 @@ class TestLaguerre:
 
 class TestParams:
     def test_rejects_floats(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidParameterError):
             TransformParams(0.5, 1)
 
     def test_coerces_strings(self):
         assert TransformParams("3/4", 2) == TransformParams(Fraction(3, 4), Fraction(2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Sequence.of([0.5]),
+    lambda: TransformParams(0.5, 1),
+    lambda: Sequence.of(["1/0"]),
+    lambda: GaussianFunction(float("nan")),
+    lambda: gaussian_taylor(float("nan"), 4),
+    lambda: Stage("k-binomial", k=1.5).apply(seq(1, 2, 3)),
+], ids=["float term", "float parameter", "zero denominator", "nan gaussian", "nan taylor", "fractional k"])
+def test_bad_exact_input_raises_a_typed_error(build):
+    with pytest.raises(InvalidParameterError):
+        build()
 
 
 class TestKernelOracle:
