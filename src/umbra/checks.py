@@ -320,7 +320,7 @@ def _majorant_total(series: str, M: float, rho: float, r: int, u: float) -> floa
 
 @dataclass(frozen=True)
 class MasterCase:
-    """One transform kind: exact transform, its closed form, and the radius of the sample points.
+    """One transform kind: exact transform, its closed form, the sample points' radius and its test sequences.
 
     Both budgets read the form's terms at |x|, with the majorant |a_n| <= M rho^n;
     the radius, too, reads a test sequence's majorant only.
@@ -332,11 +332,7 @@ class MasterCase:
     form: gf.Form
     radius: Callable[[TestSequence], float]
     transform_majorant: Callable[[sq.Sequence], sq.Sequence] | None = None
-
-    @property
-    def kind(self) -> str:
-        """Series kind of the direct side."""
-        return self.form.kind
+    sequences: tuple[TestSequence, ...] = MASTER_SEQUENCES
 
     def closed_tail(self, ts: TestSequence, xa: float, order: int) -> float:
         """What truncating a after `order` can omit from the closed form at |x| = xa."""
@@ -379,7 +375,7 @@ def _k_binomial_cases(k: int) -> tuple[MasterCase, MasterCase]:
 
     def case(kind, equation, radius):
         return MasterCase(f"rising {k}-binomial, {kind} closed form", equation, lambda a: sq.rising_k_binomial(a, k),
-                          gf.k_binomial_form(k, kind), radius, abs_k_transform)
+                          gf.k_binomial_form(k, kind), radius, abs_k_transform, K_BINOMIAL_SEQUENCES)
 
     # the ordinary radius keeps t = rho r/(1-r) <= 0.5
     return (case("ordinary", "Eq. 21", lambda ts: 0.5 / (float(ts.growth_rho) + 0.5)),
@@ -421,7 +417,7 @@ def _budget_side(case: MasterCase, ts: TestSequence, order: int) -> tuple:
     direct_total = case.direct_total(ts, r)
     # majorant transforms may need a sign-free variant (k-binomial)
     majorant = (case.transform_majorant or case.transform)(ts.majorant(order))
-    budget_direct = max(direct_total - _partial_weighted(majorant, r, case.kind), 0.0)
+    budget_direct = max(direct_total - _partial_weighted(majorant, r, case.form.kind), 0.0)
     tails = {}
 
     def closed_tail(xa: float) -> float:
@@ -432,20 +428,18 @@ def _budget_side(case: MasterCase, ts: TestSequence, order: int) -> tuple:
     return sample_points(r), direct_total, budget_direct, closed_tail
 
 
-def run_master_case(case: MasterCase, order: int = DEFAULT_ORDER, sequences=None) -> Outcome:
-    if sequences is None:
-        sequences = MASTER_SEQUENCES
+def run_master_case(case: MasterCase, order: int = DEFAULT_ORDER) -> Outcome:
     # one budget side per distinct majorant: "ones" and "harmonic" share (1, 1)
     sides = {}
     worst_rel, detail = 0.0, ""
-    for ts in sequences:
+    for ts in case.sequences:
         key = (ts.growth_M, ts.growth_rho)
         if key not in sides:
             sides[key] = _budget_side(case, ts, order)
         points, direct_total, budget_direct, closed_tail = sides[key]
         a = ts.build(order)
         closed = case.form.bind(a)
-        direct = gf.sequence_series(case.transform(a), case.kind)
+        direct = gf.sequence_series(case.transform(a), case.form.kind)
         for x in points:
             closed_value = closed(x)
             direct_value = direct(x)
@@ -599,18 +593,11 @@ def _bessel_j0(z: float) -> float:
     return float(np.mean(np.cos(z * np.sin(_J0_ANGLES))))
 
 
-def _chk_laguerre_specials() -> Outcome:
-    closed = gf.laguerre_form(_UNIT, "exponential").bind(MASTER_SEQUENCES[0].build(DEFAULT_ORDER))
+def _chk_laguerre_special(kind: str, special: Callable[[float], float], detail: str) -> Outcome:
+    closed = gf.laguerre_form(_UNIT, kind).bind(MASTER_SEQUENCES[0].build(DEFAULT_ORDER))
     xs = np.linspace(0.0, 0.5, 11)
-    worst = _worst(abs(closed(complex(x)) - exp(x) * _bessel_j0(2 * sqrt(x))) for x in xs)
-    return Outcome(worst, "e^x J_0(2 sqrt(x)) on [0, 0.5]")
-
-
-def _chk_laguerre_resolvent_special() -> Outcome:
-    closed = gf.laguerre_form(_UNIT, "ordinary").bind(MASTER_SEQUENCES[0].build(DEFAULT_ORDER))
-    xs = np.linspace(0.0, 0.5, 11)
-    worst = _worst(abs(closed(complex(x)) - (1 / (1 - x)) * exp(-x / (1 - x))) for x in xs)
-    return Outcome(worst, "(1/(1-x)) e^{-x/(1-x)} on [0, 0.5]")
+    worst = _worst(abs(closed(complex(x)) - special(x)) for x in xs)
+    return Outcome(worst, f"{detail} on [0, 0.5]")
 
 
 #: widths y of the Gaussian symbol e^{-y u^2} in the shift-transform rows
@@ -1077,6 +1064,11 @@ def _errata_footnote6() -> Outcome:
 # ---------------------------------------------------------------------------
 # suite assembly
 
+def _master_checks(cases: list[MasterCase], order: int) -> list[Check]:
+    return [Check(case.label, case.equation, MASTER_RELATIVE, lambda c=case: run_master_case(c, order))
+            for case in cases]
+
+
 def build_suites(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> dict[str, list[Check]]:
     suites: dict[str, list[Check]] = {}
 
@@ -1089,28 +1081,18 @@ def build_suites(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> dict[s
         Check("inverse as scaled alpha-one transform", "Eq. 14", 0.0, lambda: _chk_modular_inverse_relation(seed)),
     ]
 
-    kb_checks = [
+    suites["kbinomial"] = [
         Check("k-binomial reduces to binomial at k=0", "Eq. 15", 0.0, lambda: _chk_k_zero_reduction(seed)),
-    ]
-    for k in range(4):
-        ord_case, exp_case = _k_binomial_cases(k)
-        kb_checks.append(Check(ord_case.label, ord_case.equation, MASTER_RELATIVE,
-                               lambda c=ord_case: run_master_case(c, order, K_BINOMIAL_SEQUENCES)))
-        kb_checks.append(Check(exp_case.label, exp_case.equation, MASTER_RELATIVE,
-                               lambda c=exp_case: run_master_case(c, order, K_BINOMIAL_SEQUENCES)))
-    suites["kbinomial"] = kb_checks
+    ] + _master_checks([case for k in range(4) for case in _k_binomial_cases(k)], order)
 
-    gf_checks = []
-    for case in master_cases():
-        gf_checks.append(Check(case.label, case.equation, MASTER_RELATIVE,
-                               lambda c=case: run_master_case(c, order)))
-    gf_checks += [
-        Check("laguerre special: e^x J_0(2 sqrt x)", "Eq. 36", 1e-10, _chk_laguerre_specials),
-        Check("laguerre special: resolvent exponential", "Eq. 37", 1e-10, _chk_laguerre_resolvent_special),
+    suites["gftrans"] = _master_checks(master_cases(), order) + [
+        Check("laguerre special: e^x J_0(2 sqrt x)", "Eq. 36", 1e-10, lambda: _chk_laguerre_special(
+            "exponential", lambda x: exp(x) * _bessel_j0(2 * sqrt(x)), "e^x J_0(2 sqrt(x))")),
+        Check("laguerre special: resolvent exponential", "Eq. 37", 1e-10, lambda: _chk_laguerre_special(
+            "ordinary", lambda x: (1 / (1 - x)) * exp(-x / (1 - x)), "(1/(1-x)) e^{-x/(1-x)}")),
         Check("stirling operator identity", "Eq. 19", 0.0, lambda: _chk_stirling_operator_identity(seed)),
         Check("stirling table self-check", "Eq. 20", 0.0, _chk_stirling_table),
     ]
-    suites["gftrans"] = gf_checks
 
     suites["hermite"] = [
         Check("hermite inverse roundtrip", "footnote 3", 0.0, lambda: _chk_hermite_roundtrip(seed)),

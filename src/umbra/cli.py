@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,8 +91,25 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 
 def _parse_float_sized(text: str, flag: str) -> Fraction:
-    """An exact flag value that is also used as a float, so must not overflow one."""
-    value = _parse_fraction(text, flag)
+    """An exact flag value that is also used as a float, so must not overflow one.
+
+    Fraction(text) builds 10**exponent first, hours of work for 1e1000000000.
+    A nonzero mantissa of L characters lies between 10**-L and 10**L, so an
+    exponent past +-(400 + L) is clamped there: the value keeps its side of the
+    float range, too large for a float or a signed zero as one.
+    """
+    exact = text
+    tail = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*", text, re.DOTALL)
+    if tail:
+        reach = 400 + len(tail[1])
+        with sq._any_digits():
+            power = int(tail[2])
+        if abs(power) > reach:
+            exact = f"{tail[1]}e{reach if power > 0 else -reach}"
+    try:
+        value = _parse_fraction(exact, flag)
+    except InvalidParameterError:
+        value = _parse_fraction(text, flag)  # no rational either, and Fraction says so before it builds a power
     if abs(value) > sys.float_info.max:
         raise InvalidParameterError(f"{flag} must be small enough for a float, got {quoted(text)}")
     return value

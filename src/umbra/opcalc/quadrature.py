@@ -160,12 +160,8 @@ def legendre_composite_rule(a: float, b: float, panels: int, order: int) -> Quad
         raise InvalidParameterError("legendre composite rule needs b > a and panels >= 1")
     base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        nodes.append(mid + half * base_nodes)
-        weights.append(half * base_weights)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
+    mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
+    return QuadratureRule((mid[:, None] + half[:, None] * base_nodes).ravel(), (half[:, None] * base_weights).ravel())
 
 
 @dataclass(frozen=True)

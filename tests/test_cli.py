@@ -529,6 +529,48 @@ def test_overflowing_heat_grid_exits_3(argv, capsys):
     assert out == ""
 
 
+def _refusing_far_exponents(value=0, denominator=None):
+    """Fraction, except on a text whose decimal exponent passes 1000 either way:
+    Fraction builds 10**exponent before anything else, seconds of work at 10**10000000."""
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", value) if isinstance(value, str) else None
+    if exponent and abs(int(exponent[1])) > 1000:
+        raise AssertionError(f"Fraction({value!r}) builds 10**{exponent[1]}")
+    return Fraction(value) if denominator is None else Fraction(value, denominator)
+
+
+EXPAND = ["expand", "--family", "bernoulli", "--count", "1"]
+HEAT = ["evolve", "--equation", "heat"]
+TOO_LARGE = "error: --scale must be small enough for a float, got '{}'\n"
+GAUSSIAN_RANGE = "error: gaussian scale must be between 5.56e-309 and 4.49e+307\n"
+BOUNDARY = "error: boundary samples reach 1.00e+00 > 1e-12; enlarge the grid extent\n"
+
+
+SCALE_CASES = [
+    (EXPAND, "1e10000000", 3, TOO_LARGE),
+    (EXPAND, "+12.5E+1_0000000 ", 3, TOO_LARGE),
+    (EXPAND, "1e-10000000", 3, GAUSSIAN_RANGE),
+    (EXPAND, "-1e-10000000", 3, "error: gaussian scale must be positive\n"),
+    (EXPAND, "0e10000000", 3, "error: gaussian scale must be positive\n"),
+    (HEAT, "1e10000000", 3, TOO_LARGE),
+    (HEAT, "1e-10000000", 4, BOUNDARY),
+    (HEAT, "-1e-10000000", 4, BOUNDARY),
+]
+
+
+@pytest.mark.parametrize("command,scale,code,err", SCALE_CASES,
+                         ids=[f"{command[0]}={scale.strip()}" for command, scale, _, _ in SCALE_CASES])
+def test_scale_exponent_is_read_before_the_exact_value(command, scale, code, err, monkeypatch, capsys):
+    # each ended with this exit code and line, but only after Fraction had built 10**exponent
+    monkeypatch.setattr(cli, "Fraction", _refusing_far_exponents)
+    assert main([*command, f"--scale={scale}"]) == code
+    assert capsys.readouterr().err == err.format(scale)
+
+
+def test_scale_far_exponent_on_no_rational_exits_3(capsys):
+    assert main([*EXPAND, "--scale=1/2e10000000"]) == 3
+    assert capsys.readouterr().err == "error: --scale is not a valid rational: '1/2e10000000'\n"
+
+
 def test_heat_extent_past_the_kernel_square_runs(capsys):
     # extent^2 is past the float range but the spacing is finite: the kernel has decayed
     assert main(["evolve", "--equation", "heat", "--extent", "1e300", "--alpha", "1e-300"]) == 0

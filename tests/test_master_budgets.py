@@ -53,11 +53,12 @@ def _logged(log: list, function):
     return wrapped
 
 
-@pytest.mark.parametrize("case,sequences", [
-    (checks.master_cases()[7], checks.MASTER_SEQUENCES),
-    (checks._k_binomial_cases(3)[0], checks.K_BINOMIAL_SEQUENCES),
-], ids=["laguerre-exponential", "rising-3-binomial-ordinary"])
-def test_budget_values_are_taken_once(monkeypatch, case, sequences):
+_MASTER_CASES = checks.master_cases() + [case for k in range(4) for case in checks._k_binomial_cases(k)]
+
+
+@pytest.mark.parametrize("case", _MASTER_CASES, ids=[case.label for case in _MASTER_CASES])
+def test_budget_values_are_taken_once(monkeypatch, case):
+    sequences = case.sequences
     majorants = {(ts.growth_M, ts.growth_rho) for ts in sequences}
     transforms, majorant_transforms, totals, tails = [], [], [], []
     case = dataclasses.replace(
@@ -67,7 +68,7 @@ def test_budget_values_are_taken_once(monkeypatch, case, sequences):
     )
     monkeypatch.setattr(checks.MasterCase, "direct_total", _logged(totals, checks.MasterCase.direct_total))
     monkeypatch.setattr(checks.MasterCase, "closed_tail", _logged(tails, checks.MasterCase.closed_tail))
-    outcome = checks.run_master_case(case, sequences=sequences)
+    outcome = checks.run_master_case(case)
     assert outcome.passed is None and outcome.residual < checks.MASTER_RELATIVE
     # each distinct majorant is transformed and totalled once; each sequence is transformed once
     if case.transform_majorant is None:

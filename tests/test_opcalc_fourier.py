@@ -492,6 +492,14 @@ class TestIntegroDiff:
         closed = sqrt(2.0 / pi) * scipy.special.gamma(1.0 + 1.0 / m) * tau ** (-1.0 / m)
         assert abs(fourier._e_tilde_grid(m, tau, np.array([0.0]))[0] / closed - 1.0) <= 1e-15
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(1e-3, 100.0), st.integers(1, 300), st.integers(1, 20))
+    def test_legendre_rule_matches_panel_loop(self, a, width, panels, order):
+        # the whole-array rule against the panel-by-panel loop, bit for bit
+        rule = quadrature.legendre_composite_rule.__wrapped__(a, a + width, panels, order)
+        nodes, weights = fourier_oracle.legendre_composite_loop(a, a + width, panels, order)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
     @pytest.mark.parametrize("beta,x", [(0.5, 0.25), (2.0, -0.5)])
     def test_bracket_polynomial_matches_convolutions(self, beta, x):
         f_ord = [complex(c) for c in opcalc.c0_series(81)]
