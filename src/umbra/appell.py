@@ -12,17 +12,22 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
-from math import comb, factorial, lcm, log, pi, sqrt
+from math import comb, factorial, lcm, log, sqrt
 from typing import Callable, Sequence as SequenceABC
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, TruncationError
-from .opcalc.quadrature import FourierSymbol, gaussian_fourier_rows, gaussian_symbol, gaussian_taylor, node_reach
+from .opcalc.quadrature import (
+    _SQRT2PI,
+    FourierSymbol,
+    gaussian_fourier_rows,
+    gaussian_symbol,
+    gaussian_taylor,
+    node_reach,
+)
 from .seqcore import _cleared, _exact, _factorials, _gauss_egf, _integer_correlation, _integer_product
 from .specfun import polyval_coeffs
-
-_SQRT2PI = sqrt(2.0 * pi)
 
 #: n! growth in the coefficient prefactor makes higher orders meaningless in doubles
 MAX_COEFFICIENTS = 24

@@ -39,6 +39,7 @@ from .errors import DivergenceError, InvalidParameterError, UnsupportedSymbolErr
 from .opcalc.formal import exp_apply
 from .opcalc.fourier import INTEGRO_CUTOFFS, INTEGRO_M2_DEGREE, INTEGRO_REGION, integro_series_degree
 from .opcalc.operators import apply_operator, coefficients, polynomial
+from .opcalc.quadrature import _SQRT2PI
 
 DEFAULT_SEED = 20100601
 DEFAULT_ORDER = 64
@@ -959,7 +960,7 @@ def _errata_eq66() -> Outcome:
     res = oc.gaussian_fourier_integral(
         0.25, lambda k: (np.exp(1j * k) - 1.0) * k ** (n - 1)
     )
-    printed = (1j ** (n - 1) / (sqrt(2 * pi) * factorial(n))) * res.value
+    printed = (1j ** (n - 1) / (_SQRT2PI * factorial(n))) * res.value
     bern = ap.bernoulli_family()
     derived = ap.expansion_coefficients(bern, ap.GaussianFunction(Fraction(1)), n).coefficients[n]
     return Outcome(abs(printed - derived), "printed coefficient misses the 1/sqrt(2) transform amplitude")
@@ -998,7 +999,7 @@ def _errata_eq75() -> Outcome:
             * sf.hermite2(n, x - _EQ75_PRINTED_SHIFT * k * k * alpha * beta, 1j * k * alpha)
         )
 
-    printed = oc.gaussian_fourier_integral(sym.gauss_coeff, printed_form).value / sqrt(2 * pi)
+    printed = oc.gaussian_fourier_integral(sym.gauss_coeff, printed_form).value / _SQRT2PI
     return Outcome(abs(printed - oracle), "printed phase 10/3 and doubled shift vs Taylor oracle")
 
 
@@ -1011,7 +1012,7 @@ def _errata_eq86() -> Outcome:
         return amp * np.exp(1j * k) * sf.tricomi_c(0, x + 1j * beta * k)
 
     res = oc.gaussian_fourier_integral(1.0 / (4.0 * tau) + beta / 2.0, g)
-    printed = res.value / sqrt(2 * pi)
+    printed = res.value / _SQRT2PI
     degree = c0_truncation(2)
     oracle = oc.integro_matrix_oracle([float(c) for c in oc.c0_series(degree)], beta, 2, tau, x, degree)
     return Outcome(abs(printed - oracle), "printed argument shift vs matrix-exponential oracle")
@@ -1035,7 +1036,7 @@ def _errata_eq89() -> Outcome:
         den = 1.0 + 1j * k * x
         return envelope(k) * sf.polyval_coeffs([1.0] * len(a), x / den) / den
 
-    printed = oc.gaussian_fourier_integral(coeff, printed_form).value / sqrt(2 * pi)
+    printed = oc.gaussian_fourier_integral(coeff, printed_form).value / _SQRT2PI
     return Outcome(abs(printed - oracle), "printed 1 + ikx sign vs double-sum oracle (non-even symbol)")
 
 

@@ -30,6 +30,7 @@ from ..gftrans import PowerSeries
 from ..seqcore import Sequence, _cleared, _exact, _factorials, _integer_correlation
 from ..specfun import FACTORIAL_DEGREE_MAX, hermite2, polyval_coeffs, tricomi_c
 from .quadrature import (
+    _SQRT2PI,
     FourierSymbol,
     factorials,
     gauss_weighted_integral,
@@ -39,8 +40,6 @@ from .quadrature import (
     legendre_composite_rule,
     log_gamma_half,
 )
-
-_SQRT2PI = sqrt(2.0 * pi)
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ BOUNDARY_DECAY = 1e-12
 
 def heat_evolve_ft(f: GridFunction, alpha: float) -> GridFunction:
     """Evolve d/d alpha F = d^2/dx^2 F by one step alpha: multiply the spectrum by e^{-alpha k^2}."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise InvalidParameterError("heat evolution needs alpha >= 0")
     # the FFT grid is periodic: a kernel e^{-x^2/(4 alpha)} that is still above
     # the decay level at distance `extent` wraps round into the other side
@@ -138,7 +137,7 @@ def matrix_function_pauli(symbol: FourierSymbol, omega_mag: float) -> np.ndarray
 
     (1/sqrt(2 pi)) integral f~(k) [[cos, -sin], [sin, cos]](|Omega| k) dk.
     """
-    if omega_mag < 0:
+    if not omega_mag >= 0:
         raise InvalidParameterError("needs |Omega| >= 0")
 
     def parts(k, rows):
@@ -166,7 +165,7 @@ def tricomi_evolution(x: float, tau: float) -> complex:
     """
     if tau == 0:
         return 1.0 + 0j
-    if tau < 0:
+    if not tau >= 0:
         raise InvalidParameterError("tricomi evolution needs tau >= 0")
     res = gauss_weighted_integral(lambda k: _tricomi_integrand(k, x), tau)
     return _tricomi_normalised(res.value, tau)
@@ -188,7 +187,7 @@ def tricomi_evolution_points(points: list[tuple[float, float]]) -> list[complex]
     TRICOMI_STACK_ROWS at a time; the taus run in order of their first point.
     An unconverged point warns as "(integrand r of R)" of its stack.
     """
-    if any(tau < 0 for _, tau in points):
+    if any(not tau >= 0 for _, tau in points):
         raise InvalidParameterError("tricomi evolution needs tau >= 0")
     values = [1.0 + 0j] * len(points)
     by_tau: dict[float, list[int]] = {}
@@ -384,7 +383,7 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
         )
     if not tau >= 0:
         raise InvalidParameterError("needs tau >= 0")
-    if abs(x) > INTEGRO_REGION:
+    if not abs(x) <= INTEGRO_REGION:
         raise TruncationError(f"|x| = {abs(x):g} outside the truncation-controlled region {INTEGRO_REGION}")
     if f.kind != "ordinary":
         raise InvalidParameterError("integro_diff_evolve needs an ordinary-kind series")

@@ -210,7 +210,7 @@ def adaptive_hermite(g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
 
 
 def _hermite_scale(gauss_coeff: float) -> float:
-    if gauss_coeff <= 0:
+    if not gauss_coeff > 0:
         raise InvalidParameterError("gaussian fourier integral needs a positive gaussian coefficient")
     return 1.0 / sqrt(gauss_coeff)
 
@@ -249,9 +249,13 @@ def gauss_weighted_integral(h: Callable[[np.ndarray], np.ndarray], y: float) -> 
 
     With h = 1 the value is 2 sqrt(pi y).
     """
-    if y <= 0:
+    if not y > 0:
         raise InvalidParameterError("gauss_weighted_integral needs y > 0")
     return gaussian_fourier_integral(1.0 / (4.0 * y), h)
+
+
+#: the transform convention Phi(op) = (1/sqrt(2 pi)) integral Phi~(k) e^{i k op} dk
+_SQRT2PI = sqrt(2.0 * pi)
 
 
 @dataclass(frozen=True)
@@ -274,7 +278,7 @@ class FourierSymbol:
 
 def gaussian_symbol(scale: float = 1.0) -> FourierSymbol:
     """Phi(u) = exp(-scale u^2); transform (1/sqrt(2 scale)) exp(-k^2 / (4 scale))."""
-    if scale <= 0:
+    if not scale > 0:
         raise InvalidParameterError("gaussian symbol needs scale > 0")
     amp = 1.0 / sqrt(2.0 * scale)
     return FourierSymbol(
@@ -286,7 +290,7 @@ def gaussian_symbol(scale: float = 1.0) -> FourierSymbol:
 
 def cos_gaussian_symbol(scale: float = 1.0) -> FourierSymbol:
     """Phi(u) = cos(u) exp(-scale u^2); transform carries a cosh(k / 2 scale) envelope."""
-    if scale <= 0:
+    if not scale > 0:
         raise InvalidParameterError("cos-gaussian symbol needs scale > 0")
     amp = np.exp(-1.0 / (4.0 * scale)) / sqrt(2.0 * scale)
     return FourierSymbol(

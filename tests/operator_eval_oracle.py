@@ -19,11 +19,12 @@ from math import comb, factorial, log, pi, sqrt
 
 import numpy as np
 
-from umbra.appell import _GUARD_POINTS, _SQRT2PI, MAX_COEFFICIENTS
+from umbra.appell import _GUARD_POINTS, MAX_COEFFICIENTS
 from umbra.errors import DivergenceError, InternalConsistencyError, TruncationError
 from umbra.opcalc.fourier import _bracket_polynomial, _e_tilde_grid, _moment_law_sum
 from umbra.opcalc.oracles import ORACLE_TAYLOR_BETA, ORACLE_TAYLOR_ORDERS, _unit_eigensystem
 from umbra.opcalc.quadrature import (
+    _SQRT2PI,
     CONVERGENCE_TOL,
     DEFAULT_START_NODES,
     NODE_CAP,

@@ -6,8 +6,8 @@ them to its own bounds: each row in `bounds` must pass with its residual at
 most its bound, each row in `flagged` must stay flagged-errata, and where a
 runtime bound is given the rows in `bounds` must run within it together.
 The rows come from the session's one catalog run (the `catalog_run` fixture
-of `conftest.py`); this file imports no scipy.  Each test prints one
-PASS/FAIL line (run with -s to see them live).
+of `conftest.py`).  Each test prints one PASS/FAIL line (run with -s to see
+them live).
 """
 from dataclasses import dataclass
 

@@ -1,9 +1,9 @@
 """Every catalog row's expected result, from the committed table `catalog.jsonl`,
 against the session's one catalog run at the default seed and order (the
 `catalog_run` fixture of `conftest.py`): status, residual bit for bit,
-tolerance and detail.  Imports no scipy, so it runs on the numpy-only
-runtime.  After a deliberate change, `python tests/regenerate_catalog_table.py`
-rewrites the table and prints what moved."""
+tolerance and detail.  After a deliberate change,
+`python tests/regenerate_catalog_table.py` rewrites the table and prints what
+moved."""
 import pytest
 from catalog_table import read_table, row_of
 

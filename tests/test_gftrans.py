@@ -96,7 +96,7 @@ class TestSeriesEval:
         lambda kind: modular_form(UNIT, kind),
         lambda kind: laguerre_form(UNIT, kind),
         lambda kind: k_binomial_form(1, kind),
-    ], ids=["PowerSeries", "sequence_series", "modular_gf", "laguerre_gf", "k_binomial_closed"])
+    ], ids=["PowerSeries", "sequence_series", "modular_form", "laguerre_form", "k_binomial_form"])
     @pytest.mark.parametrize("kind", ["laurent", "ordinry", "ordinery"])
     def test_misspelt_kind_rejected(self, evaluate, kind):
         with pytest.raises(InvalidParameterError, match=f"unknown series kind '{kind}'"):

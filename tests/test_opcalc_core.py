@@ -1,10 +1,9 @@
 """Quadrature engine, formal disentanglement, the sparse operator engine, series operators."""
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gamma, lgamma
 
 import numpy as np
 import pytest
-import scipy.special
 from exp_apply_oracle import exp_apply_fractions
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,7 @@ class TestQuadratureRules:
         rule = opcalc.gauss_hermite_rule(128)
         for m in (0, 1, 5, 20, 63):
             got = np.sum(rule.weights * rule.nodes ** (2 * m))
-            assert got == pytest.approx(scipy.special.gamma(m + 0.5), rel=1e-13)
+            assert got == pytest.approx(gamma(m + 0.5), rel=1e-13)
 
     def test_gauss_weighted_normalization(self):
         res = opcalc.gauss_weighted_integral(lambda k: np.ones_like(k), 1.7)
@@ -52,7 +51,8 @@ class TestQuadratureRules:
 
     @pytest.mark.parametrize("n", [128, 256, 512, 1024])
     def test_hermite_rule_matches_scipy(self, n):
-        nodes, weights = scipy.special.roots_hermite(n)
+        scipy_special = pytest.importorskip("scipy.special")
+        nodes, weights = scipy_special.roots_hermite(n)
         rule = opcalc.gauss_hermite_rule(n)
         assert np.max(np.abs(rule.nodes - nodes)) <= 3e-14
         kept = weights > 1e-250  # scipy's smallest weights are not accurate to the last bits
@@ -60,7 +60,8 @@ class TestQuadratureRules:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 32, 127])
     def test_hermite_rule_small_and_odd_counts(self, n):
-        nodes, weights = scipy.special.roots_hermite(n)
+        scipy_special = pytest.importorskip("scipy.special")
+        nodes, weights = scipy_special.roots_hermite(n)
         rule = opcalc.gauss_hermite_rule(n)
         assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
         # below 150 nodes scipy takes Golub-Welsch weights, off by up to 1e-12 at the outer nodes
@@ -80,15 +81,16 @@ class TestQuadratureRules:
         with pytest.raises(InvalidParameterError):
             opcalc.gauss_hermite_rule(0)
 
-    def test_log_gamma_half_matches_scipy(self):
+    def test_log_gamma_half_matches_lgamma(self):
         table = quadrature.log_gamma_half(600)
-        ref = scipy.special.gammaln(np.arange(600) + 0.5)
+        ref = np.array([lgamma(p + 0.5) for p in range(600)])
         assert np.max(np.abs(table - ref) / np.maximum(1.0, np.abs(ref))) <= 2e-15
         assert not table.flags.writeable
 
     def test_legendre_rule_matches_scipy(self):
+        scipy_special = pytest.importorskip("scipy.special")
         for order in (12, 16):
-            nodes, weights = scipy.special.roots_legendre(order)
+            nodes, weights = scipy_special.roots_legendre(order)
             rule = opcalc.legendre_composite_rule(-1.0, 1.0, 1, order)
             assert np.max(np.abs(rule.nodes - nodes)) <= 1e-15
             assert np.max(np.abs(rule.weights - weights)) <= 5e-15

@@ -1,14 +1,12 @@
 """Quadrature operator functions against their independent oracles."""
 from fractions import Fraction
-from math import comb, exp, factorial, pi, sqrt
+from math import comb, exp, factorial, gamma, pi, sqrt
 from unittest import mock
 
 import convolution_oracle
 import fourier_oracle
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -346,14 +344,16 @@ class TestIntegroDiff:
     @pytest.mark.parametrize("n_basis", [41, 82])
     @pytest.mark.parametrize("beta", [0.04, 0.5, 2.0])
     def test_cached_eigensystem_scales_like_scipy(self, n_basis, beta):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        scipy_special = pytest.importorskip("scipy.special")
         unit_vals, vecs, log_fact = oracles._unit_eigensystem(n_basis)
         off = np.sqrt(beta * np.arange(1, n_basis))
-        vals, ref_vecs = scipy.linalg.eigh_tridiagonal(np.zeros(n_basis), off)
+        vals, ref_vecs = scipy_linalg.eigh_tridiagonal(np.zeros(n_basis), off)
         assert np.max(np.abs(np.sqrt(beta) * unit_vals - vals)) <= 1e-13 * np.sqrt(beta) * n_basis
         # eigenvectors agree up to sign
         signs = np.sign(np.sum(vecs * ref_vecs, axis=0))
         assert np.max(np.abs(vecs * signs - ref_vecs)) <= 1e-12
-        assert np.max(np.abs(log_fact - scipy.special.gammaln(np.arange(n_basis) + 1.0))) <= 1e-12
+        assert np.max(np.abs(log_fact - scipy_special.gammaln(np.arange(n_basis) + 1.0))) <= 1e-12
         assert not (unit_vals.flags.writeable or vecs.flags.writeable or log_fact.flags.writeable)
 
     def test_matrix_oracle_small_beta(self):
@@ -489,7 +489,7 @@ class TestIntegroDiff:
         ks = np.linspace(0.0, 40.0, 241)
         assert np.max(np.abs(fourier._e_tilde_grid(m, tau, ks) - fourier_oracle.e_tilde_dense(m, tau, ks))) <= 1e-15
         # e~_m(0) = (2 / sqrt(2 pi)) integral_0^inf e^{-tau x^m} dx
-        closed = sqrt(2.0 / pi) * scipy.special.gamma(1.0 + 1.0 / m) * tau ** (-1.0 / m)
+        closed = sqrt(2.0 / pi) * gamma(1.0 + 1.0 / m) * tau ** (-1.0 / m)
         assert abs(fourier._e_tilde_grid(m, tau, np.array([0.0]))[0] / closed - 1.0) <= 1e-15
 
     @settings(max_examples=100, deadline=None)
@@ -689,3 +689,34 @@ class TestHeatEvolution:
     def test_grid_must_be_power_of_two(self):
         with pytest.raises(InvalidParameterError):
             opcalc.GridFunction(np.zeros(100), 8.0)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: opcalc.gaussian_fourier_integral(_NAN, np.ones_like), InvalidParameterError,
+                 id="gaussian_fourier_integral"),
+    pytest.param(lambda: opcalc.gaussian_fourier_rows(_NAN, lambda k, rows: [np.ones_like(k) for _ in rows], 1),
+                 InvalidParameterError, id="gaussian_fourier_rows"),
+    pytest.param(lambda: quadrature.node_reach(_NAN), InvalidParameterError, id="node_reach"),
+    pytest.param(lambda: opcalc.gauss_weighted_integral(np.ones_like, _NAN), InvalidParameterError,
+                 id="gauss_weighted_integral"),
+    pytest.param(lambda: opcalc.gaussian_symbol(_NAN), InvalidParameterError, id="gaussian_symbol"),
+    pytest.param(lambda: opcalc.cos_gaussian_symbol(_NAN), InvalidParameterError, id="cos_gaussian_symbol"),
+    pytest.param(lambda: opcalc.heat_evolve_ft(
+        opcalc.GridFunction.sample(lambda t: np.exp(-(t ** 2) / 2), 16.0, 256), _NAN), InvalidParameterError,
+                 id="heat_evolve_ft"),
+    pytest.param(lambda: opcalc.matrix_function_pauli(opcalc.gaussian_symbol(1.0), _NAN), InvalidParameterError,
+                 id="matrix_function_pauli"),
+    pytest.param(lambda: opcalc.tricomi_evolution(0.5, _NAN), InvalidParameterError, id="tricomi_evolution"),
+    pytest.param(lambda: opcalc.tricomi_evolution_points([(0.5, 0.1), (0.5, _NAN)]), InvalidParameterError,
+                 id="tricomi_evolution_points"),
+    pytest.param(lambda: opcalc.integro_diff_evolve(PowerSeries(opcalc.c0_series(40), "ordinary"), 1.0, 2, 0.1, _NAN),
+                 TruncationError, id="integro_diff_evolve"),
+])
+def test_nan_argument_fails_the_guard(call, error):
+    # each guard is written `not value > 0` (or >=, <=), so NaN fails it and
+    # raises the guard's own error instead of returning nan
+    with pytest.raises(error):
+        call()
