@@ -285,10 +285,10 @@ def _derivative_tail_ordinary(M: float, rho: float, r: int, uabs: float, first_o
     return M * rho ** r * inner * s ** half * s ** (first_omitted - half)
 
 
-def _partial_weighted(b: sq.Sequence, r: float, kind: str) -> float:
-    """sum_n |b_n| r^n (over n! for the exponential kind)."""
+def _partial_weighted(terms, r: float, kind: str) -> float:
+    """sum_n |b_n| r^n (over n! for the exponential kind), b_n exact or float."""
     total = 0.0
-    for n, t in enumerate(b.terms):
+    for n, t in enumerate(terms):
         w = _power_over_factorial(r, n) if kind == "exponential" else r ** n
         total += abs(float(t)) * w
     return total
@@ -370,12 +370,16 @@ def _modular_radius(p: sq.TransformParams) -> Callable[[TestSequence], float]:
 
 
 def _k_binomial_cases(k: int) -> tuple[MasterCase, MasterCase]:
+    """The ordinary and exponential cases of one k; both hold one transform and one majorant transform."""
+    def transform(a: sq.Sequence) -> sq.Sequence:
+        return sq.rising_k_binomial(a, k)
+
     def abs_k_transform(a: sq.Sequence) -> sq.Sequence:
         # sign-free majorant sum_s C(n,s) s^k a_s: the EGF product of e^x and (s^k a_s)
         return sq._egf_product([1] * len(a), [s ** k * a[s] for s in range(len(a))])
 
     def case(kind, equation, radius):
-        return MasterCase(f"rising {k}-binomial, {kind} closed form", equation, lambda a: sq.rising_k_binomial(a, k),
+        return MasterCase(f"rising {k}-binomial, {kind} closed form", equation, transform,
                           gf.k_binomial_form(k, kind), radius, abs_k_transform, K_BINOMIAL_SEQUENCES)
 
     # the ordinary radius keeps t = rho r/(1-r) <= 0.5
@@ -388,6 +392,10 @@ def master_cases() -> list[MasterCase]:
         return MasterCase(f"modular transform, {kind} closed form", "Eq. 13", lambda a: sq.modular_transform(a, p),
                           gf.modular_form(p, kind), radius)
 
+    def laguerre(a: sq.Sequence) -> sq.Sequence:
+        return sq.laguerre_transform_seq(a, _LAGUERRE)
+
+    # the binomial and the Laguerre pairs hold one transform each
     return [
         MasterCase("binomial transform, ordinary closed form", "Eq. 9", sq.binomial_transform,
                    gf.modular_form(_UNIT, "ordinary"), _modular_radius(_UNIT)),
@@ -401,24 +409,39 @@ def master_cases() -> list[MasterCase]:
         MasterCase("hermite transform (complementary), closed form", "Eq. 29",
                    lambda a: sq.hermite_complementary_seq(a, _HERMITE), gf.hermite_form(_HERMITE, "complementary"),
                    lambda ts: 0.45),
-        MasterCase("laguerre transform, ordinary closed form", "Eq. 35",
-                   lambda a: sq.laguerre_transform_seq(a, _LAGUERRE), gf.laguerre_form(_LAGUERRE, "ordinary"),
-                   lambda ts: 0.45),
-        MasterCase("laguerre transform, exponential closed form", "Eq. 35",
-                   lambda a: sq.laguerre_transform_seq(a, _LAGUERRE), gf.laguerre_form(_LAGUERRE, "exponential"),
-                   lambda ts: 0.45),
+        MasterCase("laguerre transform, ordinary closed form", "Eq. 35", laguerre,
+                   gf.laguerre_form(_LAGUERRE, "ordinary"), lambda ts: 0.45),
+        MasterCase("laguerre transform, exponential closed form", "Eq. 35", laguerre,
+                   gf.laguerre_form(_LAGUERRE, "exponential"), lambda ts: 0.45),
     ]
 
 
-def _budget_side(case: MasterCase, ts: TestSequence, order: int) -> tuple:
+def _shared(table: dict, key, compute: Callable):
+    """table[key], computed on first use: the exact work that rows of one
+    `build_suites` run share, in a table that lives as long as its suites."""
+    if key not in table:
+        table[key] = compute()
+    return table[key]
+
+
+def _budget_side(case: MasterCase, ts: TestSequence, order: int, shared: dict) -> tuple:
     """(sample points, direct total, direct budget, closed tail as a function of |x|)
     for the majorant |a_n| <= M rho^n of ts: nothing here reads a itself.  The
-    closed tail is taken once per |x| and kept as long as the returned function."""
+    closed tail is taken once per |x| and kept as long as the returned function;
+    the transformed majorant's |b_n| once per run and transform."""
     r = case.radius(ts)
     direct_total = case.direct_total(ts, r)
     # majorant transforms may need a sign-free variant (k-binomial)
-    majorant = (case.transform_majorant or case.transform)(ts.majorant(order))
-    budget_direct = max(direct_total - _partial_weighted(majorant, r, case.form.kind), 0.0)
+    transform = case.transform_majorant or case.transform
+    growth = (ts.growth_M, ts.growth_rho, order)
+
+    def magnitudes() -> tuple:
+        majorant = _shared(shared, ("majorant", growth), lambda: ts.majorant(order))
+        return tuple(abs(float(t)) for t in transform(majorant).terms)
+
+    kept = _partial_weighted(_shared(shared, ("transformed majorant", transform, growth), magnitudes), r,
+                             case.form.kind)
+    budget_direct = max(direct_total - kept, 0.0)
     tails = {}
 
     def closed_tail(xa: float) -> float:
@@ -429,18 +452,24 @@ def _budget_side(case: MasterCase, ts: TestSequence, order: int) -> tuple:
     return sample_points(r), direct_total, budget_direct, closed_tail
 
 
-def run_master_case(case: MasterCase, order: int = DEFAULT_ORDER) -> Outcome:
+def run_master_case(case: MasterCase, order: int = DEFAULT_ORDER, shared: dict | None = None) -> Outcome:
+    """The row of one case.  A run's rows pass one `shared` table, so a pair of
+    cases holding the same transform (ordinary and exponential forms) builds each
+    test sequence and takes each transform once; alone, a case fills its own."""
+    shared = {} if shared is None else shared
     # one budget side per distinct majorant: "ones" and "harmonic" share (1, 1)
     sides = {}
     worst_rel, detail = 0.0, ""
     for ts in case.sequences:
         key = (ts.growth_M, ts.growth_rho)
         if key not in sides:
-            sides[key] = _budget_side(case, ts, order)
+            sides[key] = _budget_side(case, ts, order, shared)
         points, direct_total, budget_direct, closed_tail = sides[key]
-        a = ts.build(order)
+        a = _shared(shared, ("sequence", ts, order), lambda: ts.build(order))
         closed = case.form.bind(a)
-        direct = gf.sequence_series(case.transform(a), case.form.kind)
+        coeffs = _shared(shared, ("transform", case.transform, ts, order),
+                         lambda: tuple(map(complex, case.transform(a).terms)))
+        direct = gf.coefficient_series(coeffs, case.form.kind)
         for x in points:
             closed_value = closed(x)
             direct_value = direct(x)
@@ -787,12 +816,9 @@ def _chk_umbral() -> Outcome:
     taylor = oc.gaussian_taylor(scale, 120)
     a = sq.Sequence.of([1] * 80)
     symbol = oc.gaussian_symbol(float(scale))
-
-    def residual(x: float) -> float:
-        got = oc.umbral_operator_transform(symbol, a, x, rho=1.0)
-        return abs(got - oc.umbral_double_sum(taylor, a, x))
-
-    worst = _worst(residual(x) for x in (-0.3, -0.15, 0.1, 0.2, 0.3))
+    xs = (-0.3, -0.15, 0.1, 0.2, 0.3)
+    oracles = oc.umbral_double_sums(taylor, a, xs)
+    worst = _worst(abs(oc.umbral_operator_transform(symbol, a, x, rho=1.0) - oracle) for x, oracle in zip(xs, oracles))
     return Outcome(worst, "Gaussian symbol vs exact double-sum oracle, |x| <= 0.3")
 
 
@@ -1019,7 +1045,8 @@ def _errata_eq86() -> Outcome:
 
 
 def _eq89_case() -> tuple:
-    """(Gaussian coefficient, envelope, a, x, exact oracle) of e^{-s (k-h)^2}, s = 1/32, h = 1/2, 128 ones."""
+    """(Gaussian coefficient, envelope, a, x, exact oracle) of e^{-s (k-h)^2}, s = 1/32, h = 1/2, 128 ones;
+    a run computes it once for its two Eq. 89 rows."""
     scale, shift = Fraction(1, 32), Fraction(1, 2)
     s, sh = float(scale), float(shift)
     a, x = sq.Sequence.of([1] * 128), 0.25
@@ -1028,9 +1055,9 @@ def _eq89_case() -> tuple:
     return 1.0 / (4.0 * s), lambda k: 1.0 / sqrt(2.0 * s) * np.exp(-1j * k * sh), a, x, oracle
 
 
-def _errata_eq89() -> Outcome:
+def _errata_eq89(case: tuple) -> Outcome:
     # printed 1 + ikx denominator: visible once the symbol is not even
-    coeff, envelope, a, x, oracle = _eq89_case()
+    coeff, envelope, a, x, oracle = case
 
     def printed_form(k):
         den = 1.0 + 1j * k * x
@@ -1041,18 +1068,27 @@ def _errata_eq89() -> Outcome:
 
 
 def _shifted_gaussian_taylor(scale: Fraction, shift: Fraction, order: int) -> tuple:
-    # taylor of exp(-scale (u - shift)^2) / exp(-scale shift^2) = exp(2 scale shift u - scale u^2),
-    # the EGF product of e^{2 scale shift u} and e^{-scale u^2}, over n!
-    scale, shift = Fraction(scale), Fraction(shift)
-    lin = 2 * scale * shift
-    egf = sq._egf_product([lin ** j for j in range(order + 1)], sq._gauss_egf(-scale, order + 1),
-                          lcm(lin.denominator, scale.denominator))
-    return tuple(b / factorial(n) for n, b in enumerate(egf.terms))
+    """Taylor coefficients t_n of exp(-scale (u - shift)^2) / exp(-scale shift^2) = e^{a u + b u^2},
+    a = 2 scale shift, b = -scale, through `order`.
+
+    f' = (a + 2 b u) f gives f^(n+1)(0) = a f^(n)(0) + 2 b n f^(n-1)(0); with c the
+    lcm of the denominators of a and b, F_n = c^n f^(n)(0) is an integer,
+    F_{n+1} = a c F_n + 2 b c^2 n F_{n-1}, and t_n = F_n / (c^n n!).
+    """
+    a, b = 2 * Fraction(scale) * Fraction(shift), -Fraction(scale)
+    c = lcm(a.denominator, b.denominator)
+    ac, bc2 = int(a * c), int(2 * b * c * c)
+    out, previous, current, den = [], 0, 1, 1
+    for n in range(order + 1):
+        out.append(Fraction(current, den))
+        previous, current = current, ac * current + bc2 * n * previous
+        den *= c * (n + 1)
+    return tuple(out)
 
 
-def _chk_umbral_derived_sign() -> Outcome:
+def _chk_umbral_derived_sign(case: tuple) -> Outcome:
     # the derived 1 - ikx form agrees with the oracle for the same non-even symbol
-    coeff, envelope, a, x, oracle = _eq89_case()
+    coeff, envelope, a, x, oracle = case
     got = oc.umbral_operator_transform(oc.FourierSymbol(coeff, envelope), a, x)
     return Outcome(abs(got - oracle), "shifted-Gaussian symbol vs double-sum oracle")
 
@@ -1065,13 +1101,19 @@ def _errata_footnote6() -> Outcome:
 # ---------------------------------------------------------------------------
 # suite assembly
 
-def _master_checks(cases: list[MasterCase], order: int) -> list[Check]:
-    return [Check(case.label, case.equation, MASTER_RELATIVE, lambda c=case: run_master_case(c, order))
+def _master_checks(cases: list[MasterCase], order: int, shared: dict) -> list[Check]:
+    return [Check(case.label, case.equation, MASTER_RELATIVE, lambda c=case: run_master_case(c, order, shared))
             for case in cases]
 
 
 def build_suites(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> dict[str, list[Check]]:
+    """The catalog's suites.  Their rows share one table of exact work, empty here
+    and filled on first use: each row reads the same values alone as in a run."""
     suites: dict[str, list[Check]] = {}
+    shared: dict = {}
+
+    def eq89() -> tuple:
+        return _shared(shared, _eq89_case, _eq89_case)
 
     suites["involution"] = [
         Check("binomial involution on random rationals", "Eq. 5b", 0.0, lambda: _chk_involution(seed)),
@@ -1084,9 +1126,9 @@ def build_suites(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> dict[s
 
     suites["kbinomial"] = [
         Check("k-binomial reduces to binomial at k=0", "Eq. 15", 0.0, lambda: _chk_k_zero_reduction(seed)),
-    ] + _master_checks([case for k in range(4) for case in _k_binomial_cases(k)], order)
+    ] + _master_checks([case for k in range(4) for case in _k_binomial_cases(k)], order, shared)
 
-    suites["gftrans"] = _master_checks(master_cases(), order) + [
+    suites["gftrans"] = _master_checks(master_cases(), order, shared) + [
         Check("laguerre special: e^x J_0(2 sqrt x)", "Eq. 36", 1e-10, lambda: _chk_laguerre_special(
             "exponential", lambda x: exp(x) * _bessel_j0(2 * sqrt(x)), "e^x J_0(2 sqrt(x))")),
         Check("laguerre special: resolvent exponential", "Eq. 37", 1e-10, lambda: _chk_laguerre_special(
@@ -1158,9 +1200,9 @@ def build_suites(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> dict[s
 
     suites["umbral"] = [
         Check("umbral operator transform vs double sum", "Eq. 89", 1e-7, _chk_umbral),
-        Check("umbral transform, non-even symbol", "Eq. 89", 1e-7, _chk_umbral_derived_sign),
+        Check("umbral transform, non-even symbol", "Eq. 89", 1e-7, lambda: _chk_umbral_derived_sign(eq89())),
         Check("umbral gaussian evolution bridge", "Eq. 88", 1e-10, _chk_umbral_bridge),
-        Check("printed denominator sign", "Eq. 89", 0.0, _errata_eq89, errata=True),
+        Check("printed denominator sign", "Eq. 89", 0.0, lambda: _errata_eq89(eq89()), errata=True),
     ]
 
     return suites

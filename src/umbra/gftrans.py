@@ -214,6 +214,11 @@ def laguerre_form(p: TransformParams, kind: Kind) -> Form:
 def sequence_series(a: Sequence, kind: Kind) -> Callable[[complex], complex]:
     """Direct truncated summation of the generating function of a, as a function
     of x; the terms are converted to complex once, as `Form.bind` does."""
+    return coefficient_series(tuple(map(complex, a.terms)), kind)
+
+
+def coefficient_series(coeffs: tuple, kind: Kind) -> Callable[[complex], complex]:
+    """sequence_series on terms already converted to complex."""
     _check_kind(kind)
-    evaluate, coeffs = _EVALUATORS[kind], tuple(map(complex, a.terms))
+    evaluate = _EVALUATORS[kind]
     return lambda x: evaluate(coeffs, x)

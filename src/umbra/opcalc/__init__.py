@@ -26,6 +26,7 @@ from .oracles import (
     pauli_spectral,
     tricomi_evolution_series,
     umbral_double_sum,
+    umbral_double_sums,
 )
 from .quadrature import (
     FourierSymbol,
@@ -67,6 +68,7 @@ __all__ = [
     "pauli_spectral",
     "tricomi_evolution_series",
     "umbral_double_sum",
+    "umbral_double_sums",
     "FourierSymbol",
     "QuadratureConvergenceWarning",
     "QuadratureResult",

@@ -119,6 +119,8 @@ def big_o_on_monomial(symbol: FourierSymbol, alpha: float, beta: float, n: int, 
 
     The phase 1/3 and unit shift come from the verified disentanglement.
     """
+    if not all(abs(value) < inf for value in (alpha, beta, x)):  # NaN fails too
+        raise InvalidParameterError("the ordered exponential needs finite alpha, beta and x")
 
     def g(k):
         return (
@@ -163,6 +165,8 @@ def tricomi_evolution(x: float, tau: float) -> complex:
 
     F(x, tau) = (1/(2 sqrt(pi tau))) integral e^{-k^2/4 tau} C_0(-i k x) dk.
     """
+    if not abs(x) < inf:
+        raise InvalidParameterError("tricomi evolution needs a finite x")
     if tau == 0:
         return 1.0 + 0j
     if not tau >= 0:
@@ -187,6 +191,8 @@ def tricomi_evolution_points(points: list[tuple[float, float]]) -> list[complex]
     TRICOMI_STACK_ROWS at a time; the taus run in order of their first point.
     An unconverged point warns as "(integrand r of R)" of its stack.
     """
+    if any(not abs(x) < inf for x, _ in points):
+        raise InvalidParameterError("tricomi evolution needs a finite x")
     if any(not tau >= 0 for _, tau in points):
         raise InvalidParameterError("tricomi evolution needs tau >= 0")
     values = [1.0 + 0j] * len(points)

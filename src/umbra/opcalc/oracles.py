@@ -202,19 +202,28 @@ def c0_series(order: int):
 
 
 def umbral_double_sum(taylor: SequenceABC[Fraction], a: Sequence, x: float) -> complex:
-    """sum_n x^n sum_{m<=n} c_m n!/(n-m)! a_{n-m}, optimally truncated.
+    """umbral_double_sums at the one x."""
+    return umbral_double_sums(taylor, a, (x,))[0]
+
+
+def umbral_double_sums(taylor: SequenceABC[Fraction], a: Sequence, xs: SequenceABC[float]) -> list[complex]:
+    """sum_n x^n sum_{m<=n} c_m n!/(n-m)! a_{n-m} at each x, optimally truncated.
 
     The outer series is asymptotic (inner values grow super-geometrically);
     inner sums are done in exact rational arithmetic to dodge cancellation and
     the outer sum stops at its smallest term, the standard superasymptotic
     truncation.  With the narrow symbols used in tests the smallest term is
-    far below every tolerance in play.  Inner sums: sum_m C(n,m) (c_m m!) a_{n-m}.
+    far below every tolerance in play.  Inner sums: sum_m C(n,m) (c_m m!) a_{n-m},
+    taken once for all x.
     """
     left = [Fraction(taylor[m]) * factorial(m) if m < len(taylor) else 0 for m in range(len(a))]
-    inner = _egf_product(left, a.terms).terms
-    terms = [float(v) * x ** n for n, v in enumerate(inner)]
-    if len(terms) > 3:
-        cut = min(range(2, len(terms)), key=lambda n: abs(terms[n]))
-    else:
-        cut = len(terms) - 1
-    return complex(sum(terms[: cut + 1]))
+    inner = [float(v) for v in _egf_product(left, a.terms).terms]
+    sums = []
+    for x in xs:
+        terms = [v * x ** n for n, v in enumerate(inner)]
+        if len(terms) > 3:
+            cut = min(range(2, len(terms)), key=lambda n: abs(terms[n]))
+        else:
+            cut = len(terms) - 1
+        sums.append(complex(sum(terms[: cut + 1])))
+    return sums

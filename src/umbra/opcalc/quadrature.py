@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isinf, log, pi, sqrt
+from math import factorial, inf, isinf, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -156,8 +156,8 @@ LEGENDRE_RULE_CACHE = 64
 @lru_cache(maxsize=LEGENDRE_RULE_CACHE)
 def legendre_composite_rule(a: float, b: float, panels: int, order: int) -> QuadratureRule:
     """Composite Gauss-Legendre rule over [a, b] split into equal panels."""
-    if b <= a or panels < 1:
-        raise InvalidParameterError("legendre composite rule needs b > a and panels >= 1")
+    if not -inf < a < b < inf or panels < 1:  # NaN fails too
+        raise InvalidParameterError("legendre composite rule needs finite a < b and panels >= 1")
     base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2

@@ -47,8 +47,8 @@ The side that carries the terms is cleared to integers over one common
 denominator (`_cleared`), and `_integer_product` takes the double sum on
 integers and reduces each b_n once.  `_egf_product` is the same kernel for
 factors given as lists of rationals; it serves the catalog's k-binomial
-majorant and shifted-Gaussian table, the umbral double-sum oracle and
-e^{-alpha D^{-1}}.  The Appell A * (1/A) check calls `_integer_product`.
+majorant, the umbral double-sum oracle and e^{-alpha D^{-1}}.  The Appell
+A * (1/A) check calls `_integer_product`.
 
 The twin kernel `_integer_correlation` applies Phi(d/dx): d^k shifts
 exponential coefficients by k, so [Phi(d) g]_j = sum_k phi_k F_{j+k}, F_j =

@@ -187,7 +187,7 @@ def test_master_budgets_are_rigorous(index, order):
         majorant = ts.majorant(long_order)
         alternated = Sequence.of((-1) ** n * t for n, t in enumerate(majorant.terms))
         reached = max(
-            checks._partial_weighted((case.transform_majorant or case.transform)(b), r, case.form.kind)
+            checks._partial_weighted((case.transform_majorant or case.transform)(b).terms, r, case.form.kind)
             for b in (majorant, alternated)
         )
         assert reached <= case.direct_total(ts, r) * (1 + 1e-12), (case.label, ts.label)
@@ -195,7 +195,7 @@ def test_master_budgets_are_rigorous(index, order):
 
 def test_partial_weighted_sums_absolute_terms():
     # the kept part of the direct-side majorant is sign-free: 1 + |-1| / 2
-    assert checks._partial_weighted(Sequence.of([1, -1]), 0.5, "ordinary") == 1.5
+    assert checks._partial_weighted(Sequence.of([1, -1]).terms, 0.5, "ordinary") == 1.5
 
 
 def test_seed_changes_random_draws_not_status():
@@ -246,6 +246,68 @@ def test_k_binomial_majorant_matches_double_sum(terms, k):
 def test_shifted_gaussian_taylor_matches_double_sum(scale, shift, order):
     want = convolution_oracle.shifted_gaussian_taylor(scale, shift, order)
     assert checks._shifted_gaussian_taylor(scale, shift, order) == want
+
+
+def test_shifted_gaussian_taylor_edges():
+    # order 0 is the constant 1, order 1 adds a = 2 scale shift; at shift 0 the odd
+    # coefficients vanish and the even ones are (-scale)^r / r!
+    assert checks._shifted_gaussian_taylor(Fraction(1, 32), Fraction(1, 2), 0) == (1,)
+    assert checks._shifted_gaussian_taylor(Fraction(1, 32), Fraction(1, 2), 1) == (1, Fraction(1, 32))
+    got = checks._shifted_gaussian_taylor(Fraction(2, 3), 0, 6)
+    assert got == (1, 0, Fraction(-2, 3), 0, Fraction(2, 9), 0, Fraction(-4, 81))
+    assert all(type(t) is Fraction for t in got)
+
+
+#: the rows that share exact work with the other row of their pair in one run
+_PAIRED_ROWS = [
+    ("gftrans", "binomial transform, ordinary closed form", "binomial transform, exponential closed form"),
+    ("gftrans", "laguerre transform, ordinary closed form", "laguerre transform, exponential closed form"),
+] + [
+    ("kbinomial", f"rising {k}-binomial, ordinary closed form", f"rising {k}-binomial, exponential closed form")
+    for k in range(4)
+] + [("umbral", "umbral transform, non-even symbol", "printed denominator sign")]
+
+
+def _result_key(result: checks.CheckResult) -> tuple:
+    return result.status, repr(result.residual), result.detail
+
+
+@pytest.mark.parametrize("suite, first, second", [
+    (suite, *names) for suite, a, b in _PAIRED_ROWS for names in ((a, b), (b, a))
+], ids=lambda value: value)
+def test_shared_work_is_invisible_in_a_row(catalog_run, suite, first, second):
+    # the pair run from a fresh resolve_suites, either row first, gives each row's
+    # result of the full run: alone (first) and after its partner filled the table (second)
+    expected = {(s, r.name): _result_key(r) for s, r in catalog_run[0]}
+    rows = {check.name: check for _, check in checks.resolve_suites(suite)}
+    for name in (first, second):
+        assert _result_key(checks.run_check(rows[name])) == expected[suite, name], name
+
+
+def test_a_run_takes_each_shared_transform_once(monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("binomial_transform", "laguerre_transform_seq", "rising_k_binomial"):
+        counted(checks.sq, name)
+    counted(checks, "_eq89_case")
+    names = {name for _, *pair in _PAIRED_ROWS for name in pair}
+    # per run: 5 sequences and 4 distinct majorants for the binomial and the Laguerre
+    # pair, 3 sequences for each k (its majorants take the sign-free transform), one Eq. 89 case
+    once = {"binomial_transform": 9, "laguerre_transform_seq": 9, "rising_k_binomial": 12, "_eq89_case": 1}
+    for runs in (1, 2):  # a second build_suites starts from an empty table
+        for _, check in checks.resolve_suites("all"):
+            if check.name in names:
+                assert not checks.run_check(check).failed, check.name
+        assert calls == {name: runs * count for name, count in once.items()}
 
 
 def test_j0_trapezoid_matches_scipy():

@@ -117,6 +117,13 @@ class TestBigO:
         ref = opcalc.apply_entire_function(_gaussian_taylor_float(), argument, [0.0] * n + [1.0], x)
         assert got == pytest.approx(ref, abs=1e-7)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["alpha", "beta", "x"])
+    def test_rejects_non_finite_arguments(self, bad, where):
+        args = {"alpha": 0.25, "beta": 0.25, "x": 0.5, where: bad}
+        with pytest.raises(InvalidParameterError, match="finite"):
+            opcalc.big_o_on_monomial(opcalc.gaussian_symbol(1.0), args["alpha"], args["beta"], 1, args["x"])
+
 
 class TestPauli:
     def test_omega_zero_gives_f0_identity(self):
@@ -151,6 +158,15 @@ class TestTricomiEvolution:
     def test_rejects_negative_tau(self):
         with pytest.raises(InvalidParameterError):
             opcalc.tricomi_evolution(0.5, -0.1)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_rejects_non_finite_x(self, x, tau):
+        # at tau = 0 too, where the value would not read x
+        with pytest.raises(InvalidParameterError, match="finite x"):
+            opcalc.tricomi_evolution(x, tau)
+        with pytest.raises(InvalidParameterError, match="finite x"):
+            opcalc.tricomi_evolution_points([(0.5, 0.5), (x, tau)])
 
     def test_spot_value(self):
         got = opcalc.tricomi_evolution(1.0, 1.0)
@@ -500,6 +516,12 @@ class TestIntegroDiff:
         nodes, weights = fourier_oracle.legendre_composite_loop(a, a + width, panels, order)
         assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
 
+    @pytest.mark.parametrize("a, b", [(float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 1.0),
+                                      (0.0, float("inf")), (1.0, 1.0), (1.0, 0.0)])
+    def test_legendre_rule_rejects_non_finite_or_empty_interval(self, a, b):
+        with pytest.raises(InvalidParameterError, match="finite a < b"):
+            quadrature.legendre_composite_rule(a, b, 2, 4)
+
     @pytest.mark.parametrize("beta,x", [(0.5, 0.25), (2.0, -0.5)])
     def test_bracket_polynomial_matches_convolutions(self, beta, x):
         f_ord = [complex(c) for c in opcalc.c0_series(81)]
@@ -642,6 +664,15 @@ class TestUmbralTransform:
         # Taylor tables shorter and longer than the sequence
         want = convolution_oracle.umbral_double_sum(taylor, terms, x)
         assert opcalc.umbral_double_sum(taylor, Sequence.of(terms), x) == want
+
+    @given(st.lists(rationals, min_size=1, max_size=30), st.lists(rationals, min_size=1, max_size=30),
+           st.lists(st.floats(-0.5, 0.5), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    @example([Fraction(1, 7)] * 40, [Fraction(-2, 3)] * 25, [0.3, -0.1, 0.3])
+    def test_double_sums_are_the_one_x_calls_bit_for_bit(self, taylor, terms, xs):
+        a = Sequence.of(terms)
+        got = opcalc.umbral_double_sums(taylor, a, xs)
+        assert list(map(repr, got)) == [repr(opcalc.umbral_double_sum(taylor, a, x)) for x in xs]
 
 
 class TestHeatEvolution:
