@@ -124,7 +124,7 @@ def tricomi_sweep(x_count: int, tau_count: int) -> list[tuple]:
     quadrature solution, its points stacked by tau, against the series solution."""
     points = _grid_points(1.0, x_count, tau_count)
     return [(x, tau, value, abs(value - oc.tricomi_evolution_series(x, tau)))
-            for (x, tau), value in zip(points, oc.tricomi_evolution_points(points))]
+            for (x, tau), value in zip(points, oc.tricomi_evolution_points(points), strict=True)]
 
 
 def c0_truncation(m: int) -> int:
@@ -158,7 +158,7 @@ def heat_sweep(scale: float, alpha: float, extent: float, points: int) -> list[t
     near = np.clip(xs, -reach, reach)
     evolved = oc.heat_evolve_ft(oc.GridFunction(np.exp(-scale * near * near), extent), alpha)
     exact = 1.0 / np.sqrt(denom) * np.exp(-scale * near ** 2 / denom)
-    return [(x, alpha, v, abs(v - e)) for x, v, e in zip(xs, evolved.samples, exact)]
+    return [(x, alpha, v, abs(v - e)) for x, v, e in zip(xs, evolved.samples, exact, strict=True)]
 
 
 def expansion_sweep(fam: ap.AppellFamily, f: ap.GaussianFunction, count: int) -> tuple:
@@ -177,7 +177,7 @@ def expansion_sweep(fam: ap.AppellFamily, f: ap.GaussianFunction, count: int) ->
             raise DivergenceError(f"oracle coefficient n={n} is past the float range: "
                                   f"the expansion of family {fam.name!r} diverges at this scale")
     result = ap.expansion_coefficients(fam, f, count)
-    pairs = [(complex(c), float(o)) for c, o in zip(result.coefficients, oracle)]
+    pairs = [(complex(c), float(o)) for c, o in zip(result.coefficients, oracle, strict=True)]
     return result, [(c, o, abs(c - o)) for c, o in pairs]
 
 
@@ -186,7 +186,7 @@ def reconstruction_sweep(fam: ap.AppellFamily, coefficients, f: ap.GaussianFunct
     xs = [float(x) for x in np.linspace(-1.0, 1.0, 21)]
     alphas = [complex(alpha) for alpha in coefficients]
     rows = []
-    for x, rec in zip(xs, ap.appell_sums(fam, [(alphas, x) for x in xs])):
+    for x, rec in zip(xs, ap.appell_sums(fam, [(alphas, x) for x in xs]), strict=True):
         ref = complex(f(x))
         rows.append((x, rec, ref, abs(rec - ref)))
     return rows
@@ -798,8 +798,9 @@ def _chk_exp_laguerre() -> Outcome:
 
 
 def _chk_integro_diff() -> Outcome:
-    worst = _worst(r for beta in (0.0, 0.5, 1.0) for *_, r in integro_sweep(beta, 2, 5, 5))
-    return Outcome(worst, f"m=2, beta in {{0, 1/2, 1}}, grid on [0,{INTEGRO_REGION:g}]^2 vs matrix exponential")
+    # beta = 1/50 takes the oracle's Taylor loop, 0 its finite sum, 1/2 and 1 its eigensystem
+    worst = _worst(r for beta in (0.0, 0.02, 0.5, 1.0) for *_, r in integro_sweep(beta, 2, 5, 5))
+    return Outcome(worst, f"m=2, beta in {{0, 1/50, 1/2, 1}}, grid on [0,{INTEGRO_REGION:g}]^2 vs matrix exponential")
 
 
 def _chk_integro_parity() -> Outcome:
@@ -818,7 +819,8 @@ def _chk_umbral() -> Outcome:
     symbol = oc.gaussian_symbol(float(scale))
     xs = (-0.3, -0.15, 0.1, 0.2, 0.3)
     oracles = oc.umbral_double_sums(taylor, a, xs)
-    worst = _worst(abs(oc.umbral_operator_transform(symbol, a, x, rho=1.0) - oracle) for x, oracle in zip(xs, oracles))
+    worst = _worst(abs(oc.umbral_operator_transform(symbol, a, x, rho=1.0) - oracle)
+                   for x, oracle in zip(xs, oracles, strict=True))
     return Outcome(worst, "Gaussian symbol vs exact double-sum oracle, |x| <= 0.3")
 
 
@@ -861,7 +863,7 @@ def _generating_check(fam: ap.AppellFamily, N: int, points, sign: str = "plus") 
     """|sum_{n<=N} t^n a_n(x)/n! - A(t)^{+-1} e^{tx}| at each (t, x): residuals of the defining product."""
     sums = ap.appell_sums(fam, [([t ** n / factorial(n) for n in range(N + 1)], x) for t, x in points], sign)
     closed = fam.value_at if sign == "plus" else fam.inverse_at
-    return [abs(s - closed(t) * np.exp(t * x)) for s, (t, x) in zip(sums, points)]
+    return [abs(s - closed(t) * np.exp(t * x)) for s, (t, x) in zip(sums, points, strict=True)]
 
 
 def _chk_appell_generating() -> Outcome:
@@ -935,7 +937,7 @@ def _errata_eq28() -> Outcome:
         sum(comb(n, 2 * r) * a[n - 2 * r] for r in range(n // 2 + 1))
         for n in range(len(a))
     ]
-    residual = _worst(abs(float(i - pr)) for i, pr in zip(implemented.terms, printed))
+    residual = _worst(abs(float(i - pr)) for i, pr in zip(implemented.terms, printed, strict=True))
     return Outcome(residual, "printed C(n,2r) coefficient vs closed-form-consistent coefficient")
 
 
@@ -951,7 +953,7 @@ def _errata_eq32() -> Outcome:
             for m, h in enumerate(sf.hermite2_coeffs(n, beta ** 2 * delta)))
         for n in range(len(a))
     ]
-    residual = _worst(abs(float(b - p)) for b, p in zip(sequential.terms, printed))
+    residual = _worst(abs(float(b - p)) for b, p in zip(sequential.terms, printed, strict=True))
     return Outcome(residual, "printed composite umbral form vs sequential pipeline")
 
 

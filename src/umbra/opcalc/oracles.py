@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lgamma, sqrt
+from math import factorial, inf, lgamma, sqrt
 from typing import Callable, Sequence as SequenceABC
 
 import numpy as np
@@ -105,6 +105,56 @@ def _unit_eigensystem(n_basis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return eigvals, eigvecs, log_fact
 
 
+@lru_cache(maxsize=None)
+def _nilpotent_tables(n_basis: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factor table and gather index of the beta = 0 Taylor sum (read-only, shared).
+
+    G = LD takes e_d to d e_{d-1}, so order k of e^{-tau G^m} takes source d to
+    target d - mk by the factors d - mk + m, ..., d - mk + 1, then -tau, then
+    1/k.  numpy divides a + bi by k as (a + b 0) / k + (b - a 0) / k i, which
+    is a product with 1/k - 0i, signed zeros included.  Column d holds source
+    d's factors down the rows, order after order, with 0 in the -tau rows and
+    in row 0, which takes the coefficients; column n_basis is a zero source
+    for the targets no source reaches.  gather[k, i] is the flat position,
+    in the running product down the rows, of order k's term on target i.
+    """
+    orders, width = (n_basis - 1) // m, m + 2
+    source = np.arange(n_basis + 1.0)
+    table = np.zeros((orders * width + 1, n_basis + 1), dtype=complex)
+    for k in range(1, orders + 1):
+        row = (k - 1) * width + 1
+        for j in range(m):
+            table[row + j] = source - (m * (k - 1) + j)
+        table[k * width] = complex(1.0 / k, -0.0)
+    k, target = np.ix_(np.arange(orders + 1), np.arange(n_basis))
+    gather = k * width * (n_basis + 1) + np.minimum(target + m * k, n_basis)
+    for array in (table, gather):
+        array.flags.writeable = False
+    return table, gather
+
+
+def _nilpotent_sum(e_coeffs: np.ndarray, m: int, tau: float) -> np.ndarray:
+    """e^{-tau LD^m} e at beta = 0, the finite Taylor sum taken in one pass.
+
+    Bit for bit the loop that applies G^m, then -tau, then 1/k, order by order,
+    and adds each term to the total until a term is all zero: every source's
+    chain of factors in one multiply.accumulate, each order's terms gathered
+    onto their targets, and the orders summed in sequence by one add.accumulate.
+    """
+    n_basis = len(e_coeffs)
+    table, gather = _nilpotent_tables(n_basis, m)
+    work = table.copy()
+    work[m + 1 :: m + 2] = -tau
+    work[0, :n_basis] = e_coeffs
+    # in place: a second table-sized array costs more than the products at degree 170
+    np.multiply.accumulate(work, axis=0, out=work)
+    terms = work.ravel()[gather]
+    # the loop stops at the first order whose terms are all zero, adding none of it
+    live = terms[1:].any(axis=1)
+    orders = 1 + (int(np.argmin(live)) if not live.all() else len(live))
+    return np.add.accumulate(terms[:orders], axis=0)[-1]
+
+
 def integro_matrix_oracle(
     f_ord_coeffs: SequenceABC[complex],
     beta: float,
@@ -117,22 +167,31 @@ def integro_matrix_oracle(
     coefficients of f past the cap are dropped.
 
     Worked in the basis e_n = x^n / n!, where LD shifts down with factor n and
-    D^{-1} shifts up with factor 1: the generator G is bidiagonal.  For
-    beta > 0 it is similar, via the diagonal scaling
-    s_n = sqrt(beta^n / n!), to a symmetric tridiagonal matrix with
-    off-diagonals sqrt(n beta).  Its eigensystem is numerically benign and
-    exp(-tau lambda^m) <= 1 for even m, unlike the raw monomial-basis matrix
-    whose dense expm overflows.  For small beta that scaling amplifies
-    rounding by up to beta^{-degree_cap/2}, so below ORACLE_TAYLOR_BETA the
-    Taylor sum of e^{-tau G^m} is taken instead (at beta = 0, G = LD is
-    nilpotent and the sum finite).  The sum raises TruncationError when it
-    does not converge within ORACLE_TAYLOR_ORDERS orders or, for beta > 0,
-    when its largest term exceeds the result 1e6-fold.  A degree cap past
-    FACTORIAL_DEGREE_MAX raises TruncationError before any work: the basis
-    scaling n! must fit a double.
+    D^{-1} shifts up with factor 1: the generator G is bidiagonal.  Three
+    regimes:
+    - beta = 0: G = LD is nilpotent and the Taylor sum of e^{-tau G^m} is
+      finite; it is taken in one pass (_nilpotent_sum).
+    - 0 < beta < ORACLE_TAYLOR_BETA: the Taylor sum, order by order.  It
+      raises TruncationError when it does not converge within
+      ORACLE_TAYLOR_ORDERS orders or when its largest term exceeds the result
+      1e6-fold.
+    - beta >= ORACLE_TAYLOR_BETA: G is similar, via the diagonal scaling
+      s_n = sqrt(beta^n / n!), to a symmetric tridiagonal matrix with
+      off-diagonals sqrt(n beta).  Its eigensystem is numerically benign and
+      exp(-tau lambda^m) <= 1 for even m, unlike the raw monomial-basis
+      matrix whose dense expm overflows.  For small beta that scaling
+      amplifies rounding by up to beta^{-degree_cap/2}, hence the Taylor sum
+      below the switch.
+    A negative, NaN or infinite beta or tau, or m < 1, raises
+    InvalidParameterError.  A degree cap past FACTORIAL_DEGREE_MAX raises
+    TruncationError before any work: the basis scaling n! must fit a double.
     """
-    if beta < 0:
-        raise InvalidParameterError("oracle implemented for beta >= 0")
+    if not 0 <= beta < inf:  # NaN fails too
+        raise InvalidParameterError("oracle implemented for finite beta >= 0")
+    if not 0 <= tau < inf:
+        raise InvalidParameterError("oracle needs a finite tau >= 0")
+    if m < 1:
+        raise InvalidParameterError("oracle needs a power m >= 1 of the generator")
     if degree_cap > FACTORIAL_DEGREE_MAX:
         raise TruncationError(
             f"degree cap {degree_cap}: the basis x^n/n! scales coefficient n by n!, "
@@ -144,7 +203,9 @@ def integro_matrix_oracle(
     e_coeffs = np.zeros(n_basis, dtype=complex)
     e_coeffs[: len(coeffs)] = coeffs * fact[: len(coeffs)]
 
-    if beta < ORACLE_TAYLOR_BETA:
+    if beta == 0:
+        evolved_e = _nilpotent_sum(e_coeffs, m, tau)
+    elif beta < ORACLE_TAYLOR_BETA:
         down = np.arange(1, n_basis, dtype=complex)
         total = e_coeffs.copy()
         term, spare = e_coeffs.copy(), np.empty_like(e_coeffs)
@@ -154,20 +215,16 @@ def integro_matrix_oracle(
                 # spare = G term: down with factor n, up with factor beta
                 np.multiply(term[1:], down, out=spare[:-1])
                 spare[-1] = 0
-                if beta:
-                    np.multiply(beta, term[:-1], out=term[:-1])
-                    spare[1:] += term[:-1]
+                np.multiply(beta, term[:-1], out=term[:-1])
+                spare[1:] += term[:-1]
                 term, spare = spare, term
             np.multiply(term, -tau, out=term)
             np.divide(term, k, out=term)
-            if not np.count_nonzero(term):
-                break  # beta = 0: LD^m is nilpotent
             total += term
-            if beta:
-                size = np.abs(term).max()
-                peak = max(peak, size)
-                if size <= 1e-17 * np.abs(total).max():
-                    break
+            size = np.abs(term).max()
+            peak = max(peak, size)
+            if size <= 1e-17 * np.abs(total).max():
+                break
         else:
             raise TruncationError(
                 f"Taylor sum of e^(-tau G^{m}) not converged in {ORACLE_TAYLOR_ORDERS} orders "

@@ -8,7 +8,8 @@ successive results agree, warning at the 1024-node cap.  One doubling loop
 serves a single integrand (`adaptive_hermite`) and a stack of integrands
 (`gaussian_fourier_rows`) that share the Gaussian factor: each row converges,
 counts its nodes and warns on its own, and only the rows still doubling are
-evaluated at the next rule.
+evaluated at the next rule.  No row stops at its first rule, so the first two
+rules share one integrand call on their nodes side by side.
 """
 from __future__ import annotations
 
@@ -153,15 +154,25 @@ def _hermite_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
 LEGENDRE_RULE_CACHE = 64
 
 
+@lru_cache(maxsize=None)
+def _legendre_base_rule(order: int) -> QuadratureRule:
+    """Gauss-Legendre nodes and weights on [-1, 1] (read-only, shared): a
+    composite rule on a new interval reuses them."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    for table in (nodes, weights):
+        table.flags.writeable = False
+    return QuadratureRule(nodes, weights)
+
+
 @lru_cache(maxsize=LEGENDRE_RULE_CACHE)
 def legendre_composite_rule(a: float, b: float, panels: int, order: int) -> QuadratureRule:
     """Composite Gauss-Legendre rule over [a, b] split into equal panels."""
     if not -inf < a < b < inf or panels < 1:  # NaN fails too
         raise InvalidParameterError("legendre composite rule needs finite a < b and panels >= 1")
-    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
+    base = _legendre_base_rule(order)
     edges = np.linspace(a, b, panels + 1)
     mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
-    return QuadratureRule((mid[:, None] + half[:, None] * base_nodes).ravel(), (half[:, None] * base_weights).ravel())
+    return QuadratureRule((mid[:, None] + half[:, None] * base.nodes).ravel(), (half[:, None] * base.weights).ravel())
 
 
 @dataclass(frozen=True)
@@ -171,17 +182,38 @@ class QuadratureResult:
     converged: bool
 
 
+def _rule_sums(g: Callable[[np.ndarray, np.ndarray], np.ndarray], active: np.ndarray,
+               node_counts: tuple[int, ...]) -> list[np.ndarray]:
+    """The sums of the rows `active` under each rule, from one call of g on the
+    rules' nodes side by side: each rule weights and sums its own slice."""
+    rules = [gauss_hermite_rule(n) for n in node_counts]
+    nodes = np.concatenate([rule.nodes for rule in rules])
+    values = np.broadcast_to(np.asarray(g(nodes, active), dtype=complex), (len(active), len(nodes)))
+    sums, start = [], 0
+    for rule in rules:
+        stop = start + len(rule.nodes)
+        sums.append((rule.weights * values[:, start:stop]).sum(axis=-1))
+        start = stop
+    return sums
+
+
 def _doubling(g: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int) -> list[QuadratureResult]:
     """The doubling loop for a stack of integrands: g(u, active) gives the rows
     `active` at the nodes u.  A row stops once two successive sums agree, or at
     the cap with one warning naming the row of a stack (a repeated message
-    prints once); only the rows still doubling are evaluated."""
+    prints once); only the rows still doubling are evaluated.  No row can stop
+    at its first rule, so the first two rules share one call of g; each later
+    rule makes a call of its own."""
     results: list = [None] * rows
     active, previous = np.arange(rows), None
     n = DEFAULT_START_NODES
+    ahead: list = []  # the second rule's sums, taken in the first rule's call
     while len(active):
-        rule = gauss_hermite_rule(n)
-        sums = (rule.weights * np.asarray(g(rule.nodes, active), dtype=complex)).sum(axis=-1)
+        if ahead:
+            sums = ahead.pop()
+        else:
+            paired = previous is None and 2 * n <= NODE_CAP
+            sums, *ahead = _rule_sums(g, active, (n, 2 * n) if paired else (n,))
         values = [complex(v) for v in sums]
         keep = []
         for i, (row, value) in enumerate(zip(active, values)):

@@ -223,8 +223,8 @@ class TestExpansion:
 
     @pytest.mark.parametrize("family", ["bernoulli", "identity", "hermite_type"])
     def test_inverse_evaluated_once_per_node(self, monkeypatch, request, family):
-        # 25 orders share the three probe points and the 128- and 256-node sets,
-        # each evaluated as one array
+        # 25 orders share the three probe points and the 128- and 256-node sets;
+        # the two sets are taken side by side as one array of 384 nodes
         fam = request.getfixturevalue(family)
         calls = []
         inverse_at = appell.AppellFamily.inverse_at
@@ -236,7 +236,7 @@ class TestExpansion:
         monkeypatch.setattr(appell.AppellFamily, "inverse_at", counting)
         res = appell.expansion_coefficients(fam, appell.GaussianFunction(Fraction(1, 8)), 24)
         assert res.node_counts == (256,) * 25
-        assert calls == [3, 128, 256]
+        assert calls == [3, 384]
 
     @pytest.mark.parametrize("family", ["bernoulli", "identity", "hermite_type"])
     def test_coefficients_pinned(self, request, family):

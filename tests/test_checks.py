@@ -104,6 +104,15 @@ def test_pauli_row_fails_on_one_nan_oracle_value(monkeypatch):
     _assert_fails_with_nan(_only_row("pauli", "matrix function vs spectral oracle"))
 
 
+def test_eq64_row_errors_on_a_short_oracle(monkeypatch):
+    # route and oracle are paired strictly: an oracle two coefficients short is an
+    # error row, not a comparison of the first nine orders
+    operational = checks.ap.operational_coefficients
+    monkeypatch.setattr(checks.ap, "operational_coefficients", lambda *args: operational(*args)[:-2])
+    result = checks.run_check(_only_row("appell", "expansion coefficients vs operational oracle"))
+    assert result.status == "error" and "zip()" in result.detail, result
+
+
 def _errata_rows() -> dict:
     return {check.equation: check for _, check in checks.resolve_suites("all") if check.errata}
 

@@ -244,8 +244,8 @@ class TestTricomiEvolution:
         route = fourier._tricomi_integrand
 
         def restless(k, x):
-            # the row at x = 0.9 gains 1e-3 per node: its sum moves with every doubling
-            return route(k, x) + 1e-3 * k.shape[-1] * (x == 0.9)
+            # the row at x = 0.9 gains a ripple that no rule resolves: its sum moves with every doubling
+            return route(k, x) + 1e-3 * np.cos(3000.0 * k) * (x == 0.9)
 
         monkeypatch.setattr(fourier, "_tricomi_integrand", restless)
         with pytest.warns(quadrature.QuadratureConvergenceWarning, match=r"\(integrand 1 of 2\)") as caught:
@@ -397,6 +397,19 @@ class TestIntegroDiff:
         with pytest.raises(TruncationError, match=reason):
             opcalc.integro_matrix_oracle(f_ord, 0.039, 4, 0.5, 0.5, degree)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1])
+    @pytest.mark.parametrize("beta", [0.0, 0.02, 0.5])
+    def test_matrix_oracle_rejects_a_bad_tau(self, beta, tau):
+        # one guard for the finite sum, the Taylor loop and the eigensystem: NaN and
+        # inf once came back as nan+nanj or 0j, or ran 400 orders into TruncationError
+        with pytest.raises(InvalidParameterError, match="tau"):
+            opcalc.integro_matrix_oracle(self.f_ord, beta, 2, tau, 0.25, 40)
+
+    @pytest.mark.parametrize("beta, m", [(float("nan"), 2), (float("inf"), 2), (-0.5, 2), (0.0, 0), (0.5, -2)])
+    def test_matrix_oracle_rejects_a_bad_beta_or_power(self, beta, m):
+        with pytest.raises(InvalidParameterError):
+            opcalc.integro_matrix_oracle(self.f_ord, beta, m, 0.25, 0.25, 40)
+
     def test_m2_makes_no_quadrature_call(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("m = 2 evolution reached the Gauss-Hermite engine")
@@ -515,6 +528,22 @@ class TestIntegroDiff:
         rule = quadrature.legendre_composite_rule.__wrapped__(a, a + width, panels, order)
         nodes, weights = fourier_oracle.legendre_composite_loop(a, a + width, panels, order)
         assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+    def test_legendre_base_rule_is_built_once_per_order(self, monkeypatch):
+        # the m >= 4 route asks for a new interval per tau; the [-1, 1] rule under it is shared
+        leggauss, orders = np.polynomial.legendre.leggauss, []
+
+        def counting(order):
+            orders.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        quadrature._legendre_base_rule.cache_clear()
+        for b in (1.0, 2.5, 7.0):
+            quadrature.legendre_composite_rule.__wrapped__(0.0, b, 3, 16)
+        assert orders == [16]
+        base = quadrature._legendre_base_rule(16)
+        assert not base.nodes.flags.writeable and not base.weights.flags.writeable
 
     @pytest.mark.parametrize("a, b", [(float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 1.0),
                                       (0.0, float("inf")), (1.0, 1.0), (1.0, 0.0)])

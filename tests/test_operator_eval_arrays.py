@@ -9,7 +9,7 @@ from math import factorial, pi, sqrt
 import numpy as np
 import operator_eval_oracle as ref
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbra import appell, opcalc, specfun
@@ -111,6 +111,43 @@ def test_adaptive_hermite_matches_its_own_loop(integrand):
     assert _run(lambda: opcalc.adaptive_hermite(integrand)) == _run(lambda: ref.adaptive_hermite(integrand))
 
 
+def _counting_rows():
+    """(g, calls): g gives the rows `active` at the nodes k, rows 1 and 3 a spike
+    that never converges and the others a Gaussian; calls records (node count,
+    active rows) of each call."""
+    spike = lambda u: np.exp(-((u * 3000.0) ** 2) % 7.0)  # noqa: E731
+    calls = []
+
+    def g(k, active):
+        calls.append((len(k), active.tolist()))
+        return np.array([spike(k) if r in (1, 3) else np.exp(-k * k) for r in active])
+
+    return g, calls
+
+
+def test_first_two_rules_share_one_integrand_call():
+    # a converging stack stops at 256 nodes after one call on the 128 + 256 nodes
+    g, calls = _counting_rows()
+    assert [res.node_count for res in opcalc.gaussian_fourier_rows(2.0, g, 1)] == [256]
+    assert calls == [(384, [0])]
+
+
+def test_later_rules_take_the_rows_still_doubling():
+    g, calls = _counting_rows()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = opcalc.gaussian_fourier_rows(2.0, g, 5)
+    assert [res.node_count for res in results] == [256, 1024, 256, 1024, 256]
+    assert [str(w.message).split(" (")[-1] for w in caught] == ["integrand 1 of 5)", "integrand 3 of 5)"]
+    assert calls == [(384, [0, 1, 2, 3, 4]), (512, [1, 3]), (1024, [1, 3])]
+
+
+def test_empty_stack_never_calls_the_integrand():
+    g, calls = _counting_rows()
+    assert opcalc.gaussian_fourier_rows(2.0, g, 0) == ()
+    assert calls == []
+
+
 def test_rows_warn_once_per_unconverged_row():
     spike = lambda u: np.exp(-((u * 3000.0) ** 2) % 7.0)  # noqa: E731
     rows = lambda k, active: np.array([spike(k) if r % 2 else np.exp(-k * k) for r in active])  # noqa: E731
@@ -170,6 +207,25 @@ def test_integro_oracle_matches_per_element_scaling(m, degree, beta):
         for tau in (0.0, 0.1, 0.5):
             got = _run(lambda: opcalc.integro_matrix_oracle(f_ord, beta, m, tau, x, degree))
             assert got == _run(lambda: ref.integro_matrix_oracle(f_ord, beta, m, tau, x, degree))
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(complex, _unit, _unit), max_size=171), st.sampled_from([2, 4, 6, 8]),
+       st.floats(0.0, 5.0), st.floats(-1.0, 1.0), st.integers(-5, 5))
+# signed zeros: -0 in a sum meets underflowed terms, once after the terms run out
+@example([complex(-0.0, 1e-300), complex(-1e-300, 1), -1 + 1j, -2 + 0j, complex(1e-300, 0.5), -2 + 0j],
+         4, 1e-200, -0.0, 0)
+@example([complex(-0.0, -0.0), complex(-1, 1e-300), complex(0.5, 1e-300), complex(-0.0, 1), 1 - 1j, -1 + 1j,
+          1 - 1j, 0.5 + 0j], 8, 1e-200, -0.0, 2)
+def test_integro_oracle_beta_zero_pass_matches_order_loop(coeffs, m, tau, x, past_end):
+    # the beta = 0 sum in one pass against the loop that adds one order at a time,
+    # with the degree cap on both sides of the series' end
+    cap = min(max(len(coeffs) - 1 + past_end, 0), specfun.FACTORIAL_DEGREE_MAX)
+    got = _run(lambda: opcalc.integro_matrix_oracle(coeffs, 0.0, m, tau, x, cap))
+    assert got == _run(lambda: ref.integro_matrix_oracle(coeffs, 0.0, m, tau, x, cap))
 
 
 @pytest.mark.parametrize("degree, reason", [(121, "cancels"), (161, "not converged")])
