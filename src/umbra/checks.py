@@ -35,7 +35,7 @@ from . import gftrans as gf
 from . import opcalc as oc
 from . import seqcore as sq
 from . import specfun as sf
-from .errors import DivergenceError, InvalidParameterError, UnsupportedSymbolError, quoted
+from .errors import DivergenceError, InvalidParameterError, UmbraError, UnsupportedSymbolError, quoted
 from .opcalc.formal import exp_apply
 from .opcalc.fourier import INTEGRO_CUTOFFS, INTEGRO_M2_DEGREE, INTEGRO_REGION, integro_series_degree
 from .opcalc.operators import apply_operator, coefficients, polynomial
@@ -135,12 +135,19 @@ def c0_truncation(m: int) -> int:
 
 def integro_sweep(beta: float, m: int, x_count: int, tau_count: int) -> list[tuple]:
     """Eq. 86 on [0, INTEGRO_REGION]^2 from C_0, rows as in tricomi_sweep: the
-    Fourier route against the matrix exponential at the same degree cap."""
+    Fourier route, its points grouped by tau, against the matrix exponential at
+    the same degree cap."""
     order = c0_truncation(m)
     f = gf.PowerSeries(oc.c0_series(order), "ordinary")
+    points = _grid_points(INTEGRO_REGION, x_count, tau_count)
+    try:
+        values = oc.integro_diff_evolve_points(f, beta, m, points)
+    except UmbraError:
+        values = None  # the route rejects a point; the oracle may reject an earlier one
     rows = []
-    for x, tau in _grid_points(INTEGRO_REGION, x_count, tau_count):
-        value = oc.integro_diff_evolve(f, beta, m, tau, x)
+    for i, (x, tau) in enumerate(points):
+        # after a rejection, route then oracle point by point: the first rejection raises
+        value = oc.integro_diff_evolve(f, beta, m, tau, x) if values is None else values[i]
         oracle = oc.integro_matrix_oracle(f.complex_coeffs, beta, m, tau, x, order)
         rows.append((x, tau, value, abs(value - oracle)))
     return rows

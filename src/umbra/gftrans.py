@@ -53,6 +53,15 @@ class PowerSeries:
         and hash ignore it).  A grid of evaluations should reuse one series."""
         return tuple(map(complex, self.coeffs))
 
+    @cached_property
+    def borel_table(self):
+        """The Borel table a[j, s] = C(j+s, j) (j+s)! c_{j+s} of the Eq. 86 route
+        (`opcalc.fourier._borel_table`), built from `complex_coeffs` on first access
+        and kept with the series as a read-only array, like them."""
+        from .opcalc.fourier import _borel_table
+
+        return _borel_table(self.complex_coeffs)
+
 
 def _divided_power_series(coeffs, x: complex, step: int) -> complex:
     """sum c_n x^n / (n!)^step: the exponential series at step 1, at step 2 the

@@ -12,6 +12,7 @@ from .fourier import (
     gaussian_shift_transform,
     heat_evolve_ft,
     integro_diff_evolve,
+    integro_diff_evolve_points,
     matrix_function_pauli,
     tricomi_evolution,
     tricomi_evolution_points,
@@ -56,6 +57,7 @@ __all__ = [
     "gaussian_shift_transform",
     "heat_evolve_ft",
     "integro_diff_evolve",
+    "integro_diff_evolve_points",
     "matrix_function_pauli",
     "tricomi_evolution",
     "tricomi_evolution_points",

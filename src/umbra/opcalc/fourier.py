@@ -229,23 +229,53 @@ def _hankel_index(rows: int, cols: int) -> np.ndarray:
     return index
 
 
-def _evolution_tables(f_ord: tuple, beta: float, x: float, work_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient tables of [e^{i beta k D^{-1}} e^{i k LD} f](x) as a polynomial in k.
-
-    The polynomial is sum_{j,s,r} a[j, s] (ik)^s b[j, r] (ik)^r, with
-    a[j, s] = C(j+s, j) (j+s)! f_{j+s} from e^{ik LD} f = f_B(D^{-1} + ik) . 1
-    (Borel route) and b[j, r] = x^{j+r}/(j+r)! beta^r/r! from e^{i beta k D^{-1}},
-    cut at degree work_order in x.  f_ord holds the complex coefficients.
-    """
+def _borel_table(f_ord: tuple) -> np.ndarray:
+    """a[j, s] = C(j+s, j) (j+s)! f_{j+s}, zero past the degree: e^{ik LD} f = f_B(D^{-1} + ik) . 1
+    (Borel route) as a polynomial in ik, read-only.  `PowerSeries.borel_table` keeps it with the series."""
     tf = len(f_ord) - 1
-    steps = np.arange(1.0, work_order + 1.0)
     borel = np.zeros(2 * tf + 1, dtype=complex)
     borel[: tf + 1] = factorials(tf + 1) * np.asarray(f_ord)
-    a = _binomial_table(tf + 1) * borel[_hankel_index(tf + 1, tf + 1)]
-    xpow = np.zeros(tf + work_order + 1)  # x^q / q!, zero past work_order
-    xpow[: work_order + 1] = np.cumprod(np.concatenate(((1.0,), x / steps)))
-    b = xpow[_hankel_index(tf + 1, work_order + 1)] * np.cumprod(np.concatenate(((1.0,), beta / steps)))
-    return a, b
+    table = _binomial_table(tf + 1) * borel[_hankel_index(tf + 1, tf + 1)]
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _steps(count: int) -> np.ndarray:
+    """1.0, 2.0, ..., count: the divisors of the power rows (read-only, shared)."""
+    steps = np.arange(1.0, count + 1.0)
+    steps.flags.writeable = False
+    return steps
+
+
+def _power_rows(xs: list, beta: float, tf: int, work_order: int) -> np.ndarray:
+    """x^q/q! for q <= work_order, one row per x of a stack, then the row beta^r/r!,
+    all zero past work_order up to column tf + work_order: one cumprod over the
+    stacked ratios.
+
+    Ufunc methods rather than np.cumprod and np.sum, here and in the m = 2 sum:
+    their Python wrappers cost about as much as the work on one point.
+    """
+    cols = work_order + 1
+    rows = np.zeros((len(xs) + 1, tf + cols))
+    rows[:, 0] = 1.0
+    np.divide.outer([*xs, beta], _steps(work_order), out=rows[:, 1:cols])
+    np.multiply.accumulate(rows[:, :cols], axis=1, out=rows[:, :cols])
+    return rows
+
+
+def _evolution_tables(xs: list, beta: float, tf: int, work_order: int):
+    """b[j, r] = x^{j+r}/(j+r)! beta^r/r!, cut at degree work_order in x, for each x of a stack.
+
+    With the _borel_table a, sum_{j,s,r} a[j, s] (ik)^s b[j, r] (ik)^r is
+    [e^{i beta k D^{-1}} e^{i k LD} f](x) as a polynomial in k.
+    """
+    rows = _power_rows(xs, beta, tf, work_order)
+    index = _hankel_index(tf + 1, work_order + 1)
+    for row in rows[:-1]:
+        b = row[index]
+        b *= rows[-1, : work_order + 1]
+        yield b
 
 
 def _bracket_polynomial(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,16 +299,16 @@ def _moment_orders(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return half, signs
 
 
-def _gaussian_moment_sum(a: np.ndarray, b: np.ndarray, beta: float, tau: float) -> complex:
-    """The m = 2 integral of integro_diff_evolve as a finite sum of Gaussian moments.
+def _gaussian_hankel_product(a: np.ndarray, beta: float, tau: float, cols: int) -> np.ndarray:
+    """a @ H for the m = 2 integral of integro_diff_evolve, a sum of Gaussian moments.
 
     Its integrand is e^{-A k^2}, A = 1/(4 tau) + beta/2, times the polynomial
-    in k with the _evolution_tables a, b.  Odd powers of k integrate to 0 and
-    integral e^{-A k^2} k^{2p} dk = Gamma(p + 1/2) / A^{p + 1/2}, so the
-    integral is sum_j a[j] H b[j] with the Hankel matrix H[s, r] = i^{s+r} times
-    the (s+r)-th moment.
+    in k with the tables a, b (_borel_table, _evolution_tables).  Odd powers of
+    k integrate to 0 and integral e^{-A k^2} k^{2p} dk = Gamma(p + 1/2) / A^{p + 1/2},
+    so the integral is sum_j a[j] H b[j] = sum((a @ H) * b) with the Hankel
+    matrix H[s, r] = i^{s+r} times the (s+r)-th moment, r < cols.
     """
-    degree = a.shape[1] + b.shape[1] - 1
+    degree = a.shape[1] + cols - 1
     half, signs = _moment_orders(degree)
     # i^{2p} Gamma(p + 1/2) / A^{p + 1/2} / sqrt(4 pi tau), in log space: A^{p+1/2}
     # and Gamma(p + 1/2) overflow separately long before their ratio does
@@ -288,12 +318,11 @@ def _gaussian_moment_sum(a: np.ndarray, b: np.ndarray, beta: float, tau: float) 
     # complex like a, so that a @ hankel multiplies without casting
     moments = np.zeros(degree, dtype=complex)
     moments[::2] = signs * np.exp(log_moments)
-    hankel = moments[_hankel_index(a.shape[1], b.shape[1])]
-    return complex(np.sum((a @ hankel) * b))
+    return a @ moments[_hankel_index(a.shape[1], cols)]
 
 
-def _moment_law_sum(f_ord: tuple, a: np.ndarray, b: np.ndarray, m: int, tau: float) -> complex:
-    """The beta = 0 integral of integro_diff_evolve for even m >= 4, from the moments of e~_m.
+def _moment_law_weights(f_ord: tuple, m: int, tau: float) -> np.ndarray:
+    """Weights (mj)! (-tau)^j / j! of the beta = 0 integral of integro_diff_evolve for even m >= 4.
 
     (1/sqrt(2 pi)) integral e~_m(k, tau) (ik)^n dk = n! [u^n] e^{-tau u^m}, and at
     beta = 0 the bracket is the polynomial sum_n P_n (ik)^n with P = b[:, 0] @ a,
@@ -314,8 +343,7 @@ def _moment_law_sum(f_ord: tuple, a: np.ndarray, b: np.ndarray, m: int, tau: flo
     j = np.arange(order)
     # (mj)!/j! tau^j in log space: the ratio overflows long before the product does
     log_ratio = np.array([log(factorial(m * i) // factorial(i)) for i in range(order)])
-    weights = np.where(j % 2, -1.0, 1.0) * np.exp(log_ratio + j * log(tau))
-    return complex((b[:, 0] @ a)[::m] @ weights)
+    return np.where(j % 2, -1.0, 1.0) * np.exp(log_ratio + j * log(tau))
 
 
 def _e_tilde_grid(m: int, tau: float, ks: np.ndarray) -> np.ndarray:
@@ -370,13 +398,42 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
                 [e^{i beta k D^{-1}} e^{i k LD} f](x) dk
 
     with e~_m the transform pair of e^{-tau x^m}.  The bracket is one polynomial
-    in k for every m (_evolution_tables).  For m = 2, e~_m is a Gaussian and the
-    integral is summed in closed form from its moments.  For even m >= 4 at
-    beta = 0 it is the finite sum over the moments of e~_m; at beta > 0 the
-    polynomial is evaluated at Gauss-Legendre nodes against a grid transform
-    of e~_m.  Odd m has no transform pair on the line and is rejected, and so
-    is a series past degree FACTORIAL_DEGREE_MAX (the tables scale by n!).
+    in k for every m (_borel_table, _evolution_tables).  For m = 2, e~_m is a
+    Gaussian and the integral is summed in closed form from its moments.  For
+    even m >= 4 at beta = 0 it is the finite sum over the moments of e~_m; at
+    beta > 0 the polynomial is evaluated at Gauss-Legendre nodes against a grid
+    transform of e~_m.  Odd m has no transform pair on the line and is
+    rejected, and so is a series past degree FACTORIAL_DEGREE_MAX (the tables
+    scale by n!).  One point of integro_diff_evolve_points.
     """
+    return _integro_points(f, beta, m, [(x, tau)])[0]
+
+
+def integro_diff_evolve_points(f: PowerSeries, beta: float, m: int, points: list[tuple[float, float]]) -> list[complex]:
+    """integro_diff_evolve at each (x, tau), bit for bit, errors included: the
+    first point the one-point call rejects raises its error.
+
+    The work splits by what it depends on.  The Borel table depends on the
+    series alone and is kept with it (`PowerSeries.borel_table`); the m = 2
+    product a @ H, the m >= 4, beta = 0 moment weights, and the m >= 4, beta > 0
+    cutoff, Legendre rule and damped e~_m grid depend on tau and are built once
+    per tau, in order of its first point; each x then costs its own tables and
+    one sum, INTEGRO_STACK_ROWS points of a tau at a time.
+    """
+    return _integro_points(f, beta, m, points)
+
+
+#: the most points of one stack in integro_diff_evolve_points: at m >= 4,
+#: beta > 0 a stack's Horner pass holds rows x 1,536 complex nodes (24 kB a row
+#: at |k| <= 16), so a tau with more x values is split
+INTEGRO_STACK_ROWS = 32
+
+
+def _integro_points(f: PowerSeries, beta: float, m: int, points: list) -> list[complex]:
+    # both public entries call this one route, so that a tracer wrapping them
+    # charges the work to whichever entry the caller used
+    if not points:
+        return []
     if m <= 0 or m % 2:
         raise UnsupportedSymbolError(f"m = {m}: m must be a positive even integer for e^(-tau x^m) to decay")
     if beta < 0:
@@ -387,26 +444,54 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
             f"{INTEGRO_M2_DEGREE} still checks the route to 1e-12: the bound is the oracle's cap, "
             f"not the route's truncation"
         )
-    if not tau >= 0:
-        raise InvalidParameterError("needs tau >= 0")
-    if not abs(x) <= INTEGRO_REGION:
-        raise TruncationError(f"|x| = {abs(x):g} outside the truncation-controlled region {INTEGRO_REGION}")
-    if f.kind != "ordinary":
-        raise InvalidParameterError("integro_diff_evolve needs an ordinary-kind series")
-    if len(f.coeffs) - 1 > FACTORIAL_DEGREE_MAX:
-        raise TruncationError(
-            f"a degree-{len(f.coeffs) - 1} series: the route scales coefficient n by n!, "
-            f"which must fit a double (degree <= {FACTORIAL_DEGREE_MAX})"
-        )
-    f_ord = f.complex_coeffs
-    if tau == 0:
-        return polyval_coeffs(f_ord, x)
-    a, b = _evolution_tables(f_ord, beta, x, max(len(f_ord) - 1, 48) + 16)
+    values: list = [None] * len(points)
+    stacks: dict[float, tuple] = {}  # tau -> (its route, its points' indices, their x)
+    for i, (x, tau) in enumerate(points):
+        if not tau >= 0:
+            raise InvalidParameterError("needs tau >= 0")
+        if not abs(x) <= INTEGRO_REGION:
+            raise TruncationError(f"|x| = {abs(x):g} outside the truncation-controlled region {INTEGRO_REGION}")
+        if i == 0:  # the series is checked after the first point, as one point checks it
+            if f.kind != "ordinary":
+                raise InvalidParameterError("integro_diff_evolve needs an ordinary-kind series")
+            if len(f.coeffs) - 1 > FACTORIAL_DEGREE_MAX:
+                raise TruncationError(
+                    f"a degree-{len(f.coeffs) - 1} series: the route scales coefficient n by n!, "
+                    f"which must fit a double (degree <= {FACTORIAL_DEGREE_MAX})"
+                )
+        if tau == 0:
+            values[i] = polyval_coeffs(f.complex_coeffs, x)
+            continue
+        stack = stacks.get(tau)
+        if stack is None:
+            stack = stacks[tau] = (_integro_stack_route(f, beta, m, tau), [], [])
+        stack[1].append(i)
+        stack[2].append(x)
+    for route, indices, xs in stacks.values():
+        for start in range(0, len(xs), INTEGRO_STACK_ROWS):
+            end = start + INTEGRO_STACK_ROWS
+            for i, value in zip(indices[start:end], route(xs[start:end])):
+                values[i] = value
+    return values
+
+
+def _integro_stack_route(f: PowerSeries, beta: float, m: int, tau: float) -> Callable[[list], list]:
+    """The part of integro_diff_evolve that depends on tau, built once: a function
+    from the x values of a stack to their values.  Raises the route's TruncationError
+    for a tau it does not control."""
+    f_ord, a = f.complex_coeffs, f.borel_table
+    tf = len(f_ord) - 1
+    work_order = max(tf, 48) + 16
 
     if m == 2:
-        return _gaussian_moment_sum(a, b, beta, tau)
+        ah = _gaussian_hankel_product(a, beta, tau, work_order + 1)
+        return lambda xs: [complex(np.add.reduce(ah * b, axis=None))
+                           for b in _evolution_tables(xs, beta, tf, work_order)]
     if beta == 0:
-        return _moment_law_sum(f_ord, a, b, m, tau)
+        weights = _moment_law_weights(f_ord, m, tau)
+        # P = b[:, 0] @ a, and b[:, 0] is the x row itself (beta^0/0! = 1)
+        return lambda xs: [complex((row[: tf + 1] @ a)[::m] @ weights)
+                           for row in _power_rows(xs, beta, tf, work_order)[:-1]]
 
     # even m >= 4, beta > 0: locate a cutoff where the damped symbol is
     # negligible (beta = 1e-3, tau ~ 0.4 at m = 4 finds none)
@@ -420,25 +505,29 @@ def integro_diff_evolve(f: PowerSeries, beta: float, m: int, tau: float, x: floa
             f"at |k| = {K:g}, past the largest cutoff the route controls"
         )
     needed = integro_series_degree(K)
-    if len(f_ord) - 1 < needed:
+    if tf < needed:
         raise TruncationError(
             f"m={m}, tau={tau:g} integrates out to |k| ~ {K:g}: the initial series must "
-            f"carry coefficients through degree {needed} (got {len(f_ord) - 1})"
+            f"carry coefficients through degree {needed} (got {tf})"
         )
     rule = legendre_composite_rule(-K, K, max(64, int(8 * K)), 12)
-    ks = rule.nodes
-    # the same polynomial in k, summed into ordinary coefficients and evaluated at the nodes
-    poly = _bracket_polynomial(a, b)
     # the rule is symmetric and the damped symbol even in k: take it at the
     # nonnegative nodes and add each node's mirror there, so that for a real
     # series the odd, imaginary part of the integrand cancels exactly
-    half = len(ks) // 2
-    k = ks[half:]
+    half = len(rule.nodes) // 2
+    k, weights = rule.nodes[half:], rule.weights[half:]
     damped = _e_tilde_grid(m, tau, k) * np.exp(-beta * k ** 2 / 2.0)
-    # one Horner pass over the stacked nodes ik and -ik
-    bracket = polyval_coeffs(poly, np.concatenate((1j * k, 1j * -k)))
-    integrand = damped * bracket[: len(k)] + damped * bracket[len(k):]
-    return complex(np.sum(rule.weights[half:] * integrand)) / _SQRT2PI
+    ik = np.concatenate((1j * k, 1j * -k))
+
+    def values(xs: list) -> list:
+        # the same polynomial in k, summed into ordinary coefficients, one row per x
+        polys = np.array([_bracket_polynomial(a, b) for b in _evolution_tables(xs, beta, tf, work_order)])
+        # one Horner pass over the rows at the stacked nodes ik and -ik
+        bracket = polyval_coeffs(polys.T[:, :, None], ik)
+        integrand = damped * bracket[:, : len(k)] + damped * bracket[:, len(k):]
+        return [complex(np.sum(weights * row)) / _SQRT2PI for row in integrand]
+
+    return values
 
 
 def umbral_operator_transform(

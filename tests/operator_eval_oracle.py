@@ -8,20 +8,21 @@ references for them:
   and a Taylor generator that allocates a fresh vector per application;
 - `tricomi_c`: both magnitude reductions at every step past the minimum;
 - `integro_diff_evolve`: the series converted to complex on every call, the
-  index tables built afresh, a real moment vector cast inside the product,
+  Borel and index tables built afresh, one point at a time, a real moment
+  vector cast inside the product, the moment-law weights built term by term,
   and the bracket polynomial evaluated at ik and -ik in two Horner passes.
 
 Each performs the same floating-point operations as the library, in the same
 order, so the two must agree bit for bit.
 """
 import warnings
-from math import comb, factorial, log, pi, sqrt
+from math import comb, factorial, inf, lgamma, log, pi, sqrt
 
 import numpy as np
 
 from umbra.appell import _GUARD_POINTS, MAX_COEFFICIENTS
 from umbra.errors import DivergenceError, InternalConsistencyError, TruncationError
-from umbra.opcalc.fourier import _bracket_polynomial, _e_tilde_grid, _moment_law_sum
+from umbra.opcalc.fourier import _bracket_polynomial, _e_tilde_grid
 from umbra.opcalc.oracles import ORACLE_TAYLOR_BETA, ORACLE_TAYLOR_ORDERS, _unit_eigensystem
 from umbra.opcalc.quadrature import (
     _SQRT2PI,
@@ -205,7 +206,13 @@ def integro_diff_evolve(coeffs, beta, m, tau, x):
         hankel = moments[np.arange(a.shape[1])[:, None] + np.arange(b.shape[1])]
         return complex(np.sum((a @ hankel) * b))
     if beta == 0:
-        return _moment_law_sum(f_ord, a, b, m, tau)
+        order = tf // m + 1
+        log_scale = max((2.0 * lgamma(n + 1.0) + log(abs(c)) for n, c in enumerate(f_ord) if c), default=-inf)
+        if order * log(tau) - lgamma(order + 1.0) + log_scale > log(1e-15):
+            raise TruncationError("moment sum truncated")
+        log_weights = [log(factorial(m * j) // factorial(j)) + j * log(tau) for j in range(order)]
+        weights = np.array([(-1.0) ** j for j in range(order)]) * np.exp(log_weights)
+        return complex((b[:, 0] @ a)[::m] @ weights)
 
     for K in (4.0, 8.0, 16.0, 32.0):
         tail = abs(_e_tilde_grid(m, tau, np.array([K, 1.25 * K])).max()) * np.exp(-beta * K * K / 2.0)

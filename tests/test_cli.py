@@ -428,20 +428,33 @@ class TestEvolve:
         assert "nan" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [
-    ["evolve", "--equation", "integro-diff", "--beta", "2.5"],
-    ["evolve", "--equation", "integro-diff", "--beta", "1000"],
-    ["evolve", "--equation", "integro-diff", "--beta", "1e300"],
-    ["evolve", "--equation", "heat", "--alpha", "8"],
-    ["evolve", "--equation", "heat", "--alpha", "20"],
+def _named(argv: list, named: str):
+    """A case of test_range_guard_exits_4: the command line is its id, `named` starts its error."""
+    return pytest.param(argv, named, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv,named", [
+    _named(["evolve", "--equation", "integro-diff", "--beta", "2.5"], "beta = 2.5 outside [0, 2]"),
+    _named(["evolve", "--equation", "integro-diff", "--beta", "1000"], "beta = 1000 outside [0, 2]"),
+    _named(["evolve", "--equation", "integro-diff", "--beta", "1e300"], "beta = 1e+300 outside [0, 2]"),
+    # the route groups the grid by tau: the first point it rejects is still the one named
+    _named(["evolve", "--equation", "integro-diff", "--m", "4", "--beta", "1e-3"],
+           "m=4, beta=0.001, tau=0.4: the damped symbol is still 1.2e-15 at |k| = 32"),
+    # the oracle rejects tau = 0.01 before the route rejects tau = 0.05: the sweep goes point by point
+    _named(["evolve", "--equation", "integro-diff", "--m", "8", "--beta", "0.039",
+            "--x-count", "2", "--tau-count", "51"],
+           "Taylor sum of e^(-tau G^8) cancels 4.9e+14-fold (beta = 0.039, tau = 0.01, degree cap 81)"),
+    _named(["evolve", "--equation", "heat", "--alpha", "8"], "heat kernel for alpha = 8 reaches the grid edge"),
+    _named(["evolve", "--equation", "heat", "--alpha", "20"], "heat kernel for alpha = 20 reaches the grid edge"),
     # exact oracle coefficients past the float range: float() raised OverflowError
-    ["expand", "--family", "identity", "--count", "5", "--scale", "1e200"],
-], ids=" ".join)
-def test_range_guard_exits_4(argv, capsys):
+    _named(["expand", "--family", "identity", "--count", "5", "--scale", "1e200"],
+           "oracle coefficient n=4 is past the float range"),
+])
+def test_range_guard_exits_4(argv, named, capsys):
     # these used to exit 0 with nan or wrapped-around values in the output
     assert main(argv) == 4
     out, err = capsys.readouterr()
-    assert "Traceback" not in err and "error:" in err
+    assert "Traceback" not in err and err.startswith(f"error: {named}")
     assert "nan" not in out.lower()
 
 

@@ -1,6 +1,8 @@
 """Quadrature operator functions against their independent oracles."""
+import re
+from collections import Counter
 from fractions import Fraction
-from math import comb, exp, factorial, gamma, pi, sqrt
+from math import comb, copysign, exp, factorial, gamma, pi, sqrt
 from unittest import mock
 
 import convolution_oracle
@@ -286,6 +288,10 @@ def _evolved_series_values(f_ord: list[complex], beta: float, ks: np.ndarray, x:
     return values
 
 
+_EXHAUSTED_AT_04 = ("m=4, beta=0.001, tau=0.4: the damped symbol is still 1.2e-15 at |k| = 32, "
+                    "past the largest cutoff the route controls")
+
+
 class TestIntegroDiff:
     def setup_method(self):
         self.f = PowerSeries(opcalc.c0_series(40), "ordinary")
@@ -423,9 +429,24 @@ class TestIntegroDiff:
         with pytest.raises(TruncationError):
             opcalc.integro_diff_evolve(self.f, beta, 2, 0.25, 0.25)
 
-    def test_m4_requires_deep_truncation(self):
-        with pytest.raises(TruncationError):
-            opcalc.integro_diff_evolve(self.f, 0.0, 4, 0.3, 0.25)
+    @pytest.mark.parametrize("beta,message", [
+        (0.0, "m=4, tau=0.3: a degree-40 series feeds the moment sum through order 10 only, "
+              "and the first order dropped is ~4.4e-14"),
+        (0.5, "m=4, tau=0.3 integrates out to |k| ~ 16: the initial series must carry "
+              "coefficients through degree 41 (got 40)"),
+    ], ids=["moment-law", "cutoff"])
+    @pytest.mark.parametrize("points", [
+        [(0.25, 0.3)],
+        # in a grid the first point at tau = 0.3 is the one named, before tau = 0.5 and after tau = 0
+        [(0.25, 0.0), (0.0, 0.3), (0.5, 0.5), (0.25, 0.3)],
+    ], ids=["one-point", "grid"])
+    def test_m4_requires_deep_truncation(self, beta, message, points):
+        # the degree-40 series of the m = 2 rows is too short for m = 4 at tau = 0.3,
+        # both for the beta = 0 moment sum and for the beta > 0 cutoff
+        with pytest.raises(TruncationError, match=f"^{re.escape(message)}$"):
+            opcalc.integro_diff_evolve_points(self.f, beta, 4, points)
+        with pytest.raises(TruncationError, match=f"^{re.escape(message)}$"):
+            opcalc.integro_diff_evolve(self.f, beta, 4, 0.3, 0.0)
 
     def test_m4_grid_transform_path(self):
         f81 = PowerSeries(opcalc.c0_series(81), "ordinary")
@@ -554,7 +575,8 @@ class TestIntegroDiff:
     @pytest.mark.parametrize("beta,x", [(0.5, 0.25), (2.0, -0.5)])
     def test_bracket_polynomial_matches_convolutions(self, beta, x):
         f_ord = [complex(c) for c in opcalc.c0_series(81)]
-        a, b = fourier._evolution_tables(f_ord, beta, x, 81 + 16)
+        a = fourier._borel_table(tuple(f_ord))
+        (b,) = fourier._evolution_tables([x], beta, 81, 81 + 16)
         reference = sum(np.convolve(a_j, b_j) for a_j, b_j in zip(a, b))
         got = fourier._bracket_polynomial(a, b)
         assert got.shape == reference.shape
@@ -576,13 +598,24 @@ class TestIntegroDiff:
         ref = opcalc.integro_matrix_oracle([float(c) for c in f170], beta, m, 0.2, 0.25, 170)
         assert abs(got - ref) <= 1e-14
 
-    @pytest.mark.parametrize("tau", [0.4])
-    def test_m4_cutoff_search_exhausted(self, tau):
+    @pytest.mark.parametrize("points,error,message", [
+        ([(0.3, 0.4)], TruncationError, _EXHAUSTED_AT_04),
+        # in a grid the first point at tau = 0.4 is the first rejected: tau = 0.2 and 0.5 pass
+        ([(0.3, 0.2), (0.0, 0.0), (0.1, 0.4), (0.3, 0.2), (0.2, 0.5)], TruncationError, _EXHAUSTED_AT_04),
+        # a point is rejected by its own guards first, and a later point's guards come after
+        ([(0.75, 0.2), (0.3, 0.4)], TruncationError, "|x| = 0.75 outside the truncation-controlled region 0.5"),
+        ([(0.3, 0.4), (0.75, 0.2)], TruncationError, _EXHAUSTED_AT_04),
+        ([(0.3, 0.2), (0.3, -0.1), (0.3, 0.4)], InvalidParameterError, "needs tau >= 0"),
+    ], ids=["one-point", "grid", "x-guard-first", "x-guard-after", "tau-guard-first"])
+    def test_m4_cutoff_search_exhausted(self, points, error, message):
         # the damped symbol is still above 1e-15 at |k| = 32 (beta = 1e-3); this
         # used to integrate out to 64 unchecked, about 1e6 off the oracle
         f161 = PowerSeries(opcalc.c0_series(161), "ordinary")
-        with pytest.raises(TruncationError):
-            opcalc.integro_diff_evolve(f161, 1e-3, 4, tau, 0.3)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            opcalc.integro_diff_evolve_points(f161, 1e-3, 4, points)
+        if len(points) == 1:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                opcalc.integro_diff_evolve(f161, 1e-3, 4, points[0][1], points[0][0])
 
     def test_m4_value_pinned(self):
         # recorded before the m = 2 route changed: the m >= 4 route must stay
@@ -650,6 +683,58 @@ class TestIntegroDiff:
         # three cutoff probes, then half of the 1536 nodes of [-16, 16]
         assert [len(ks) for ks in seen] == [2, 2, 2, 768]
         assert all(np.all(ks >= 0) for ks in seen)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.sampled_from([2, 4, 6]),
+        beta=st.sampled_from([0.0, 0.02, 0.5, 2.0]),
+        taus=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)), min_size=1, max_size=3),
+        draws=st.lists(st.tuples(st.one_of(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.sampled_from([0.0, -0.0])),
+                                 st.integers(0, 2)), min_size=1, max_size=12),
+        stack_rows=st.sampled_from([3, 32]),
+    )
+    @example(m=4, beta=0.5, taus=[0.2, 0.0, 0.35], stack_rows=3,
+             draws=[(0.5, 0), (-0.0, 0), (0.25, 1), (0.0, 2), (-0.5, 0), (0.1, 0), (0.3, 2)])
+    @example(m=2, beta=0.0, taus=[0.3, 0.0], stack_rows=3,
+             draws=[(-0.5, 0), (-0.0, 0), (0.0, 1), (-0.0, 1), (0.0, 0), (0.4, 0)])
+    def test_points_are_the_one_point_route_bit_for_bit(self, m, beta, taus, draws, stack_rows):
+        # a few taus, 0 among the candidates, shared by points in any order, x = +-0 among
+        # the candidates; a small row cap splits the points of one tau into several stacks.
+        # Where a point is rejected, the points entry raises what the one-point calls raise first
+        points = [(x, taus[k % len(taus)]) for x, k in draws]
+        f = self.f if m == 2 else PowerSeries(opcalc.c0_series(81), "ordinary")
+
+        def outcome(evaluate):
+            try:
+                return [(repr(v), copysign(1.0, v.real), copysign(1.0, v.imag)) for v in evaluate()]
+            except TruncationError as exc:
+                return str(exc)
+
+        with mock.patch.object(fourier, "INTEGRO_STACK_ROWS", stack_rows):
+            stacked = outcome(lambda: opcalc.integro_diff_evolve_points(f, beta, m, points))
+        assert stacked == outcome(lambda: [opcalc.integro_diff_evolve(f, beta, m, tau, x) for x, tau in points])
+
+    def test_sweep_builds_each_table_once_per_input(self, monkeypatch):
+        # the Borel table once per series, the m = 2 Hankel product and the m = 4 e~_m grid
+        # once per tau: a 6 x 6 grid on [0, 1/2]^2 has five taus > 0
+        counts = Counter()
+
+        def counted(name, counts_call=lambda *args: True):
+            original = getattr(fourier, name)
+
+            def wrapper(*args):
+                counts[name] += counts_call(*args)
+                return original(*args)
+
+            monkeypatch.setattr(fourier, name, wrapper)
+
+        counted("_borel_table")
+        counted("_gaussian_hankel_product")
+        counted("_e_tilde_grid", lambda m, tau, ks: len(ks) > 2)  # the final grid, not a cutoff probe
+        checks.integro_sweep(0.5, 2, 6, 6)
+        assert counts == {"_borel_table": 1, "_gaussian_hankel_product": 5}
+        checks.integro_sweep(0.5, 4, 6, 6)
+        assert counts == {"_borel_table": 2, "_gaussian_hankel_product": 5, "_e_tilde_grid": 5}
 
     @pytest.mark.parametrize("K", [4.0, 8.0, 16.0, 32.0])
     def test_k_rule_is_symmetric(self, K):
