@@ -93,11 +93,6 @@ class AppellFamily:
     def order(self) -> int:
         return len(self.a_taylor) - 1
 
-    def reciprocal(self) -> "AppellFamily":
-        return AppellFamily(
-            f"1/({self.name})", self.a_inv_taylor, self.a_taylor, self.eval_inv, self.eval_a
-        )
-
     def inverse_at(self, z: complex) -> complex:
         if self.eval_inv is not None:
             return self.eval_inv(z)

@@ -888,7 +888,9 @@ def _chk_appell_bernoulli_poly() -> Outcome:
 
 
 def _chk_appell_expansion() -> Outcome:
-    cases = ((ap.bernoulli_family(), Fraction(1)), (ap.gauss_hermite_family(), Fraction(1, 8)))
+    # Bernoulli at scale 1/8 runs the operational oracle with a scale denominator q != 1
+    cases = ((ap.bernoulli_family(), Fraction(1)), (ap.bernoulli_family(), Fraction(1, 8)),
+             (ap.gauss_hermite_family(), Fraction(1, 8)))
     sweeps = [expansion_sweep(fam, ap.GaussianFunction(scale), 10)[1] for fam, scale in cases]
     worst = _worst(r for rows in sweeps for *_, r in rows)
     return Outcome(worst, "Fourier coefficients vs operational and widening-law oracles, n <= 10")
@@ -896,7 +898,8 @@ def _chk_appell_expansion() -> Outcome:
 
 def _chk_appell_reciprocity() -> Outcome:
     bern = ap.bernoulli_family()
-    rec = bern.reciprocal()
+    # 1/A as Taylor data alone: the family's own inverse, A again, comes from the series reciprocal
+    rec = ap.AppellFamily("1/bernoulli", bern.a_inv_taylor[:8])
     for n in range(8):
         if ap.appell_poly(bern, n, "plus") != ap.appell_poly(rec, n, "minus"):
             return Outcome(1.0, f"reciprocity broke at n={n}")

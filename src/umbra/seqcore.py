@@ -369,14 +369,10 @@ def _any_digits():
             set_limit(saved)
 
 
-def render_rational(q: Fraction) -> str:
-    return str(q)
-
-
 @_any_digits()
 def sequence_to_json(a: Sequence) -> str:
     """Serialize in the exchange format: {"terms": ["p/q" | "p", ...]}."""
-    return json.dumps({"terms": [render_rational(t) for t in a.terms]})
+    return json.dumps({"terms": [str(t) for t in a.terms]})
 
 
 @_any_digits()

@@ -4,7 +4,8 @@
 the default seed and order: suite, name, equation, status, residual and
 tolerance (each as the `repr` of its float, so a last-bit change shows) and
 detail.  `test_catalog_table.py` holds a fresh catalog run against it row by
-row; `regenerate_catalog_table.py` rewrites it and prints every row that moved.
+row; `regenerate_golden.py` rewrites it, with the files of tests/golden/, and
+prints every row that moved.
 """
 import json
 from pathlib import Path

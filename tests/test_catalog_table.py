@@ -2,7 +2,7 @@
 against the session's one catalog run at the default seed and order (the
 `catalog_run` fixture of `conftest.py`): status, residual bit for bit,
 tolerance and detail.  After a deliberate change,
-`python tests/regenerate_catalog_table.py` rewrites the table and prints what
+`python tests/regenerate_golden.py` rewrites the table and prints what
 moved."""
 import pytest
 from catalog_table import read_table, row_of

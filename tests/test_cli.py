@@ -3,7 +3,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -12,12 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from catalog_table import read_table, status_counts
+from fresh_run import fresh_env, fresh_umbra
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from transform_oracle import expected
 
-import umbra
 from umbra import checks, cli, errors
 from umbra.checks import MAX_ORDER, suite_names
 from umbra.cli import main
@@ -117,25 +115,10 @@ def _loaded_modules(script: str, tmp_path, roots: tuple) -> str:
         "import sys\n" + script + "\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))\n"
     )
-    done = subprocess.run([sys.executable, "-c", probe, src], env=_env(), capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe, src], env=fresh_env(), capture_output=True,
                           text=True, timeout=120, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
-
-
-def _env() -> dict:
-    """The environment with this umbra on the path and Python's default warning filters."""
-    env = dict(os.environ)
-    env.pop("PYTHONWARNINGS", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(umbra.__file__).parents[1]),
-                                                      env.get("PYTHONPATH")]))
-    return env
-
-
-def _umbra(argv: list, tmp_path) -> subprocess.CompletedProcess:
-    """The command line run in a fresh interpreter, as a user runs it."""
-    return subprocess.run([sys.executable, "-m", "umbra.cli", *argv], env=_env(), capture_output=True,
-                          text=True, timeout=300, cwd=tmp_path)
 
 
 class TestLayering:
@@ -227,7 +210,7 @@ class TestCheck:
         assert doc["checks"] and all(c["status"] == "pass" for c in doc["checks"])
         if order == MAX_ORDER:
             # the highest order the CLI accepts, once more in a fresh interpreter: the same file
-            done = _umbra(["check", "--suite", suite, "--order", str(order), "--output", "umbra.json"], tmp_path)
+            done = fresh_umbra(["check", "--suite", suite, "--order", str(order), "--output", "umbra.json"], tmp_path)
             assert done.returncode == 0 and (tmp_path / "umbra.json").read_bytes() == out.read_bytes()
 
     def test_error_rows_name_no_source_line(self, tmp_path):
@@ -301,7 +284,7 @@ class TestWarningsReachStderr:
 
     def test_unconverged_orders_are_named_once_each(self, tmp_path, capsys):
         argv = ["expand", "--family", "gauss-hermite-type", "--scale", "8", "--count", "24"]
-        done = _umbra(argv, tmp_path)
+        done = fresh_umbra(argv, tmp_path)
         with pytest.warns(QuadratureConvergenceWarning):
             assert main(argv) == 0
         assert done.returncode == 0 and done.stdout == capsys.readouterr().out
@@ -313,7 +296,7 @@ class TestWarningsReachStderr:
         ["evolve", "--equation", "integro-diff", "--m", "4", "--beta", "0.5"],
     ], ids=" ".join)
     def test_converged_runs_print_no_warning(self, argv, tmp_path):
-        done = _umbra(argv, tmp_path)
+        done = fresh_umbra(argv, tmp_path)
         assert done.returncode == 0 and done.stderr == ""
 
     @pytest.mark.parametrize("argv,code", [
@@ -330,56 +313,13 @@ class TestWarningsReachStderr:
         (["evolve", "--equation", "heat", "--extent", "1e300", "--alpha", "1e-300"], 0),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_extreme_inputs_print_no_numpy_warning(self, argv, code, tmp_path):
-        done = _umbra(argv, tmp_path)
+        done = fresh_umbra(argv, tmp_path)
         assert done.returncode == code
         assert "Warning" not in done.stderr
         if code:
             assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         else:
             assert done.stderr == ""
-
-
-#: stand for files that the test below writes from FILES
-THREE_TERMS = "<three terms>"
-TAYLOR_1_OVER_1_MINUS_T2 = "<taylor 1/(1 - t^2)>"
-FILES = {THREE_TERMS: '{"terms": ["1", "-1/2", "3/7"]}',
-         TAYLOR_1_OVER_1_MINUS_T2: '["1","0","1","0","1","0","1","0","1"]'}
-
-
-@pytest.mark.parametrize("argv", [
-    ["check", "--suite", "all"],
-    ["check", "--suite", "all", "--format", "csv"],
-    ["evolve", "--equation", "heat"],
-    ["evolve", "--equation", "tricomi"],
-    ["evolve", "--equation", "integro-diff", "--m", "4", "--beta", "0"],
-    ["evolve", "--equation", "integro-diff", "--m", "4", "--beta", "0.5"],
-    # the m = 2 moment route, at beta = 0 and beta = 1
-    ["evolve", "--equation", "integro-diff", "--m", "2", "--beta", "0"],
-    ["evolve", "--equation", "integro-diff", "--m", "2", "--beta", "1"],
-    ["expand", "--family", "gauss-hermite-type", "--scale", "1/8", "--count", "24"],
-    # orders that reach the 1024-node cap unconverged, each with its warning
-    ["expand", "--family", "gauss-hermite-type", "--scale", "8", "--count", "24"],
-    # a Taylor-only family whose reciprocal 1 - t^2 is exact
-    ["expand", "--family", "user-taylor-file", "--taylor-file", TAYLOR_1_OVER_1_MINUS_T2,
-     "--count", "6", "--scale", "1/8"],
-    *(["transform", THREE_TERMS, "--name", name, "--alpha", "1/2", "--beta", "3", "--k", "2"]
-      for name in TRANSFORM_NAMES),
-], ids=" ".join)
-def test_output_files_match_a_fresh_interpreter(argv, tmp_path, capsys):
-    # --output is byte-stable: the command line as a user runs it writes the bytes of an in-process run
-    paths = {name: write(tmp_path, f"in{i}.json", text) for i, (name, text) in enumerate(FILES.items())}
-    argv = [paths.get(part, part) for part in argv]
-    done = _umbra([*argv, "--output", "umbra.out"], tmp_path)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main([*argv, "--output", str(tmp_path / "main.out")])
-    assert done.returncode == code == 0
-    assert (tmp_path / "umbra.out").read_bytes() == (tmp_path / "main.out").read_bytes()
-    assert re.findall(r"Warning: (.*)", done.stderr) == [str(w.message) for w in caught]
-    if argv[0] == "check":
-        # a report file's one stderr line is its status count, that of the committed catalog table
-        rows = read_table()
-        assert done.stderr == capsys.readouterr().err == f"{len(rows)} checks: {status_counts(rows)}\n"
 
 
 class TestEvolve:
