@@ -61,10 +61,6 @@ def _changed_lines(old: list, new: list) -> int:
 
 
 def regenerate_golden() -> None:
-    for path in sorted(GOLDEN.iterdir()):
-        if path.is_file() and path.name not in GOLDEN_RUNS:
-            path.unlink()
-            print(f"removed {path.name}")
     for name, argv in GOLDEN_RUNS.items():
         path = GOLDEN / name
         old = path.read_bytes().splitlines() if path.exists() else None

@@ -12,8 +12,8 @@ value with no change here (BLAS summation order, SIMD): then
 rewrites these files and tests/catalog.jsonl and prints what moved; say so in
 CHANGES.md.
 """
+import contextlib
 import re
-import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from catalog_table import read_table, status_counts
 from fresh_run import fresh_umbra
 
 from umbra.cli import main
+from umbra.opcalc.quadrature import QuadratureConvergenceWarning
 from umbra.seqcore import TRANSFORM_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,11 +51,14 @@ GOLDEN_RUNS = {
 }
 
 
+#: the one run that warns; every other runs under the suite's filters, where any warning fails it
+WARNING_RUNS = {"expand-gauss-hermite-type-scale8.csv"}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_output_matches_its_golden_file(name, tmp_path, capsys):
     argv, golden = GOLDEN_RUNS[name], (GOLDEN / name).read_bytes()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.warns(QuadratureConvergenceWarning) if name in WARNING_RUNS else contextlib.nullcontext([]) as caught:
         assert main([*argv, "--output", str(tmp_path / "main.out")]) == 0
     assert (tmp_path / "main.out").read_bytes() == golden
     done = fresh_umbra([*argv, "--output", "umbra.out"], tmp_path)
